@@ -30,9 +30,10 @@ OUT_DIR = ROOT / "bench-out"
 SETUP_REPEATS = 3
 # Times are scaled to a fixed machine speed: each op's time is multiplied by
 # REF_S over the time of reference() measured around it. On a shared 2-vCPU
-# VM (Intel Xeon, Python 3.11.7) the host's speed drifted by up to a third
-# in spells of tens of seconds, which spread raw times across runs by more
-# than 0.25; a reference read at most CHUNK_S of op time away tracks it.
+# VM (Intel Xeon, Python 3.11.7) a run's median reading ranged from 15 to
+# 34 ms, in spells of tens of seconds, and raw times spread across seeds by
+# up to 0.19; a reference read at most CHUNK_S of op time away tracks it.
+# REF_S sits at the slow end of those readings.
 REF_S = 0.030
 CHUNK_S = 0.25
 
@@ -74,19 +75,25 @@ def timed_passes(w, items, seconds, tr):
     after the last and between ops once CHUNK_S of op time has gone by. An
     op's output is checked right after it, outside the timed region, and
     only its fingerprint is kept, so the run holds one output at a time.
-    Returns the raw and scaled times of the ops that returned, the raw and
-    scaled rate of each pass, the first pass's fingerprints and the failures.
+    A pass's whole wall time counts towards `seconds`: its ops, failed ones
+    too, their checks and the reference readings, so a run whose ops all
+    fail still ends on time. Returns the raw and scaled times of the
+    ops that passed, the raw and scaled rate of each pass, the first pass's
+    fingerprints, the counts of ops attempted and failed, the failures and
+    the reference readings.
     """
     raw_times: list[float] = []
     times: list[float] = []
     raw_rates: list[float] = []
     rates: list[float] = []
+    all_refs: list[float] = []
     first: list = []          # fingerprints, None where the op failed
     failed = attempted = 0
     problems: list[str] = []
     busy = 0.0
     engine = sys.modules["sqft.engine"]
     while True:
+        start = time.perf_counter()
         gc.collect()
         refs = [ref_time()]
         done: list[tuple[float, int]] = []   # (op time, reference index)
@@ -102,19 +109,21 @@ def timed_passes(w, items, seconds, tr):
             t = time.perf_counter()
             try:
                 out = w.op(item)
-                dt = time.perf_counter() - t
+                raised = None
             except Exception as exc:  # an op that raises counts as failed
-                dt, out = None, exc
+                out = raised = exc
+            dt = time.perf_counter() - t
             if tr is not None:
                 tr.recording = False
                 tr.ops += 1
                 # the op cleared the memo first, so its size is the growth
                 tr.memo_entries += len(engine._CACHE)
             attempted += 1
-            if dt is None:
-                problem, fp = f"raised {type(out).__name__}: {out}", None
+            chunk += dt
+            if raised is not None:
+                problem = f"raised {type(raised).__name__}: {raised}"
+                fp = None
             else:
-                chunk += dt
                 fp = w.fingerprint(out)
                 if len(first) < len(items):
                     problem = w.check(item, out)
@@ -122,7 +131,7 @@ def timed_passes(w, items, seconds, tr):
                     problem = "output differs from the first pass"
                 else:
                     problem = None
-            del out
+            del out, raised
             if len(first) < len(items):
                 first.append(None if problem else fp)
             if problem:
@@ -131,17 +140,19 @@ def timed_passes(w, items, seconds, tr):
             else:
                 done.append((dt, len(refs) - 1))
         refs.append(ref_time())
+        all_refs += refs
         scaled = [dt * 2 * REF_S / (refs[k] + refs[k + 1]) for dt, k in done]
         raw = [dt for dt, _ in done]
         raw_times += raw
         times += scaled
         raw_rates.append(len(raw) / sum(raw) if raw else 0.0)
         rates.append(len(scaled) / sum(scaled) if scaled else 0.0)
-        busy += sum(raw)
-        if busy + sum(raw) > seconds:
+        spent = time.perf_counter() - start
+        busy += spent
+        if busy + spent > seconds:
             break
     return (raw_times, times, raw_rates, rates, first, attempted, failed,
-            problems)
+            problems, all_refs)
 
 
 def main() -> int:
@@ -155,15 +166,22 @@ def main() -> int:
 
     workloads, tracer = load_program()
     import_s = time.perf_counter() - T0
-    w = workloads.WORKLOADS[args.workload]()
 
+    # Set-up runs SETUP_REPEATS times after the import, each time from the
+    # workload's own files, and its median is reported: one cold set-up is a
+    # single sample of a host whose speed drifts. The first, cold, one is
+    # kept in the result file as cold_setup_s.
     refs = [ref_time()]
     setups = []
     for _ in range(SETUP_REPEATS):
         t = time.perf_counter()
+        w = workloads.WORKLOADS[args.workload]()
         items = w.inputs(args.seed)
         for item in items[:w.warm_ops]:
-            w.op(item)
+            try:
+                w.op(item)
+            except Exception:  # the timed pass reports it as a failed op
+                pass
         setups.append(time.perf_counter() - t)
         refs.append(ref_time())
     raw_setup_s = import_s + statistics.median(setups)
@@ -177,12 +195,16 @@ def main() -> int:
         tr.install()
     try:
         (raw_times, times, raw_rates, rates, prints, attempted, failed,
-         problems) = timed_passes(w, items, args.seconds, tr)
+         problems, pass_refs) = timed_passes(w, items, args.seconds, tr)
     finally:
         if tr is not None:
             tr.uninstall()
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    problems += w.run_checks(args.seed, items, prints)
+    try:
+        problems += w.run_checks(args.seed, items, prints)
+    except Exception as exc:
+        problems.append(f"{w.name} run checks raised "
+                        f"{type(exc).__name__}: {exc}")
 
     e2e = {
         "ops_per_s": {"value": statistics.median(rates), "unit": "1/s"},
@@ -195,6 +217,7 @@ def main() -> int:
         "ops_per_s": statistics.median(raw_rates),
         "op_p50_ms": 1000 * statistics.median(raw_times or [0.0]),
         "setup_s": raw_setup_s,
+        "cold_setup_s": import_s + setups[0],
     }
     if tr is not None:
         layer = tr.layer_metrics()
@@ -210,8 +233,10 @@ def main() -> int:
     detail = dict(result, workload=args.workload, seed=args.seed,
                   seconds=args.seconds, ops_per_pass=len(items),
                   passes=attempted // len(items), problems=problems[:20],
+                  inputs_left_out=w.left_out,
                   end_to_end=e2e, unscaled=unscaled, setup_repeats_s=setups,
-                  import_s=import_s, reference_s=refs)
+                  import_s=import_s, reference_s=refs,
+                  pass_reference_median_s=statistics.median(pass_refs))
     if tr is not None:
         tr.write(OUT_DIR / f"trace-{tag}.json",
                  {"workload": args.workload, "seed": args.seed})

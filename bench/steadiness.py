@@ -1,21 +1,20 @@
 """Two sets of benchmark runs of the same code, side by side with the bounds.
 
-    python3 bench/steadiness.py                       # 2 sets x 10 seeds
-    python3 bench/steadiness.py --sets 1 --runs 5 --workloads disc_chords
+    python3 bench/steadiness.py
 
-Set k runs seeds k*runs+1 .. (k+1)*runs; within a set the runs go round the
-workloads, so that a slow spell of the machine falls on all of them. For
-each workload and end-to-end metric it prints each set's median, quartiles
-and spread (quartile distance over the median), and how far the last set's
-median moved from the first set's in the worse direction, beside the bound
-in BENCHMARK.json. Then each workload gets two traced runs under different
+It takes no options. It makes two sets of ten runs of every workload in
+BENCHMARK.json, each run_seconds long; set 1 runs seeds 1-10 and set 2
+seeds 11-20. Within a set the runs go round the workloads, so that a slow
+spell of the machine falls on all of them. For each workload and end-to-end
+metric it prints each set's median, quartiles and spread (quartile distance
+over the median), and how far set 2's median moved from set 1's in the
+worse direction, beside the bound in BENCHMARK.json. Then each workload gets two traced runs under different
 PYTHONHASHSEED values, whose counts must be identical, and the traced
 ops_per_s is set against the untraced run of the same seed. Everything is
 also written to bench-out/steadiness.json. Exits 1 if a spread or a shift
 exceeds its bound, a failure share differs or a count does not repeat.
 """
 
-import argparse
 import json
 import os
 import statistics
@@ -25,6 +24,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "bench-out"
+SETS = 2
+RUNS = 10
 
 
 def run(workload: str, seed: int, seconds: int, trace: int,
@@ -53,29 +54,22 @@ def spread(values: list[float]) -> tuple[float, float, float, float]:
 def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in spec["workloads"]]
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--sets", type=int, default=2)
-    ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--seconds", type=int, default=spec["run_seconds"])
-    ap.add_argument("--workloads", nargs="+", default=names, choices=names)
-    ap.add_argument("--no-trace", action="store_true",
-                    help="skip the traced runs")
-    args = ap.parse_args()
+    seconds = spec["run_seconds"]
 
     sets: list[dict[str, list[dict]]] = []
-    for k in range(args.sets):
+    for k in range(SETS):
         print(f"set {k + 1}", file=sys.stderr)
-        runs: dict[str, list[dict]] = {w: [] for w in args.workloads}
-        for i in range(args.runs):
-            for w in args.workloads:
-                runs[w].append(run(w, k * args.runs + i + 1, args.seconds, 0))
+        runs: dict[str, list[dict]] = {w: [] for w in names}
+        for i in range(RUNS):
+            for w in names:
+                runs[w].append(run(w, k * RUNS + i + 1, seconds, 0))
         sets.append(runs)
 
     ok = True
     summary: dict = {}
     print(f"\n{'workload':18} {'metric':12} {'set':>3} {'median':>11} "
           f"{'q1':>11} {'q3':>11} {'spread':>7} {'shift':>7} {'bound':>6}")
-    for w in args.workloads:
+    for w in names:
         shares = {tuple(r["failed"] / r["attempted"] for r in s[w])
                   for s in sets}
         if len({x for s in shares for x in s}) > 1:
@@ -97,9 +91,9 @@ def main() -> int:
                 rows.append({"median": med, "q1": q1, "q3": q3,
                              "spread": sp, "shift": shift, "values": values})
                 flag = ""
-                if name != "setup_s" and sp > bound:
+                if sp > bound:
                     flag, ok = " WIDE", False
-                elif name != "setup_s" and sp > bound / 3:
+                elif sp > bound / 3:
                     flag = " (above bound/3)"
                 if shift > bound:
                     flag, ok = flag + " SHIFT", False
@@ -107,32 +101,29 @@ def main() -> int:
                       f"{q3:11.5g} {sp:7.3f} {shift:7.3f} {bound:6.2f}{flag}")
             summary[w][name] = rows
 
-    if not args.no_trace:
-        print("\ntraced runs (seed 1)", file=sys.stderr)
-        for w in args.workloads:
-            a = run(w, 1, args.seconds, 1, hash_seed="0")
-            b = run(w, 1, args.seconds, 1, hash_seed="1")
-            counts = [n for n in a["metrics"]
-                      if n.endswith(".calls") or n.startswith("engine.memo_")]
-            differ = [n for n in counts if a["metrics"][n]["value"]
-                      != b["metrics"][n]["value"]]
-            ok &= not differ
-            detail = json.loads(
-                (OUT / f"result-{w}-s1-t1.json").read_text())
-            traced = detail["end_to_end"]["ops_per_s"]["value"]
-            untraced = sets[0][w][0]["metrics"]["ops_per_s"]["value"] \
-                if sets and sets[0][w] else float("nan")
-            summary[w]["trace"] = {
-                "counts_compared": len(counts), "counts_differing": differ,
-                "traced_ops_per_s": traced, "untraced_ops_per_s": untraced}
-            print(f"{w:18} counts repeat: {not differ} ({len(counts)} "
-                  f"compared); ops_per_s traced {traced:.5g} untraced "
-                  f"{untraced:.5g} ({traced - untraced:+.5g}, "
-                  f"{(traced - untraced) / untraced:+.1%})")
+    print("\ntraced runs (seed 1)", file=sys.stderr)
+    for w in names:
+        a = run(w, 1, seconds, 1, hash_seed="0")
+        b = run(w, 1, seconds, 1, hash_seed="1")
+        counts = [n for n in a["metrics"]
+                  if n.endswith(".calls") or n.startswith("engine.memo_")]
+        differ = [n for n in counts if a["metrics"][n]["value"]
+                  != b["metrics"][n]["value"]]
+        ok &= not differ
+        detail = json.loads((OUT / f"result-{w}-s1-t1.json").read_text())
+        traced = detail["end_to_end"]["ops_per_s"]["value"]
+        untraced = sets[0][w][0]["metrics"]["ops_per_s"]["value"]
+        summary[w]["trace"] = {
+            "counts_compared": len(counts), "counts_differing": differ,
+            "traced_ops_per_s": traced, "untraced_ops_per_s": untraced}
+        print(f"{w:18} counts repeat: {not differ} ({len(counts)} "
+              f"compared); ops_per_s traced {traced:.5g} untraced "
+              f"{untraced:.5g} ({traced - untraced:+.5g}, "
+              f"{(traced - untraced) / untraced:+.1%})")
 
     OUT.mkdir(exist_ok=True)
     (OUT / "steadiness.json").write_text(json.dumps(
-        {"seconds": args.seconds, "runs": args.runs, "summary": summary},
+        {"seconds": seconds, "runs": RUNS, "summary": summary},
         indent=1) + "\n")
     print("\nsteady" if ok else "\nNOT steady")
     return 0 if ok else 1
