@@ -16,7 +16,6 @@ from .sutures import (
 )
 from .regions import (
     Region, RegionDecomposition, euler_class, is_confining, is_trivial,
-    regions,
 )
 from .tensor import (
     DigitalOp, GradingTriple, LinearMap, Z2Tensor, apply_annihilate,

@@ -10,7 +10,6 @@ with bypass surgeries so that edge triples actually exist.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
@@ -36,21 +35,6 @@ def disc_complex(n: int) -> SquareComplex:
     return SquareComplex.build(
         n - 1, [((i, 2), (i + 1, 1)) for i in range(n - 2)]
     )
-
-
-@dataclass(frozen=True)
-class DiscFamily:
-    n: int
-
-    @property
-    def complex(self) -> SquareComplex:
-        return disc_complex(self.n)
-
-    def __post_init__(self):
-        inv = invariants(self.complex)
-        if (inv.index, inv.gluing_number, inv.boundary_components,
-                inv.chi) != (self.n - 1, self.n - 2, 1, 1):
-            raise AssertionError("disc family invariants broken")
 
 
 @lru_cache(maxsize=None)

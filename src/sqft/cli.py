@@ -134,7 +134,8 @@ def cmd_census(args) -> int:
           f"(catalan {census.catalan(args.n)})")
     tally: dict[int, int] = {}
     for s in systems:
-        tally[euler_class(c, s)] = tally.get(euler_class(c, s), 0) + 1
+        e = euler_class(c, s)
+        tally[e] = tally.get(e, 0) + 1
     for e in sorted(tally):
         print(f"  euler class {e:+d}: {tally[e]} classes")
     return 0
@@ -201,10 +202,7 @@ def check_naturality(seed: int, cases: int) -> list[str]:
     fails = []
     for i in range(cases):
         script = census.random_surface(seed + i, 6)
-        compiled = compile_script(script)
-        lin, fact = compiled_operator(compiled)
-        src = script.source
-        for bits in range(1 << src.square_count):
+        for bits in range(1 << script.source.square_count):
             if not naturality_holds(script, bits):
                 fails.append(f"case {i}: naturality fails at word {bits}")
     return fails
@@ -313,9 +311,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except (formats.ParseError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout early, as `sqft census ... | head -1`
+        # does; send what is left to devnull so the exit flush cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

@@ -19,7 +19,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
-from .quad import CollapseRecord, collapse_slack_square, tighten
+from .quad import CollapseRecord, collapse_steps, tighten
 from .regions import is_trivial
 from .routing import transport_collapse
 from .surface import (
@@ -27,8 +27,9 @@ from .surface import (
     validate_complex,
 )
 from .sutures import (
-    CurveSystem, basic_bits, basic_system, bypass_surgery, bypass_triples,
-    normalize, require_valid_pair, transport_glue,
+    CurveSystem, basic_bits, basic_square_chords, basic_system,
+    bypass_surgery, bypass_triples, normalize, require_valid_pair,
+    transport_glue,
 )
 from .tensor import (
     DigitalOp, LinearMap, Z2Tensor, annihilate_op, apply_annihilate, apply_op,
@@ -61,22 +62,37 @@ def suture_element(c: SquareComplex, g: CurveSystem,
     result is independent of the choice (tested, not assumed), but only the
     default deterministic order is memoized.
     """
+    return _element(c, g, chooser, None)
+
+
+def element_trace(c: SquareComplex, g: CurveSystem) -> tuple[Z2Tensor, list[str]]:
+    """suture_element plus a printable tree of the bypass recursion."""
+    lines: list[str] = []
+    return _element(c, g, None, lines), lines
+
+
+def _element(c: SquareComplex, g: CurveSystem, chooser: Optional[Chooser],
+             lines: Optional[list[str]]) -> Z2Tensor:
     require_valid_pair(c, g)
+    elem = _reduce(c, g, chooser, lines)
     if c.internal_vertices():
-        tight, records = tighten(c)
-        elem = _reduce(c, g, chooser)
         arity = c.square_count
-        for rec in records:
-            elem = apply_annihilate(fold_operator(rec, arity), elem)
+        for rec in tighten(c)[1]:
+            op = fold_operator(rec, arity)
+            if lines is not None:
+                lines.append(f"collapse square {rec.square}: {op.kind} "
+                             f"factor {op.factor} acting on {op.acted}")
+            elem = apply_annihilate(op, elem)
             arity -= 1
-        return elem
-    return _reduce(c, g, chooser)
+    return elem
 
 
-def _reduce(c: SquareComplex, g: CurveSystem,
-            chooser: Optional[Chooser]) -> Z2Tensor:
+def _reduce(c: SquareComplex, g: CurveSystem, chooser: Optional[Chooser],
+            lines: Optional[list[str]], depth: int = 0) -> Z2Tensor:
+    # only the default order is memoized, and a trace skips the memo so that
+    # it prints every subtree
     g = normalize(c, g)
-    use_cache = chooser is None
+    use_cache = chooser is None and lines is None
     if use_cache:
         key, perm = _cache_key(c, g)
         with _CACHE_LOCK:
@@ -85,7 +101,7 @@ def _reduce(c: SquareComplex, g: CurveSystem,
             inv = {v: k for k, v in perm.items()}
             return Z2Tensor(c.square_count, hit).permute(
                 [inv[i] for i in range(c.square_count)])
-    result = _reduce_uncached(c, g, chooser)
+    result = _reduce_uncached(c, g, chooser, lines, depth)
     if use_cache:
         canon_words = result.permute(
             [perm[i] for i in range(c.square_count)]).words
@@ -95,60 +111,34 @@ def _reduce(c: SquareComplex, g: CurveSystem,
 
 
 def _reduce_uncached(c: SquareComplex, g: CurveSystem,
-                     chooser: Optional[Chooser]) -> Z2Tensor:
+                     chooser: Optional[Chooser], lines: Optional[list[str]],
+                     depth: int) -> Z2Tensor:
+    pad = "  " * depth
     if is_trivial(c, g):
+        if lines is not None:
+            lines.append(f"{pad}trivial -> 0")
         return Z2Tensor.zero(c.square_count)
     triples = bypass_triples(c, g)
     if triples:
         edge, t = triples[0] if chooser is None else chooser(triples)
+        if lines is not None:
+            lines.append(f"{pad}surgery at edge {edge[0]}-{edge[1]}, "
+                         f"triple {t}")
         up = bypass_surgery(c, g, edge, t, "up")
         down = bypass_surgery(c, g, edge, t, "down")
         # surgery at an edge-efficient disc keeps nontrivial sutures
         # nontrivial; a violation here would mean a broken rewiring
         if is_trivial(c, up) or is_trivial(c, down):
             raise AssertionError("efficient surgery produced trivial sutures")
-        return _reduce(c, up, chooser) + _reduce(c, down, chooser)
+        return (_reduce(c, up, chooser, lines, depth + 1)
+                + _reduce(c, down, chooser, lines, depth + 1))
     bits = basic_bits(c, g)
     if bits is None:
         raise AssertionError("triple-free nontrivial system is not basic")
-    return Z2Tensor.word(c.square_count, bits)
-
-
-def element_trace(c: SquareComplex, g: CurveSystem) -> tuple[Z2Tensor, list[str]]:
-    """suture_element plus a printable tree of the bypass recursion."""
-    lines: list[str] = []
-
-    def rec(sys_: CurveSystem, depth: int) -> Z2Tensor:
-        pad = "  " * depth
-        sys_ = normalize(c, sys_)
-        if is_trivial(c, sys_):
-            lines.append(f"{pad}trivial -> 0")
-            return Z2Tensor.zero(c.square_count)
-        triples = bypass_triples(c, sys_)
-        if not triples:
-            bits = basic_bits(c, sys_)
-            word = Z2Tensor.word(c.square_count, bits)
-            lines.append(f"{pad}basic {word.word_strings()[0]}")
-            return word
-        edge, t = triples[0]
-        lines.append(f"{pad}surgery at edge {edge[0]}-{edge[1]}, triple {t}")
-        up = rec(bypass_surgery(c, sys_, edge, t, "up"), depth + 1)
-        down = rec(bypass_surgery(c, sys_, edge, t, "down"), depth + 1)
-        return up + down
-
-    require_valid_pair(c, g)
-    if c.internal_vertices():
-        tight, records = tighten(c)
-        elem = rec(g, 0)
-        arity = c.square_count
-        for rec_ in records:
-            op = fold_operator(rec_, arity)
-            lines.append(f"collapse square {rec_.square}: {op.kind} "
-                         f"factor {op.factor} acting on {op.acted}")
-            elem = apply_annihilate(op, elem)
-            arity -= 1
-        return elem, lines
-    return rec(g, 0), lines
+    word = Z2Tensor.word(c.square_count, bits)
+    if lines is not None:
+        lines.append(f"{pad}basic {word.word_strings()[0]}")
+    return word
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +224,8 @@ class ScriptStep:
     move: Move
     complex_after: SquareComplex
     ops: tuple[DigitalOp, ...]
-    records: tuple[CollapseRecord, ...]
+    # (complex before the collapse, collapse), in tightening order
+    collapses: tuple[tuple[SquareComplex, CollapseRecord], ...]
 
 
 @dataclass(frozen=True)
@@ -261,32 +252,29 @@ def compile_script(script: MorphismScript) -> CompiledScript:
     steps: list[ScriptStep] = []
     for move in script.moves:
         arity = cur.square_count
+        collapses: list[tuple[SquareComplex, CollapseRecord]] = []
         if isinstance(move, CreateSquare):
             if move.sign not in (+1, -1):
                 raise ScriptError("creation sign must be +1 or -1")
             cur = add_square(cur)
             ops = (create_op(1 if move.sign > 0 else 0, arity),)
-            records: tuple[CollapseRecord, ...] = ()
         else:
             glued, kind = glue(cur, move.a, move.b)
             want = {Glue: "standard", Fold: "fold", Zip: "zip"}[type(move)]
             if kind.kind != want:
                 raise ScriptError(
                     f"move {move} classifies as {kind.kind}, not {want}")
-            tightened, recs = tighten(glued)
-            op_list: list[DigitalOp] = []
-            arity_now = glued.square_count
-            for rec in recs:
-                op_list.append(fold_operator(rec, arity_now))
-                arity_now -= 1
-            cur = tightened
+            tight = glued
+            for before, rec, tight in collapse_steps(glued):
+                collapses.append((before, rec))
+            cur = SquareComplex(tight.square_count, tight.gluings, slack=False)
             expected = {Glue: 0, Fold: 1, Zip: 2}[type(move)]
-            if len(op_list) != expected:
-                raise ScriptError(f"move {move} produced {len(op_list)} "
+            if len(collapses) != expected:
+                raise ScriptError(f"move {move} produced {len(collapses)} "
                                   f"collapses, expected {expected}")
-            ops = tuple(op_list)
-            records = tuple(recs)
-        steps.append(ScriptStep(move, cur, ops, records))
+            ops = tuple(fold_operator(rec, before.square_count)
+                        for before, rec in collapses)
+        steps.append(ScriptStep(move, cur, ops, tuple(collapses)))
     return CompiledScript(script, tuple(steps))
 
 
@@ -334,34 +322,25 @@ def apply_script_to_sutures(script: MorphismScript,
     Creations adjoin a square with standard sutures of the move's sign;
     gluing moves carry the curves across the new edge, and each collapse of
     the interleaved tightening re-routes them around the swallowed vertex.
+    The complexes are the compiled script's; none is recomputed here.
     """
     compiled = compile_script(script)
-    cur_c = script.source
-    require_valid_pair(cur_c, g)
-    cur_g = g
+    require_valid_pair(script.source, g)
     for step in compiled.steps:
         move = step.move
         if isinstance(move, CreateSquare):
-            chords = {s: list(cur_g.chords[s]) for s in range(cur_c.square_count)}
-            loops = {s: cur_g.loops[s] for s in range(cur_c.square_count)}
-            from .sutures import basic_square_chords
-            chords[cur_c.square_count] = basic_square_chords(move.sign > 0)
-            cur_c = add_square(cur_c)
-            cur_g = CurveSystem.build(cur_c.square_count, chords, loops)
+            k = g.square_count
+            chords = dict(enumerate(g.chords))
+            chords[k] = basic_square_chords(move.sign > 0)
+            g = CurveSystem.build(k + 1, chords, dict(enumerate(g.loops)))
         else:
-            glued, _ = glue(cur_c, move.a, move.b)
-            cur_g = transport_glue(glued, cur_g, move.a, move.b)
-            cur_c = glued
-            while cur_c.internal_vertices():
-                _, recs = tighten(cur_c)
-                rec = recs[0]
-                cur_g = normalize(cur_c, cur_g)
-                cur_g = transport_collapse(cur_c, cur_g, rec)
-                cur_c = collapse_slack_square(cur_c, rec)
-        if cur_c.gluings != step.complex_after.gluings:
-            raise AssertionError("transport and compile disagree on the complex")
-        require_valid_pair(cur_c, cur_g)
-    return cur_c, cur_g
+            # the glued complex is the first one collapsed, if any is
+            glued = step.collapses[0][0] if step.collapses else step.complex_after
+            g = transport_glue(glued, g, move.a, move.b)
+            for before, rec in step.collapses:
+                g = transport_collapse(before, normalize(before, g), rec)
+        require_valid_pair(step.complex_after, g)
+    return compiled.target, g
 
 
 # ---------------------------------------------------------------------------
@@ -389,42 +368,24 @@ def annihilation_as_fold(c: SquareComplex, e1: Slot, e2: Slot, e3: Slot,
         "fold1": (e1, (k, (side + 1) % 4)),
         "fold2": ((k, (side - 1) % 4), e3),
     }
-    cur = add_square(c)
-    glued, kind = glue(cur, (k, side), e2)
+    cur, kind = glue(add_square(c), (k, side), e2)
     if kind.kind != "standard":
         raise ValueError("middle edge cannot take a standard gluing")
-    cur = glued
-
-    def do_folds(order: tuple[str, str]) -> list[Move]:
-        nonlocal cur
-        out: list[Move] = []
-        for name in order:
-            a, b = track[name]
-            glued2, kind2 = glue(cur, a, b)
-            if kind2.kind != "fold":
-                raise ValueError(f"{name} does not classify as a fold")
-            out.append(Fold(a, b))
-            cur = glued2
-            while cur.internal_vertices():
-                _, recs = tighten(cur)
-                rec = recs[0]
-                bmap = collapse_boundary_map(cur, rec)
-                for key in track:
-                    sa, sb = track[key]
-                    track[key] = (bmap.get(sa, sa), bmap.get(sb, sb))
-                cur = collapse_slack_square(cur, rec)
-        return out
-
-    moves.extend(do_folds(("fold1", "fold2")))
+    for name in ("fold1", "fold2"):
+        a, b = track[name]
+        cur, kind = glue(cur, a, b)
+        if kind.kind != "fold":
+            raise ValueError(f"{name} does not classify as a fold")
+        moves.append(Fold(a, b))
+        for before, rec, cur in collapse_steps(cur):
+            bmap = collapse_boundary_map(before, rec)
+            track = {key: (bmap.get(sa, sa), bmap.get(sb, sb))
+                     for key, (sa, sb) in track.items()}
     return MorphismScript.build(c, moves)
 
 
 # ---------------------------------------------------------------------------
 # convenience: naturality statement for tests and the CLI
-
-
-def element_of_basic(c: SquareComplex, bits: int) -> Z2Tensor:
-    return suture_element(c, basic_system(c, bits))
 
 
 def naturality_holds(script: MorphismScript, bits: int) -> bool:

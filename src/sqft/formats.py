@@ -13,7 +13,7 @@ parse-then-emit is the identity on canonical documents.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Iterator
 
 from .engine import CreateSquare, Fold, Glue, Move, MorphismScript, Zip
 from .surface import SquareComplex
@@ -106,17 +106,29 @@ def emit_sutures(g: CurveSystem) -> str:
     return json.dumps(sutures_to_obj(g), indent=2) + "\n"
 
 
+def _per_square(obj: dict, name: str,
+                square_count: int) -> Iterator[tuple[str, int, Any]]:
+    """(key, square, value) for each entry of the object sutures.<name>."""
+    raw = obj.get(name)
+    if raw is None:
+        return
+    if not isinstance(raw, dict):
+        _fail(f"sutures.{name}: expected an object keyed by square index")
+    for key, val in raw.items():
+        try:
+            sq = int(key)
+        except ValueError:
+            _fail(f"sutures.{name}: bad square key {key!r}")
+        if not 0 <= sq < square_count:
+            _fail(f"sutures.{name}: square {sq} out of range")
+        yield key, sq, val
+
+
 def sutures_from_obj(obj: Any, square_count: int) -> CurveSystem:
     if not isinstance(obj, dict):
         _fail("sutures: expected an object")
     chords: dict[int, list] = {}
-    for key, lst in (obj.get("chords") or {}).items():
-        try:
-            sq = int(key)
-        except ValueError:
-            _fail(f"sutures.chords: bad square key {key!r}")
-        if not 0 <= sq < square_count:
-            _fail(f"sutures.chords: square {sq} out of range")
+    for key, sq, lst in _per_square(obj, "chords", square_count):
         if not isinstance(lst, list):
             _fail(f"sutures.chords[{key}]: expected a list")
         out = []
@@ -138,10 +150,7 @@ def sutures_from_obj(obj: Any, square_count: int) -> CurveSystem:
             out.append((eps[0], eps[1]))
         chords[sq] = out
     loops: dict[int, int] = {}
-    for key, cnt in (obj.get("loops") or {}).items():
-        sq = int(key)
-        if not 0 <= sq < square_count:
-            _fail(f"sutures.loops: square {sq} out of range")
+    for key, sq, cnt in _per_square(obj, "loops", square_count):
         if not isinstance(cnt, int) or cnt < 0:
             _fail(f"sutures.loops[{key}]: expected a non-negative count")
         loops[sq] = cnt

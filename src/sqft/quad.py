@@ -10,11 +10,11 @@ sides at the opposite corner; everything else stays put.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .surface import (
     Corner, GluingPair, InvalidComplex, Slot, SquareComplex, VertexClass,
-    _norm_pair, remove_square, validate_complex,
+    _norm_pair, _require_valid, remove_square,
 )
 
 
@@ -61,12 +61,6 @@ class SlideRecord:
     slot_map: tuple[tuple[Slot, Slot], ...]   # old outer slot -> new slot
 
 
-def _require_slack_valid(c: SquareComplex) -> None:
-    report = validate_complex(c)
-    if not report.ok:
-        raise InvalidComplex("; ".join(report.problems))
-
-
 def _fan(c: SquareComplex, start: Corner) -> tuple[tuple[GluingPair, ...], tuple[Corner, ...]]:
     """Fan of edges around the internal vertex at `start`, anticlockwise."""
     fan: list[GluingPair] = []
@@ -102,8 +96,8 @@ def find_collapsible_square(c: SquareComplex, y: VertexClass) -> tuple[int, int,
     Returns (square, corner-at-internal-vertex, target class). Breadth-first
     over the same-sign diagonal graph; the square found may sit at another
     internal vertex of the same sign, which is then the one collapsed first.
+    Expects a valid complex; `collapse_steps` checks it.
     """
-    _require_slack_valid(c)
     if not y.internal:
         raise ValueError("vertex is not internal")
     cc = c.corner_class
@@ -150,8 +144,10 @@ def make_collapse_record(c: SquareComplex, sq: int, y_corner: int) -> CollapseRe
 
 
 def collapse_slack_square(c: SquareComplex, r: CollapseRecord) -> SquareComplex:
-    """Perform the collapse on the complex: remove the square, splice gluings."""
-    _require_slack_valid(c)
+    """Perform the collapse on the complex: remove the square, splice gluings.
+
+    Expects a valid complex; `collapse_steps` checks it.
+    """
     a1, a2, b1, b2 = r.sides()
     if c.corner_class[(r.square, r.y_corner)].corners != r.internal_corners:
         raise ValueError("collapse record does not match the complex")
@@ -191,20 +187,29 @@ def collapse_slack_square(c: SquareComplex, r: CollapseRecord) -> SquareComplex:
     return remove_square(trimmed, r.square)
 
 
+def collapse_steps(c: SquareComplex) -> Iterator[
+        tuple[SquareComplex, CollapseRecord, SquareComplex]]:
+    """The collapses that tighten c, in order, each with the complex before
+    and after it.
+
+    c is validated once; every later complex is valid by construction.
+    """
+    _require_valid(c)
+    cur = c
+    while internal := cur.internal_vertices():
+        sq, corner, _ = find_collapsible_square(cur, internal[0])
+        rec = make_collapse_record(cur, sq, corner)
+        after = collapse_slack_square(cur, rec)
+        yield cur, rec, after
+        cur = after
+
+
 def tighten(c: SquareComplex) -> tuple[SquareComplex, list[CollapseRecord]]:
     """Collapse slack squares until no internal vertices remain."""
-    _require_slack_valid(c)
     records: list[CollapseRecord] = []
     cur = c
-    while True:
-        internal = cur.internal_vertices()
-        if not internal:
-            break
-        y = min(internal, key=lambda v: v.key)
-        sq, corner, _ = find_collapsible_square(cur, y)
-        rec = make_collapse_record(cur, sq, corner)
+    for _, rec, cur in collapse_steps(c):
         records.append(rec)
-        cur = collapse_slack_square(cur, rec)
     return SquareComplex(cur.square_count, cur.gluings, slack=False), records
 
 

@@ -323,6 +323,14 @@ def _collapse_degenerate(c: SquareComplex, d: Diagram, rec: CollapseRecord) -> N
             host = t[0]
             break
 
+    # the outer crossing of every b-side point, read before the loop below
+    # drops any point from the outer sides
+    outer: dict[int, int] = {}
+    for b, t in ((b1, t1), (b2, t2)):
+        if t is not None:
+            lo, lt = d.order[b], d.order[t]
+            outer.update((u, lt[len(lo) - 1 - i]) for i, u in enumerate(lo))
+
     for u, v in strands:
         su = b1 if u in d.order[b1] else b2
         sv = b1 if v in d.order[b1] else b2
@@ -331,10 +339,7 @@ def _collapse_degenerate(c: SquareComplex, d: Diagram, rec: CollapseRecord) -> N
             slot_t = t1 if su == b1 else t2
             if slot_t is None:
                 raise AssertionError("doubled strand on a boundary side")
-            lo = d.order[su]
-            lt = d.order[slot_t]
-            ou = lt[len(lo) - 1 - lo.index(u)]
-            ov = lt[len(lo) - 1 - lo.index(v)]
+            ou, ov = outer[u], outer[v]
             if d.mate.get(ou) == ov:
                 d.disconnect(ou)
                 d.loops[slot_t[0]] += 1

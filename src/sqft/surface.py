@@ -176,27 +176,6 @@ class SquareComplex:
 
     # -- vertex walks -----------------------------------------------------
 
-    def walk_vertex_acw(self, corner: Corner) -> list[Corner]:
-        """Corners around a vertex class, anticlockwise from `corner`.
-
-        Stops at an unglued side (boundary vertex) or on returning to the
-        start (internal vertex).
-        """
-        out = [corner]
-        cur = corner
-        while True:
-            sq, c = cur
-            side = (sq, (c - 1) % 4)
-            mate = self.partner(side)
-            if mate is None:
-                return out
-            cur = mate
-            if cur == corner:
-                return out
-            out.append(cur)
-            if len(out) > 4 * self.square_count + 1:
-                raise InvalidComplex("vertex walk does not terminate")
-
     def next_boundary_slot(self, slot: Slot) -> Slot:
         """The boundary edge following `slot` along its boundary cycle."""
         sq, k = slot
@@ -469,12 +448,6 @@ def canonical_permutation(c: SquareComplex) -> dict[int, int]:
 def canonical_form(c: SquareComplex) -> tuple[SquareComplex, dict[int, int]]:
     perm = canonical_permutation(c)
     return relabel(c, perm), perm
-
-
-def complex_key(c: SquareComplex) -> tuple:
-    """Hashable canonical key (canonical-form gluing set plus size)."""
-    canon, _ = canonical_form(c)
-    return (canon.square_count, tuple(canon.sorted_gluings()), canon.slack)
 
 
 def disjoint_union(c1: SquareComplex, c2: SquareComplex) -> SquareComplex:

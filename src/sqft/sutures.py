@@ -155,20 +155,6 @@ class Diagram:
         a, b = edge
         return a, b, self.order[a], self.order[b]
 
-    def crossing_partner(self, edge: GluingPair, pid: int) -> int:
-        """The id on the other side of the edge at the same crossing."""
-        a, b, la, lb = self.edge_lists(edge)
-        if pid in la:
-            return lb[len(lb) - 1 - la.index(pid)]
-        return la[len(la) - 1 - lb.index(pid)]
-
-    def slot_of(self, pid: int) -> Slot:
-        sq = self.square_of[pid]
-        for k in range(4):
-            if pid in self.order[(sq, k)]:
-                return (sq, k)
-        raise KeyError(pid)
-
     def remap_squares(self, perm: dict[int, int], new_count: int) -> "Diagram":
         d = Diagram(new_count)
         d._next = self._next

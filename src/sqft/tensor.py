@@ -274,13 +274,6 @@ def compose(ops: Sequence[DigitalOp]) -> LinearMap:
 # ---------------------------------------------------------------------------
 # diagonal-slide basis change
 
-SLIDE_BLOCKS = {
-    # block rows/cols in the basis (01, 10) at the factor pair; the two
-    # order-3 candidates over GF(2)
-    ((0, 1), (1, 1)): "A",
-    ((1, 1), (1, 0)): "B",
-}
-
 
 def slide_map(x: Z2Tensor, i: int, j: int, block: tuple[tuple[int, int], ...]) -> Z2Tensor:
     """Apply a 2x2 block at factors (i, j), fixing the equal-bit words.

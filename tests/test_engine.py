@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from sqft.census import boundary_hugging_system, random_surface
+from sqft.census import (
+    boundary_hugging_system, random_extension, random_surface,
+)
 from sqft.engine import (
     CreateSquare, Fold, Glue, MorphismScript, ScriptError, Zip,
     annihilation_as_fold, apply_script_to_sutures, compile_script,
@@ -179,6 +181,13 @@ def test_element_trace_lines(disc12, disc12_sutures):
     assert any("basic" in line for line in lines)
 
 
+def test_element_trace_ignores_memo(hexagon, hexagon_superposition):
+    cold = element_trace(hexagon, hexagon_superposition)[1]
+    suture_element(hexagon, hexagon_superposition)      # fills the memo
+    assert element_trace(hexagon, hexagon_superposition)[1] == cold
+    assert len(cold) == 3
+
+
 def test_naturality_small_scripts():
     for seed in range(10):
         script = random_surface(seed, 5)
@@ -201,3 +210,16 @@ def test_create_negative_tensors_zero(square):
         assert out.words == frozenset({w})      # new factor carries bit 0
     target, g2 = apply_script_to_sutures(script, basic_system(square, 1))
     assert suture_element(target, g2).word_strings() == ["10"]
+
+
+def test_degenerate_collapse_with_two_doubled_strands():
+    # on word 4 the script's second degenerate collapse (the square's two
+    # y-sides glued to each other) meets two strands that double back on the
+    # same side; reading the second one's outer crossings after the first
+    # had dropped its own used to raise IndexError on words 4, 5 and 6
+    s = 1023842361
+    base = compile_script(random_surface(s, 4)).target
+    script = random_extension(s, base, 8)
+    assert base.square_count == 4
+    for bits in range(16):
+        assert naturality_holds(script, bits)

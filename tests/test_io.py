@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 from pathlib import Path
 import sys
+import types
 
 import pytest
 
@@ -112,6 +114,42 @@ def test_cli_render(tmp_path, hexagon):
     out = tmp_path / "h.svg"
     assert main(["render", str(surf), "-o", str(out)]) == 0
     assert out.read_text().startswith("<?xml")
+
+
+@pytest.mark.parametrize("doc, where", [
+    ({"loops": {"x": 1}}, "sutures.loops: bad square key 'x'"),
+    ({"loops": [1]}, "sutures.loops: expected an object"),
+    ({"chords": [1]}, "sutures.chords: expected an object"),
+])
+def test_cli_element_bad_sutures_document(tmp_path, hexagon, capsys, doc,
+                                          where):
+    surf = tmp_path / "h.json"
+    surf.write_text(formats.emit_surface(hexagon))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["element", str(surf), str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert where in err and "Traceback" not in err
+
+
+def test_cli_closed_pipe_no_traceback():
+    # unbuffered, so the lines after the first are written, and fail, after
+    # the reader has gone
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sqft.cli", "census", "disc", "--n", "7"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONUNBUFFERED="1"))
+    assert proc.stdout.readline().startswith(b"disc with 14 vertices")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
+def test_regions_name_is_the_module():
+    from sqft import regions
+    assert isinstance(regions, types.ModuleType)
+    assert regions.regions.__module__ == "sqft.regions"
 
 
 def test_cli_entry_point_runs():

@@ -1,8 +1,8 @@
 import pytest
 
 from sqft.quad import (
-    diagonal_slide, dual_graph, find_collapsible_square, make_collapse_record,
-    collapse_slack_square, tighten,
+    collapse_steps, diagonal_slide, dual_graph, find_collapsible_square,
+    make_collapse_record, collapse_slack_square, tighten,
 )
 from sqft.surface import SquareComplex, canonical_form, glue, invariants
 
@@ -64,6 +64,21 @@ def test_tighten_zip_two_records():
     assert len(records) == 2
     assert sorted(r.sign for r in records) == [-1, 1]
     assert invariants(out).index == 1
+
+
+def test_collapse_steps_chain_to_tighten():
+    c = SquareComplex.build(3, [((0, 0), (1, 1)), ((0, 2), (1, 3)),
+                                ((0, 1), (2, 0))])
+    glued, _ = glue(c, (0, 3), (1, 2))
+    steps = list(collapse_steps(glued))
+    assert steps[0][0] is glued
+    for (_, _, after), (before, _, _) in zip(steps, steps[1:]):
+        assert after is before
+    out, records = tighten(glued)
+    assert [rec for _, rec, _ in steps] == records
+    assert steps[-1][2].gluings == out.gluings
+    for before, rec, after in steps:
+        assert collapse_slack_square(before, rec) == after
 
 
 def test_tighten_preserves_surface(hexagon):
