@@ -236,6 +236,17 @@ SUITES = {
 }
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
 def cmd_check(args) -> int:
     seed = args.seed
     if seed is None:
@@ -297,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run property suites")
     p.add_argument("--suite", choices=("all",) + tuple(SUITES), default="all")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--cases", type=int, default=25)
+    p.add_argument("--cases", type=_positive_int, default=25)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("render", help="draw a surface (and sutures) as SVG")

@@ -74,7 +74,13 @@ def element_trace(c: SquareComplex, g: CurveSystem) -> tuple[Z2Tensor, list[str]
 def _element(c: SquareComplex, g: CurveSystem, chooser: Optional[Chooser],
              lines: Optional[list[str]]) -> Z2Tensor:
     require_valid_pair(c, g)
-    elem = _reduce(c, g, chooser, lines)
+    g = normalize(c, g)
+    if is_trivial(c, g):
+        if lines is not None:
+            lines.append("trivial -> 0")
+        elem = Z2Tensor.zero(c.square_count)
+    else:
+        elem = _reduce(c, g, chooser, lines)
     if c.internal_vertices():
         arity = c.square_count
         for rec in tighten(c)[1]:
@@ -89,9 +95,9 @@ def _element(c: SquareComplex, g: CurveSystem, chooser: Optional[Chooser],
 
 def _reduce(c: SquareComplex, g: CurveSystem, chooser: Optional[Chooser],
             lines: Optional[list[str]], depth: int = 0) -> Z2Tensor:
-    # only the default order is memoized, and a trace skips the memo so that
-    # it prints every subtree
-    g = normalize(c, g)
+    # g is normalized and nontrivial: the caller has checked both. Only the
+    # default order is memoized, and a trace skips the memo so that it
+    # prints every subtree
     use_cache = chooser is None and lines is None
     if use_cache:
         key, perm = _cache_key(c, g)
@@ -114,18 +120,14 @@ def _reduce_uncached(c: SquareComplex, g: CurveSystem,
                      chooser: Optional[Chooser], lines: Optional[list[str]],
                      depth: int) -> Z2Tensor:
     pad = "  " * depth
-    if is_trivial(c, g):
-        if lines is not None:
-            lines.append(f"{pad}trivial -> 0")
-        return Z2Tensor.zero(c.square_count)
     triples = bypass_triples(c, g)
     if triples:
         edge, t = triples[0] if chooser is None else chooser(triples)
         if lines is not None:
             lines.append(f"{pad}surgery at edge {edge[0]}-{edge[1]}, "
                          f"triple {t}")
-        up = bypass_surgery(c, g, edge, t, "up")
-        down = bypass_surgery(c, g, edge, t, "down")
+        up = normalize(c, bypass_surgery(c, g, edge, t, "up"))
+        down = normalize(c, bypass_surgery(c, g, edge, t, "down"))
         # surgery at an edge-efficient disc keeps nontrivial sutures
         # nontrivial; a violation here would mean a broken rewiring
         if is_trivial(c, up) or is_trivial(c, down):

@@ -100,8 +100,9 @@ class _SquareFaces:
 
 
 class _Analysis:
+    """Regions of a pair its caller has already validated."""
+
     def __init__(self, c: SquareComplex, g: CurveSystem):
-        require_valid_pair(c, g)
         self.c, self.g = c, g
         self.sqf = [_SquareFaces(g.chords[s]) for s in range(c.square_count)]
 
@@ -242,40 +243,6 @@ class _Analysis:
         base = [Region(sign[r], chis[r], touches[r]) for r in range(nr)]
         self.decomposition = RegionDecomposition(tuple(base + extra))
 
-    # -- strand components -------------------------------------------------
-
-    def closed_components(self) -> list[set[tuple[int, EP]]]:
-        """Closed suture components as sets of endpoint keys (square, ep)."""
-        c, g = self.c, self.g
-        mate: dict[tuple[int, EP], tuple[int, EP]] = {}
-        for s in range(c.square_count):
-            for a, b in g.chords[s]:
-                mate[(s, a)] = (s, b)
-                mate[(s, b)] = (s, a)
-        across: dict[tuple[int, EP], tuple[int, EP]] = {}
-        for (sa, ka), (sb, kb) in c.gluings:
-            m = g.side_count((sa, ka))
-            for j in range(m):
-                across[(sa, (ka, j))] = (sb, (kb, m - 1 - j))
-                across[(sb, (kb, m - 1 - j))] = (sa, (ka, j))
-        seen: set[tuple[int, EP]] = set()
-        out = []
-        for start in mate:
-            if start in seen:
-                continue
-            comp = {start}
-            frontier = [start]
-            while frontier:
-                p = frontier.pop()
-                for q in (mate.get(p), across.get(p)):
-                    if q is not None and q not in comp:
-                        comp.add(q)
-                        frontier.append(q)
-            seen |= comp
-            if all(p in across for p in comp):
-                out.append(comp)
-        return out
-
     def chord_regions(self, sq: int, a: EP, b: EP) -> tuple[int, int]:
         sf = self.sqf[sq]
         i, j = sf.idx[a], sf.idx[b]
@@ -283,7 +250,41 @@ class _Analysis:
                 self.region(sq, sf.face_of_half[(j, i)]))
 
 
+def closed_components(c: SquareComplex,
+                      g: CurveSystem) -> list[set[tuple[int, EP]]]:
+    """Closed suture components as sets of endpoint keys (square, ep)."""
+    mate: dict[tuple[int, EP], tuple[int, EP]] = {}
+    for s in range(c.square_count):
+        for a, b in g.chords[s]:
+            mate[(s, a)] = (s, b)
+            mate[(s, b)] = (s, a)
+    across: dict[tuple[int, EP], tuple[int, EP]] = {}
+    for (sa, ka), (sb, kb) in c.gluings:
+        m = g.side_count((sa, ka))
+        for j in range(m):
+            across[(sa, (ka, j))] = (sb, (kb, m - 1 - j))
+            across[(sb, (kb, m - 1 - j))] = (sa, (ka, j))
+    seen: set[tuple[int, EP]] = set()
+    out = []
+    for start in mate:
+        if start in seen:
+            continue
+        comp = {start}
+        frontier = [start]
+        while frontier:
+            p = frontier.pop()
+            for q in (mate.get(p), across.get(p)):
+                if q is not None and q not in comp:
+                    comp.add(q)
+                    frontier.append(q)
+        seen |= comp
+        if all(p in across for p in comp):
+            out.append(comp)
+    return out
+
+
 def regions(c: SquareComplex, g: CurveSystem) -> RegionDecomposition:
+    require_valid_pair(c, g)
     return _Analysis(c, g).decomposition
 
 
@@ -293,11 +294,23 @@ def euler_class(c: SquareComplex, g: CurveSystem) -> int:
 
 
 def is_trivial(c: SquareComplex, g: CurveSystem) -> bool:
+    """Whether the curve system has a loose loop or a closed component that
+    bounds a disc region, which makes its element zero.
+
+    The checks run in this order: loose loops (trivial); validation of the
+    pair, which raises ValueError; no closed component (nontrivial, decided
+    without any region data); otherwise the full region analysis, trivial
+    when a disc region away from the boundary borders a closed component.
+    """
     if g.total_loops() > 0:
         return True
+    require_valid_pair(c, g)
+    comps = closed_components(c, g)
+    if not comps:
+        return False
     an = _Analysis(c, g)
     dec = an.decomposition
-    for comp in an.closed_components():
+    for comp in comps:
         for s in range(c.square_count):
             for a, b in g.chords[s]:
                 if (s, a) not in comp:

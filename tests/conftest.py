@@ -1,5 +1,7 @@
 import pytest
 
+from sqft.census import random_surface, random_sutures
+from sqft.engine import compile_script
 from sqft.surface import SquareComplex
 from sqft.sutures import CurveSystem
 
@@ -55,3 +57,21 @@ def hexagon_superposition():
         0: [((0, 0), (3, 0)), ((0, 1), (2, 0)), ((0, 2), (1, 0))],
         1: [((0, 0), (1, 0)), ((1, 1), (3, 0)), ((1, 2), (2, 0))],
     })
+
+
+@pytest.fixture(scope="session")
+def random_pairs():
+    # the 200 seeded (complex, sutures) pairs of acceptance criteria 3-5;
+    # generating them takes seconds, so every test module shares one list
+    seed = 20260810
+    pairs = []
+    attempt = 0
+    while len(pairs) < 200:
+        script = random_surface(seed + attempt, 6)
+        attempt += 1
+        c = compile_script(script).target
+        if c.square_count == 0:
+            continue
+        g = random_sutures(seed + attempt, c, rounds=4)
+        pairs.append((c, g))
+    return pairs

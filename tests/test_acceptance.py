@@ -13,7 +13,7 @@ import pytest
 from sqft._derived import ROTATION_BLOCK, SLIDE_BLOCK
 from sqft.census import (
     boundary_hugging_system, catalan, disc_complex, enumerate_basic,
-    enumerate_disc_sutures, random_extension, random_surface, random_sutures,
+    enumerate_disc_sutures, random_extension, random_surface,
 )
 from sqft.engine import (
     CreateSquare, Fold, MorphismScript, apply_script_to_sutures,
@@ -36,21 +36,6 @@ SEED = 20260810
 
 def _report(num: int, label: str, t0: float) -> None:
     print(f"criterion {num:>2} PASS  {label}  ({time.time() - t0:.1f}s)")
-
-
-@pytest.fixture(scope="module")
-def random_pairs():
-    pairs = []
-    attempt = 0
-    while len(pairs) < 200:
-        script = random_surface(SEED + attempt, 6)
-        attempt += 1
-        c = compile_script(script).target
-        if c.square_count == 0:
-            continue
-        g = random_sutures(SEED + attempt, c, rounds=4)
-        pairs.append((c, g))
-    return pairs
 
 
 def test_criterion_1_worked_disc(disc12, disc12_sutures):

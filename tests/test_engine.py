@@ -1,7 +1,9 @@
 import random
+from pathlib import Path
 
 import pytest
 
+from sqft import formats
 from sqft.census import (
     boundary_hugging_system, random_extension, random_surface,
 )
@@ -179,6 +181,44 @@ def test_element_trace_lines(disc12, disc12_sutures):
     el, lines = element_trace(disc12, disc12_sutures)
     assert el.word_strings() == ["01110"]
     assert any("basic" in line for line in lines)
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# the recursion tree and collapse lines of `sqft element --trace`, pinned so
+# that where the recursion normalizes and tests triviality stays invisible
+TRACE_GOLDEN = {
+    ("disc12", "disc12", None): ["basic 01110"],
+    ("disc12", "disc12", "disc12_fold"): [
+        "basic 01110",
+        "collapse square 0: annihilate1 factor 0 acting on (1, 2)",
+    ],
+    ("hexagon", "hexagon_superposition", None): [
+        "surgery at edge (0, 0)-(1, 1), triple 0",
+        "  basic 01",
+        "  basic 10",
+    ],
+}
+
+
+@pytest.mark.parametrize("surface,sutures,fold", TRACE_GOLDEN)
+def test_element_trace_golden(surface, sutures, fold):
+    c = formats.parse_surface(
+        (FIXTURES / f"{surface}.surface.json").read_text())
+    g = formats.parse_sutures(
+        (FIXTURES / f"{sutures}.sutures.json").read_text(), c.square_count)
+    if fold is not None:
+        # the fold's slack presentation, before its collapse
+        (move,) = formats.parse_script(
+            (FIXTURES / f"{fold}.script.json").read_text()).moves
+        c, _ = glue(c, move.a, move.b)
+    assert element_trace(c, g)[1] == TRACE_GOLDEN[surface, sutures, fold]
+
+
+def test_element_trace_trivial_root(square):
+    g = CurveSystem.build(1, {0: basic_square_chords(True)}, {0: 1})
+    el, lines = element_trace(square, g)
+    assert el.is_zero() and lines == ["trivial -> 0"]
 
 
 def test_element_trace_ignores_memo(hexagon, hexagon_superposition):

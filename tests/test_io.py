@@ -187,3 +187,17 @@ def test_fixture_surfaces_validate():
     from sqft.surface import validate_complex
     for path in sorted(FIXTURES.glob("*.surface.json")):
         assert validate_complex(formats.parse_surface(path.read_text())).ok
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--cases", "0"],
+    ["check", "--cases", "-1", "--suite", "bypass"],
+])
+def test_check_rejects_nonpositive_cases(argv, capsys):
+    # with no case to run every suite used to print "pass" and exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert "pass" not in out
+    assert "--cases: expected a positive integer" in err
