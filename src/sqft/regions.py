@@ -252,12 +252,19 @@ class _Analysis:
 
 def closed_components(c: SquareComplex,
                       g: CurveSystem) -> list[set[tuple[int, EP]]]:
-    """Closed suture components as sets of endpoint keys (square, ep)."""
+    """Closed suture components as sets of endpoint keys (square, ep).
+
+    First one walk along the arcs that start at boundary points: when those
+    arcs cover every endpoint, no component is closed and the answer is []
+    without the component search below.
+    """
     mate: dict[tuple[int, EP], tuple[int, EP]] = {}
     for s in range(c.square_count):
         for a, b in g.chords[s]:
             mate[(s, a)] = (s, b)
             mate[(s, b)] = (s, a)
+    if _arcs_cover(c, g, mate):
+        return []
     across: dict[tuple[int, EP], tuple[int, EP]] = {}
     for (sa, ka), (sb, kb) in c.gluings:
         m = g.side_count((sa, ka))
@@ -281,6 +288,40 @@ def closed_components(c: SquareComplex,
         if all(p in across for p in comp):
             out.append(comp)
     return out
+
+
+def _arcs_cover(c: SquareComplex, g: CurveSystem,
+                mate: dict[tuple[int, EP], tuple[int, EP]]) -> bool:
+    """Whether the arcs from the boundary points reach every endpoint.
+
+    An arc steps along a chord, then across its glued side as
+    closed_components pairs points, until it ends off the gluings. A step
+    to a point that is no endpoint, or to one already reached, answers False
+    and leaves the case to the full search.
+    """
+    partner = c.partner_map
+    seen: set[tuple[int, EP]] = set()
+    for s, k in c.boundary_slots:
+        for j in range(g.side_count((s, k))):
+            p = (s, (k, j))
+            if p in seen:
+                continue
+            while True:
+                q = mate.get(p)
+                if q is None or p in seen:
+                    return False
+                seen.add(p)
+                seen.add(q)
+                sq, (side, pos) = q
+                other = partner.get((sq, side))
+                if other is None:
+                    break
+                # points pair as in a gluing (a, b) with a < b: by a's count
+                m = g.side_count(min((sq, side), other))
+                if not 0 <= pos < m:
+                    break
+                p = (other[0], (other[1], m - 1 - pos))
+    return len(seen) == len(mate)
 
 
 def regions(c: SquareComplex, g: CurveSystem) -> RegionDecomposition:

@@ -119,6 +119,18 @@ class SquareComplex:
     def sorted_gluings(self) -> list[GluingPair]:
         return sorted(self.gluings)
 
+    # -- per-complex caches: a complex never changes, so each is computed
+    # once; they live outside the fields, which alone define == and hash
+
+    @cached_property
+    def _report(self) -> "ValidationReport":
+        return _check_complex(self)
+
+    @cached_property
+    def _canonical(self) -> tuple["SquareComplex", dict[int, int]]:
+        perm = canonical_permutation(self)
+        return relabel(self, perm), perm
+
     # -- vertex classes ---------------------------------------------------
 
     @cached_property
@@ -247,6 +259,11 @@ class SquareComplex:
 
 
 def validate_complex(c: SquareComplex) -> ValidationReport:
+    """The complex's problems, computed on the first call and cached on c."""
+    return c._report
+
+
+def _check_complex(c: SquareComplex) -> ValidationReport:
     problems: list[str] = []
     slot_uses: dict[Slot, int] = {}
     for a, b in c.gluings:
@@ -446,8 +463,13 @@ def canonical_permutation(c: SquareComplex) -> dict[int, int]:
 
 
 def canonical_form(c: SquareComplex) -> tuple[SquareComplex, dict[int, int]]:
-    perm = canonical_permutation(c)
-    return relabel(c, perm), perm
+    """The relabelled complex and the permutation (old index -> new index).
+
+    Both are computed on the first call and cached on c; each call returns a
+    fresh copy of the permutation, so a caller may change it freely.
+    """
+    canon, perm = c._canonical
+    return canon, dict(perm)
 
 
 def disjoint_union(c1: SquareComplex, c2: SquareComplex) -> SquareComplex:

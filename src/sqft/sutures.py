@@ -14,6 +14,7 @@ signs, so no explicit sign data is stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .surface import (
@@ -52,7 +53,22 @@ class CurveSystem:
 
     def side_count(self, slot: Slot) -> int:
         sq, k = slot
-        return sum(1 for ch in self.chords[sq] for ep in ch if ep[0] == k)
+        return self._side_counts[sq][k]
+
+    @cached_property
+    def _side_counts(self) -> tuple[tuple[int, int, int, int], ...]:
+        # points per (square, side), built on the first side_count and kept
+        # out of the fields, which alone define == and hash. Every endpoint
+        # side must be in 0..3: validate_sutures checks that before it reads
+        # a count
+        table = []
+        for chords in self.chords:
+            counts = [0, 0, 0, 0]
+            for a, b in chords:
+                counts[a[0]] += 1
+                counts[b[0]] += 1
+            table.append(tuple(counts))
+        return tuple(table)
 
     def total_loops(self) -> int:
         return sum(self.loops)
@@ -174,6 +190,12 @@ class Diagram:
 
 
 def validate_sutures(c: SquareComplex, g: CurveSystem) -> "ValidationReport":
+    """Problems of a curve system on a complex, in a fixed order.
+
+    Each square is checked with one sort of its endpoints; only a square that
+    fails is checked again problem by problem, for the messages. Side counts
+    are read only when every endpoint lies on a side 0..3.
+    """
     from .surface import ValidationReport
 
     problems: list[str] = []
@@ -183,18 +205,17 @@ def validate_sutures(c: SquareComplex, g: CurveSystem) -> "ValidationReport":
     if not validate_complex(c).ok:
         return ValidationReport(("underlying complex invalid",))
 
+    on_sides = True
     for sq in range(c.square_count):
-        eps = [ep for ch in g.chords[sq] for ep in ch]
-        if len(set(eps)) != len(eps):
-            problems.append(f"square {sq}: point used by two chords")
-        for k in range(4):
-            pos = sorted(p for s, p in eps if s == k)
-            if pos != list(range(len(pos))):
-                problems.append(f"square {sq} side {k}: positions not dense")
-        if g.loops[sq] < 0:
-            problems.append(f"square {sq}: negative loop count")
-        if not _noncrossing(g.chords[sq]):
-            problems.append(f"square {sq}: chords cross")
+        chords = g.chords[sq]
+        if g.loops[sq] >= 0 and _square_ok(chords):
+            continue
+        off = sorted(ep for ch in chords for ep in ch if not 0 <= ep[0] < 4)
+        problems.extend(f"square {sq}: endpoint {ep} on no side" for ep in off)
+        problems.extend(_square_problems(sq, chords, g.loops[sq]))
+        on_sides = on_sides and not off
+    if not on_sides:
+        return ValidationReport(tuple(problems))
 
     for slot in c.boundary_slots:
         m = g.side_count(slot)
@@ -209,8 +230,42 @@ def validate_sutures(c: SquareComplex, g: CurveSystem) -> "ValidationReport":
     return ValidationReport(tuple(problems))
 
 
-def _noncrossing(chords: tuple[Chord, ...]) -> bool:
+def _square_ok(chords: tuple[Chord, ...]) -> bool:
+    """Whether a square's endpoints are distinct, lie on sides 0..3 with
+    dense positions on each side, and are joined without crossings."""
     eps = sorted(ep for ch in chords for ep in ch)
+    if eps and not (eps[0][0] >= 0 and eps[-1][0] < 4):
+        return False
+    side, nxt = -1, 0
+    for k, p in eps:
+        if p != (nxt if k == side else 0):
+            return False
+        side, nxt = k, p + 1
+    return _noncrossing(chords, eps)
+
+
+def _square_problems(sq: int, chords: tuple[Chord, ...],
+                     loops: int) -> list[str]:
+    """The per-problem messages of one square's chord diagram."""
+    problems = []
+    eps = [ep for ch in chords for ep in ch]
+    distinct = len(set(eps)) == len(eps)
+    if not distinct:
+        problems.append(f"square {sq}: point used by two chords")
+    for k in range(4):
+        pos = sorted(p for s, p in eps if s == k)
+        if pos != list(range(len(pos))):
+            problems.append(f"square {sq} side {k}: positions not dense")
+    if loops < 0:
+        problems.append(f"square {sq}: negative loop count")
+    # crossing is defined only for distinct points
+    if distinct and not _noncrossing(chords, sorted(eps)):
+        problems.append(f"square {sq}: chords cross")
+    return problems
+
+
+def _noncrossing(chords: tuple[Chord, ...], eps: list[EP]) -> bool:
+    """Whether chords with distinct endpoints `eps`, sorted, are nested."""
     index = {ep: i for i, ep in enumerate(eps)}
     pair: dict[int, int] = {}
     for a, b in chords:
@@ -274,6 +329,18 @@ def basic_bits(c: SquareComplex, g: CurveSystem) -> Optional[int]:
 
 
 def normalize(c: SquareComplex, g: CurveSystem) -> CurveSystem:
+    """g with every innermost bigon across a glued edge removed.
+
+    An innermost bigon is a chord joining two neighbouring points of one
+    glued side, so when no chord has both endpoints on one glued side, a
+    valid g is already normalized and is returned as it is, with the side
+    counts it has cached. Surgery children, which bypass_surgery normalizes
+    itself, take this path.
+    """
+    if not any(ka == kb and c.is_glued((sq, ka))
+               for sq, chords in enumerate(g.chords)
+               for (ka, _), (kb, _) in chords):
+        return g
     d = Diagram.from_system(g)
     _normalize_diagram(c, d)
     return d.freeze()
