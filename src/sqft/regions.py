@@ -252,76 +252,48 @@ class _Analysis:
 
 def closed_components(c: SquareComplex,
                       g: CurveSystem) -> list[set[tuple[int, EP]]]:
-    """Closed suture components as sets of endpoint keys (square, ep).
+    """Closed suture components of a valid pair, as sets of endpoint keys
+    (square, ep).
 
-    First one walk along the arcs that start at boundary points: when those
-    arcs cover every endpoint, no component is closed and the answer is []
-    without the component search below.
+    One walk: a strand steps along a chord, then across the gluing of the
+    side it reaches (point k of m there is point m-1-k on the partner side).
+    The walk first follows the arcs from the boundary points and marks every
+    endpoint they reach; each endpoint left over lies on a closed strand,
+    followed the same way until it returns to its start. When the arcs mark
+    every endpoint the answer is [] after that first walk. The steps read
+    the complex's cached partner map and the system's side-count table.
     """
+    partner = c.partner_map
     mate: dict[tuple[int, EP], tuple[int, EP]] = {}
     for s in range(c.square_count):
         for a, b in g.chords[s]:
             mate[(s, a)] = (s, b)
             mate[(s, b)] = (s, a)
-    if _arcs_cover(c, g, mate):
-        return []
-    across: dict[tuple[int, EP], tuple[int, EP]] = {}
-    for (sa, ka), (sb, kb) in c.gluings:
-        m = g.side_count((sa, ka))
-        for j in range(m):
-            across[(sa, (ka, j))] = (sb, (kb, m - 1 - j))
-            across[(sb, (kb, m - 1 - j))] = (sa, (ka, j))
-    seen: set[tuple[int, EP]] = set()
+
+    def strand(p: tuple[int, EP], reached: set[tuple[int, EP]]) -> None:
+        # marks the strand through p until it leaves the gluings or closes
+        while p not in reached:
+            q = mate[p]
+            reached.add(p)
+            reached.add(q)
+            sq, (side, pos) = q
+            other = partner.get((sq, side))
+            if other is None:
+                return
+            p = (other[0], (other[1], g.side_count(other) - 1 - pos))
+
+    reached: set[tuple[int, EP]] = set()
+    for s, k in c.boundary_slots:
+        # a boundary side of a valid pair meets one point
+        strand((s, (k, 0)), reached)
     out = []
-    for start in mate:
-        if start in seen:
-            continue
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            p = frontier.pop()
-            for q in (mate.get(p), across.get(p)):
-                if q is not None and q not in comp:
-                    comp.add(q)
-                    frontier.append(q)
-        seen |= comp
-        if all(p in across for p in comp):
+    for start in mate.keys() - reached:
+        if start not in reached:
+            comp: set[tuple[int, EP]] = set()
+            strand(start, comp)
+            reached |= comp
             out.append(comp)
     return out
-
-
-def _arcs_cover(c: SquareComplex, g: CurveSystem,
-                mate: dict[tuple[int, EP], tuple[int, EP]]) -> bool:
-    """Whether the arcs from the boundary points reach every endpoint.
-
-    An arc steps along a chord, then across its glued side as
-    closed_components pairs points, until it ends off the gluings. A step
-    to a point that is no endpoint, or to one already reached, answers False
-    and leaves the case to the full search.
-    """
-    partner = c.partner_map
-    seen: set[tuple[int, EP]] = set()
-    for s, k in c.boundary_slots:
-        for j in range(g.side_count((s, k))):
-            p = (s, (k, j))
-            if p in seen:
-                continue
-            while True:
-                q = mate.get(p)
-                if q is None or p in seen:
-                    return False
-                seen.add(p)
-                seen.add(q)
-                sq, (side, pos) = q
-                other = partner.get((sq, side))
-                if other is None:
-                    break
-                # points pair as in a gluing (a, b) with a < b: by a's count
-                m = g.side_count(min((sq, side), other))
-                if not 0 <= pos < m:
-                    break
-                p = (other[0], (other[1], m - 1 - pos))
-    return len(seen) == len(mate)
 
 
 def regions(c: SquareComplex, g: CurveSystem) -> RegionDecomposition:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Optional
 
 from .surface import (
@@ -192,9 +193,8 @@ class Diagram:
 def validate_sutures(c: SquareComplex, g: CurveSystem) -> "ValidationReport":
     """Problems of a curve system on a complex, in a fixed order.
 
-    Each square is checked with one sort of its endpoints; only a square that
-    fails is checked again problem by problem, for the messages. Side counts
-    are read only when every endpoint lies on a side 0..3.
+    Each square is checked with one sort of its endpoints. Side counts are
+    read only when every endpoint lies on a side 0..3.
     """
     from .surface import ValidationReport
 
@@ -207,13 +207,10 @@ def validate_sutures(c: SquareComplex, g: CurveSystem) -> "ValidationReport":
 
     on_sides = True
     for sq in range(c.square_count):
-        chords = g.chords[sq]
-        if g.loops[sq] >= 0 and _square_ok(chords):
-            continue
-        off = sorted(ep for ch in chords for ep in ch if not 0 <= ep[0] < 4)
-        problems.extend(f"square {sq}: endpoint {ep} on no side" for ep in off)
-        problems.extend(_square_problems(sq, chords, g.loops[sq]))
-        on_sides = on_sides and not off
+        found, square_on_sides = _square_problems(sq, g.chords[sq], g.loops[sq])
+        if found:
+            problems.extend(found)
+            on_sides = on_sides and square_on_sides
     if not on_sides:
         return ValidationReport(tuple(problems))
 
@@ -230,38 +227,41 @@ def validate_sutures(c: SquareComplex, g: CurveSystem) -> "ValidationReport":
     return ValidationReport(tuple(problems))
 
 
-def _square_ok(chords: tuple[Chord, ...]) -> bool:
-    """Whether a square's endpoints are distinct, lie on sides 0..3 with
-    dense positions on each side, and are joined without crossings."""
-    eps = sorted(ep for ch in chords for ep in ch)
-    if eps and not (eps[0][0] >= 0 and eps[-1][0] < 4):
-        return False
-    side, nxt = -1, 0
-    for k, p in eps:
-        if p != (nxt if k == side else 0):
-            return False
-        side, nxt = k, p + 1
-    return _noncrossing(chords, eps)
-
-
 def _square_problems(sq: int, chords: tuple[Chord, ...],
-                     loops: int) -> list[str]:
-    """The per-problem messages of one square's chord diagram."""
-    problems = []
-    eps = [ep for ch in chords for ep in ch]
-    distinct = len(set(eps)) == len(eps)
-    if not distinct:
-        problems.append(f"square {sq}: point used by two chords")
-    for k in range(4):
-        pos = sorted(p for s, p in eps if s == k)
-        if pos != list(range(len(pos))):
-            problems.append(f"square {sq} side {k}: positions not dense")
+                     loops: int) -> tuple[list[str], bool]:
+    """The problems of one square's chord diagram, in a fixed order (none
+    for a valid square), and whether every endpoint lies on a side 0..3.
+
+    One sort of the endpoints puts the points on no side at its two ends and
+    each side's positions in a run, which must read 0, 1, 2, ...; a point
+    used twice leaves a run that does not.
+    """
+    eps = sorted(chain.from_iterable(chords))
+    on_sides = not eps or (eps[0][0] >= 0 and eps[-1][0] < 4)
+    problems = [] if on_sides else [
+        f"square {sq}: endpoint {ep} on no side"
+        for ep in eps if not 0 <= ep[0] < 4]
+    gapped: list[int] = []
+    side, nxt = None, 0
+    for k, p in eps:
+        if k != side:
+            side, nxt = k, 0
+        if p != nxt:
+            gapped.append(k)
+        nxt += 1
+    distinct = True
+    if gapped:
+        distinct = len(set(eps)) == len(eps)
+        if not distinct:
+            problems.append(f"square {sq}: point used by two chords")
+        problems.extend(f"square {sq} side {k}: positions not dense"
+                        for k in dict.fromkeys(gapped) if 0 <= k < 4)
     if loops < 0:
         problems.append(f"square {sq}: negative loop count")
     # crossing is defined only for distinct points
-    if distinct and not _noncrossing(chords, sorted(eps)):
+    if distinct and not _noncrossing(chords, eps):
         problems.append(f"square {sq}: chords cross")
-    return problems
+    return problems, on_sides
 
 
 def _noncrossing(chords: tuple[Chord, ...], eps: list[EP]) -> bool:
@@ -329,21 +329,34 @@ def basic_bits(c: SquareComplex, g: CurveSystem) -> Optional[int]:
 
 
 def normalize(c: SquareComplex, g: CurveSystem) -> CurveSystem:
-    """g with every innermost bigon across a glued edge removed.
+    """g with every innermost bigon across a glued edge removed, in the
+    canonical form that CurveSystem.build gives.
 
     An innermost bigon is a chord joining two neighbouring points of one
-    glued side, so when no chord has both endpoints on one glued side, a
-    valid g is already normalized and is returned as it is, with the side
+    glued side. So a valid g that is already in canonical form (each chord
+    (a, b) with a <= b, each square's chords sorted) and has no chord with
+    both endpoints on one glued side is returned as it is, with the side
     counts it has cached. Surgery children, which bypass_surgery normalizes
-    itself, take this path.
+    and freezes, take this path.
     """
-    if not any(ka == kb and c.is_glued((sq, ka))
-               for sq, chords in enumerate(g.chords)
-               for (ka, _), (kb, _) in chords):
+    if _canonical_without_edge_chords(c, g):
         return g
     d = Diagram.from_system(g)
     _normalize_diagram(c, d)
     return d.freeze()
+
+
+def _canonical_without_edge_chords(c: SquareComplex, g: CurveSystem) -> bool:
+    for sq, chords in enumerate(g.chords):
+        prev = None
+        for chord in chords:
+            a, b = chord
+            if b < a or (prev is not None and chord < prev):
+                return False
+            if a[0] == b[0] and c.is_glued((sq, a[0])):
+                return False
+            prev = chord
+    return True
 
 
 def _normalize_diagram(c: SquareComplex, d: Diagram) -> None:

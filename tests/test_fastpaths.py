@@ -2,10 +2,12 @@
 the exact work of one element, and the safety of the cached values.
 
 Fast paths and their oracles:
-- `normalize` returns a system with no chord on one glued side as it is;
-  the oracle thaws, runs `_normalize_diagram` and freezes every time.
-- `closed_components` answers [] after one walk along the boundary arcs;
-  the oracle is the full component search (`_closed_components_oracle`).
+- `normalize` returns a system in canonical form with no chord on one
+  glued side as it is; the oracle thaws, runs `_normalize_diagram` and
+  freezes every time.
+- `closed_components` is one walk, from the boundary points and then from
+  the endpoints they do not reach; the oracle is the full component search
+  (`_closed_components_oracle`).
 - `validate_sutures` checks a square with one sort of its endpoints; the
   oracle is the per-problem loop below, which must give byte-identical
   problem lists.
@@ -232,6 +234,43 @@ def test_normalize_fast_path_skips_the_diagram(monkeypatch):
     for c, child in children:
         assert normalize(c, child) is child
     assert calls == []
+
+
+def _hand_built(g, flip=True, reverse=True):
+    """g as a hand-built system, outside build's canonical form: with flip
+    every chord (b, a), with reverse each square's chords in reverse order."""
+    return CurveSystem(
+        tuple(tuple((b, a) if flip else (a, b)
+                    for a, b in (reversed(chords) if reverse else chords))
+              for chords in g.chords),
+        g.loops)
+
+
+@pytest.mark.parametrize("flip, reverse",
+                         [(True, False), (False, True), (True, True)])
+def test_normalize_canonicalizes_hand_built_systems(corpus_parts, flip,
+                                                    reverse):
+    reordered = 0
+    for c, g in corpus_parts["census"] + corpus_parts["pool children"]:
+        h = _hand_built(g, flip, reverse)
+        out = normalize(c, h)
+        assert out == normalize_oracle(c, h) == normalize(c, g)
+        if h != g:
+            reordered += 1
+            assert out is not h
+    assert reordered > 400
+
+
+def test_hand_built_lone_square_is_basic():
+    square = SquareComplex.build(1)
+    for bits in range(2):
+        g = basic_system(square, bits)
+        h = _hand_built(g)
+        assert h != g and validate_sutures(square, h).ok
+        engine.clear_cache()
+        assert suture_element(square, h) == suture_element(square, g)
+    assert suture_element(square, CurveSystem(
+        ((((1, 0), (0, 0)), ((3, 0), (2, 0))),), (0,))).words == {1}
 
 
 def _canonical_components(comps):
