@@ -74,22 +74,30 @@ def _disc_polygon(c: SquareComplex) -> tuple[list[Slot], dict]:
     return cycle, corner_pos
 
 
-def matching_system(n: int, matching: tuple[tuple[int, int], ...]) -> CurveSystem:
-    """Realize one non-crossing matching of the disc's boundary points."""
+@lru_cache(maxsize=None)
+def _disc_layout(n: int) -> tuple[SquareComplex, tuple[Slot, ...], tuple]:
+    """The disc, its boundary sides in cyclic order and the arcs between
+    its squares, shared by every matching of the same n."""
     c = disc_complex(n)
     cycle, corner_pos = _disc_polygon(c)
+    arcs = []
+    for i in range(n - 2):
+        inner = corner_pos[c.corner_class[(i, 2)].key]
+        outer = corner_pos[c.corner_class[(i, 3)].key]
+        arcs.append((inner, outer, (i, 2), (i + 1, 1)))
+    return c, tuple(cycle), tuple(arcs)
+
+
+def matching_system(n: int, matching: tuple[tuple[int, int], ...]) -> CurveSystem:
+    """Realize one non-crossing matching of the disc's boundary points."""
+    c, cycle, arcs = _disc_layout(n)
     sides = [DiscSide(key=slot, points=[g], corner=g)
              for g, slot in enumerate(cycle)]
     strands: dict[int, int] = {}
     for a, b in matching:
         strands[a] = b
         strands[b] = a
-    arcs = []
-    for i in range(n - 2):
-        inner = corner_pos[c.corner_class[(i, 2)].key]
-        outer = corner_pos[c.corner_class[(i, 3)].key]
-        arcs.append((inner, outer, (i, 2), (i + 1, 1)))
-    cells = split_disc(sides, strands, arcs, next_id=2 * n)
+    cells = split_disc(sides, strands, list(arcs), next_id=2 * n)
 
     chords: dict[int, list] = {}
     for cell in cells:
@@ -254,7 +262,7 @@ def _random_script(rng: random.Random, source: SquareComplex,
                 if kind.kind != want:
                     return False
                 nxt, _ = tighten(glued)
-        except (ValueError, NotImplementedError):
+        except ValueError:
             return False
         if nxt.square_count == 0:
             return False

@@ -40,11 +40,17 @@ Chooser = Callable[[list[tuple[GluingPair, int]]], tuple[GluingPair, int]]
 
 _CACHE: dict[tuple, frozenset[int]] = {}
 _CACHE_LOCK = threading.Lock()
+# the last script compiled, with its steps: one slot, read and replaced
+# whole, so racing threads at worst compile a script again
+_LAST_COMPILED: Optional[CompiledScript] = None
 
 
 def clear_cache() -> None:
+    """Empty the element memo and forget the last compiled script."""
+    global _LAST_COMPILED
     with _CACHE_LOCK:
         _CACHE.clear()
+    _LAST_COMPILED = None
 
 
 def _cache_key(c: SquareComplex, g: CurveSystem):
@@ -248,6 +254,23 @@ class ScriptError(ValueError):
 
 
 def compile_script(script: MorphismScript) -> CompiledScript:
+    """The script's steps: complexes, collapses and operators per move.
+
+    The last script compiled is remembered by identity, so a caller that
+    compiles a script and then pushes curves through it (as
+    `apply_script_to_sutures` does) pays for one compile. A script that
+    raises ScriptError is not remembered.
+    """
+    global _LAST_COMPILED
+    last = _LAST_COMPILED
+    if last is not None and last.script is script:
+        return last
+    compiled = _compile(script)
+    _LAST_COMPILED = compiled
+    return compiled
+
+
+def _compile(script: MorphismScript) -> CompiledScript:
     cur = script.source
     if not validate_complex(cur).ok or cur.internal_vertices():
         raise ScriptError("script source must be a valid bona fide complex")
@@ -269,7 +292,9 @@ def compile_script(script: MorphismScript) -> CompiledScript:
             tight = glued
             for before, rec, tight in collapse_steps(glued):
                 collapses.append((before, rec))
-            cur = SquareComplex(tight.square_count, tight.gluings, slack=False)
+            # a complex that is already tight is kept, with its caches
+            cur = tight if not tight.slack else SquareComplex(
+                tight.square_count, tight.gluings, slack=False)
             expected = {Glue: 0, Fold: 1, Zip: 2}[type(move)]
             if len(collapses) != expected:
                 raise ScriptError(f"move {move} produced {len(collapses)} "
@@ -324,7 +349,8 @@ def apply_script_to_sutures(script: MorphismScript,
     Creations adjoin a square with standard sutures of the move's sign;
     gluing moves carry the curves across the new edge, and each collapse of
     the interleaved tightening re-routes them around the swallowed vertex.
-    The complexes are the compiled script's; none is recomputed here.
+    The complexes are the compiled script's; none is recomputed here, and
+    a script just compiled is not compiled again.
     """
     compiled = compile_script(script)
     require_valid_pair(script.source, g)

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .surface import (
-    Corner, GluingPair, InvalidComplex, Slot, SquareComplex, VertexClass,
-    _norm_pair, _require_valid, remove_square,
+    Corner, GluingPair, InvalidComplex, Slot, SquareComplex,
+    UnsupportedConfiguration, VertexClass, _norm_pair, _require_valid,
+    remove_square,
 )
 
 
@@ -117,7 +118,7 @@ def find_collapsible_square(c: SquareComplex, y: VertexClass) -> tuple[int, int,
         if not _exotic(c, sq, corner):
             return sq, corner, opp
     if candidates:
-        raise NotImplementedError(
+        raise UnsupportedConfiguration(
             "only squares with a y-side glued to their own opposite side "
             "qualify; collapse transport does not model this configuration")
     raise InvalidComplex("no collapsible square reachable; complex inconsistent")
@@ -210,6 +211,8 @@ def tighten(c: SquareComplex) -> tuple[SquareComplex, list[CollapseRecord]]:
     cur = c
     for _, rec, cur in collapse_steps(c):
         records.append(rec)
+    if not cur.slack:
+        return cur, records
     return SquareComplex(cur.square_count, cur.gluings, slack=False), records
 
 

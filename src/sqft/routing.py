@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 from typing import Hashable, Optional
 
 from .quad import CollapseRecord, slide_slot_map
-from .surface import GluingPair, Slot, SquareComplex, _norm_pair
+from .surface import (
+    GluingPair, Slot, SquareComplex, UnsupportedConfiguration, _norm_pair,
+)
 from .sutures import CurveSystem, Diagram
 
 
@@ -255,7 +257,8 @@ def transport_collapse(c: SquareComplex, g: CurveSystem,
     a1, a2, b1, b2 = rec.sides()
     part = c.partner_map
     if part.get(a1) == b1 or part.get(a2) == b2:
-        raise NotImplementedError("square folded onto its own opposite side")
+        raise UnsupportedConfiguration(
+            "square folded onto its own opposite side")
 
     if rec.n == 1:
         _collapse_degenerate(c, d, rec)
@@ -358,8 +361,9 @@ def _collapse_degenerate(c: SquareComplex, d: Diagram, rec: CollapseRecord) -> N
         if total_loops or len(strands) != 1:
             host_sq = 0 if c.square_count > 1 else None
             if host_sq is None:
-                raise NotImplementedError("trivial sutures on a vacuum-only "
-                                          "complex have no carrier square")
+                raise UnsupportedConfiguration(
+                    "trivial sutures on a vacuum-only complex have no "
+                    "carrier square")
             d.loops[host_sq] += 1
     else:
         d.loops[host] += total_loops

@@ -39,6 +39,10 @@ class InvalidComplex(ValueError):
     """Raised when an operation requires a valid complex and gets violations."""
 
 
+class UnsupportedConfiguration(ValueError):
+    """Raised on valid input in a configuration the program does not model."""
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     problems: tuple[str, ...] = ()
@@ -135,38 +139,44 @@ class SquareComplex:
 
     @cached_property
     def vertex_classes(self) -> tuple[VertexClass, ...]:
-        parent: dict[Corner, Corner] = {
-            (s, c): (s, c) for s in range(self.square_count) for c in range(4)
-        }
-
-        def find(x: Corner) -> Corner:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: Corner, y: Corner) -> None:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        for (sa, a), (sb, b) in self.gluings:
-            union((sa, a), (sb, (b + 1) % 4))
-            union((sa, (a + 1) % 4), (sb, b))
-
-        groups: dict[Corner, list[Corner]] = {}
-        for corner in parent:
-            groups.setdefault(find(corner), []).append(corner)
-
+        # Corner (s, c) ends side c - 1 and starts side c, and a gluing
+        # matches the corners at both ends of its sides, so a corner meets
+        # at most two gluings and a class is a path or a cycle of corners.
+        # Crossing side c - 1 walks ahead: the mate slot (t, d) is the
+        # corner reached. Crossing side c walks back to corner (t, d + 1).
+        # A walk ahead that comes back to its start is an internal vertex.
+        part = self.partner_map
+        # on a side glued twice a walk can enter a loop that misses its
+        # start; no class has more corners than the complex
+        limit = 4 * self.square_count
+        seen: set[Corner] = set()
         classes = []
-        for members in groups.values():
-            sign = +1 if members[0][1] % 2 == 1 else -1
-            internal = all(
-                self.is_glued((sq, c)) and self.is_glued((sq, (c - 1) % 4))
-                for sq, c in members
-            )
-            classes.append(VertexClass(frozenset(members), sign, internal))
-        classes.sort(key=lambda v: v.key)
+        for s in range(self.square_count):
+            for c in range(4):
+                start = (s, c)
+                if start in seen:
+                    continue
+                # start is the least corner of its class, since a smaller
+                # one would have been seen first: classes come in key order
+                members = [start]
+                cur = part.get((s, (c - 1) % 4))
+                while cur is not None and cur != start:
+                    members.append(cur)
+                    if len(members) > limit:
+                        raise InvalidComplex("vertex walk does not close")
+                    cur = part.get((cur[0], (cur[1] - 1) % 4))
+                internal = cur == start
+                if not internal:
+                    mate = part.get(start)
+                    while mate is not None:
+                        cur = (mate[0], (mate[1] + 1) % 4)
+                        members.append(cur)
+                        if len(members) > limit:
+                            raise InvalidComplex("vertex walk does not close")
+                        mate = part.get(cur)
+                seen.update(members)
+                sign = +1 if c % 2 == 1 else -1
+                classes.append(VertexClass(frozenset(members), sign, internal))
         return tuple(classes)
 
     @cached_property

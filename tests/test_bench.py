@@ -1,5 +1,6 @@
-"""Smoke run of the benchmark: its per-layer table agrees with the recursion's
-exact work (one normalization and one triviality test per node)."""
+"""Smoke runs of the benchmark: its per-layer table agrees with the exact
+work of the recursion (one normalization and one triviality test per node)
+and of a script (one compile per op)."""
 
 import json
 import subprocess
@@ -23,3 +24,21 @@ def test_traced_disc_chords_counts():
     # every diagram of the pool has a 71-node recursion
     assert metrics["regions.is_trivial.calls"]["value"] == 71
     assert metrics["sutures.normalize.calls"]["value"] == 71
+
+
+def test_traced_script_naturality_counts():
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "script_naturality",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["attempted"] > 0 and result["failed"] == 0
+    calls = {k: m["value"] for k, m in result["metrics"].items()}
+    # the op compiles its script once: each gluing and each collapse the
+    # compile performs is transported once, not performed again by the push
+    assert calls["surface.glue.calls"] == \
+        calls["sutures.transport_glue.calls"] > 0
+    assert calls["quad.collapse_slack_square.calls"] == \
+        calls["routing.transport_collapse.calls"] > 0

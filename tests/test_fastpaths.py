@@ -11,20 +11,33 @@ Fast paths and their oracles:
 - `validate_sutures` checks a square with one sort of its endpoints; the
   oracle is the per-problem loop below, which must give byte-identical
   problem lists.
+- `SquareComplex.vertex_classes` walks each corner orbit once; the oracle is
+  the union-find over corners (`vertex_classes_oracle`).
+- `compile_script` returns the last script it compiled as it is; the
+  oracle is a fresh compile of an equal script.
 """
 
 import sys
 import threading
+import weakref
+from pathlib import Path
 
 import pytest
 
-from sqft import engine, surface, sutures
-from sqft.census import disc_complex, enumerate_disc_sutures, matching_system
-from sqft.engine import suture_element
+from sqft import engine, formats, quad, surface, sutures
+from sqft.census import (
+    disc_complex, enumerate_disc_sutures, matching_system, random_extension,
+    random_surface,
+)
+from sqft.engine import (
+    Fold, Glue, MorphismScript, ScriptError, Zip, annihilation_as_fold,
+    apply_script_to_sutures, compile_script, compiled_operator,
+    naturality_holds, suture_element,
+)
 from sqft.regions import closed_components
 from sqft.surface import (
-    SquareComplex, ValidationReport, canonical_form, canonical_permutation,
-    validate_complex,
+    SquareComplex, ValidationReport, VertexClass, canonical_form,
+    canonical_permutation, validate_complex,
 )
 from sqft.sutures import (
     CurveSystem, Diagram, _normalize_diagram, basic_system, finger_push,
@@ -534,3 +547,238 @@ def test_caches_filled_by_racing_threads():
     assert first[1] == canonical_permutation(disc_complex(n))
     assert first[3] == want
     assert all(r == first for r in results)
+
+
+# ---------------------------------------------------------------------------
+# vertex classes: the orbit walk against the union-find
+
+
+def vertex_classes_oracle(c):
+    """The classes by union-find over all corners, each tested for being
+    internal member by member."""
+    parent = {(s, k): (s, k) for s in range(c.square_count) for k in range(4)}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+
+    for (sa, a), (sb, b) in c.gluings:
+        union((sa, a), (sb, (b + 1) % 4))
+        union((sa, (a + 1) % 4), (sb, b))
+    groups = {}
+    for corner in parent:
+        groups.setdefault(find(corner), []).append(corner)
+    classes = []
+    for members in groups.values():
+        sign = +1 if members[0][1] % 2 == 1 else -1
+        internal = all(c.is_glued((sq, k)) and c.is_glued((sq, (k - 1) % 4))
+                       for sq, k in members)
+        classes.append(VertexClass(frozenset(members), sign, internal))
+    classes.sort(key=lambda v: v.key)
+    return tuple(classes)
+
+
+def _oracle_problems(c):
+    """validate_complex's problem list, read off the oracle's classes."""
+    twin = SquareComplex(c.square_count, c.gluings, c.slack)
+    twin.__dict__["vertex_classes"] = vertex_classes_oracle(twin)
+    return surface._check_complex(twin).problems
+
+
+def _script_complexes(script):
+    """The source, every step's complex and every collapse's complex before
+    it, of one compiled script."""
+    yield script.source
+    for step in compile_script(script).steps:
+        yield step.complex_after
+        for before, _ in step.collapses:
+            yield before
+
+
+def _extension_scripts(seeds):
+    for s in seeds:
+        base = compile_script(random_surface(s, 4)).target
+        if base.square_count:
+            yield random_extension(s, base, 8)
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _walk_corpus(square, hexagon, annulus, punctured_torus, disc12):
+    for script in _extension_scripts(range(60)):
+        yield from _script_complexes(script)
+    for s in range(400):
+        yield from _script_complexes(random_surface(s, 8))
+    for n in range(2, 21):
+        yield disc_complex(n)
+    yield from (square, hexagon, annulus, punctured_torus, disc12)
+    for path in sorted(FIXTURES.glob("*.surface.json")):
+        yield formats.parse_surface(path.read_text())
+    # folds within one square: one pair of adjacent sides, both pairs, and
+    # a fold beside a gluing to a second square
+    for pairs in ([((0, 0), (0, 3))], [((0, 0), (0, 1))],
+                  [((0, 1), (0, 2))], [((0, 0), (0, 3)), ((0, 1), (0, 2))],
+                  [((0, 0), (0, 1)), ((0, 2), (0, 3))]):
+        yield SquareComplex.build(1, pairs, slack=True)
+    yield SquareComplex.build(2, [((0, 0), (0, 3)), ((0, 2), (1, 1))],
+                              slack=True)
+
+
+def test_vertex_classes_against_union_find(square, hexagon, annulus,
+                                           punctured_torus, disc12):
+    complexes = internal = 0
+    for c in _walk_corpus(square, hexagon, annulus, punctured_torus, disc12):
+        # the complex as it came, and its twin of the other slackness, whose
+        # problem list names each internal vertex when it is not slack
+        for twin in (c, SquareComplex(c.square_count, c.gluings,
+                                      not c.slack)):
+            want = vertex_classes_oracle(twin)
+            assert twin.vertex_classes == want
+            assert twin.internal_vertices() == tuple(
+                v for v in want if v.internal)
+            assert validate_complex(twin).problems == _oracle_problems(twin)
+        complexes += 1
+        internal += bool(c.internal_vertices())
+    assert complexes > 5000 and internal > 600
+
+
+def test_vertex_walk_on_a_side_glued_twice_is_an_error():
+    # (0, 1) is glued to (0, 0) and to (1, 0), so the walk ahead from corner
+    # (0, 2) runs into a loop that misses it; validation reports the fault
+    # before it reads any class
+    c = SquareComplex.build(2, [((0, 0), (0, 1)), ((0, 1), (1, 0))],
+                            slack=True)
+    assert validate_complex(c).problems == (
+        "side (0, 1) glued more than once",)
+    with pytest.raises(surface.InvalidComplex, match="does not close"):
+        c.vertex_classes
+
+
+# ---------------------------------------------------------------------------
+# compile once
+
+
+def _disc12_annihilation(disc12):
+    cycle = disc12.boundary_cycles[0]
+    return annihilation_as_fold(disc12, cycle[0], cycle[1], cycle[2], -1)
+
+
+def _work_scripts(disc12):
+    # seeds 1 and 5 give two folds and a zip, and two zips
+    return [_disc12_annihilation(disc12)] + list(_extension_scripts((1, 5)))
+
+
+def _twin(script):
+    return MorphismScript(SquareComplex(script.source.square_count,
+                                        script.source.gluings,
+                                        script.source.slack), script.moves)
+
+
+def test_compile_script_keeps_the_last_script(disc12):
+    engine.clear_cache()
+    script = _disc12_annihilation(disc12)
+    compiled = compile_script(script)
+    assert compile_script(script) is compiled
+    # an equal script that is another object compiles afresh
+    twin = _twin(script)
+    assert twin == script and twin is not script
+    again = compile_script(twin)
+    assert again is not compiled and again.steps == compiled.steps
+    assert compile_script(twin) is again
+
+
+def test_compile_slot_holds_one_script(disc12):
+    engine.clear_cache()
+    first, second = _work_scripts(disc12)[:2]
+    ref = weakref.ref(compile_script(first))
+    assert ref() is not None
+    compile_script(second)
+    assert ref() is None
+    ref = weakref.ref(compile_script(first))
+    engine.clear_cache()
+    assert ref() is None
+
+
+def test_script_error_is_not_remembered(hexagon, disc12):
+    engine.clear_cache()
+    good = _disc12_annihilation(disc12)
+    compiled = compile_script(good)
+    # a standard gluing presented as a fold
+    bad = MorphismScript.build(hexagon, [Fold((0, 2), (1, 3))])
+    for _ in range(3):
+        with pytest.raises(ScriptError, match="classifies as standard"):
+            compile_script(bad)
+        with pytest.raises(ScriptError):
+            apply_script_to_sutures(bad, basic_system(hexagon, 0))
+    assert compile_script(good) is compiled
+
+
+def _push(script, bits):
+    compiled = compile_script(script)
+    _, fact = compiled_operator(compiled)
+    g = basic_system(script.source, bits)
+    target, image = apply_script_to_sutures(script, g)
+    return fact.ops, target, image, suture_element(target, image)
+
+
+def test_compile_slot_under_racing_threads(disc12):
+    scripts = _work_scripts(disc12) + list(_extension_scripts((2, 6, 12)))
+    engine.clear_cache()
+    want = [[_push(s, bits) for bits in range(4)] for s in scripts]
+    results = {}
+
+    def work(i):
+        out = []
+        for _ in range(2):
+            for j in range(len(scripts)):
+                k = (i + j) % len(scripts)
+                out.append((k, [_push(scripts[k], bits)
+                                for bits in range(4)]))
+        results[i] = out
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(i,))
+                   for i in range(6)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+            assert not w.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(results) == list(range(6))
+    for out in results.values():
+        assert len(out) == 2 * len(scripts)
+        for k, pushed in out:
+            assert pushed == want[k]
+
+
+def test_exact_work_per_script(monkeypatch, disc12):
+    scripts = _work_scripts(disc12)
+    moves = [type(m) for script in scripts for m in script.moves]
+    assert moves.count(Fold) >= 4 and moves.count(Zip) >= 3
+    for script in scripts:
+        kinds = [type(m) for m in script.moves]
+        gluings = sum(kinds.count(k) for k in (Glue, Fold, Zip))
+        collapses = kinds.count(Fold) + 2 * kinds.count(Zip)
+        for run in ("push", "naturality"):
+            engine.clear_cache()
+            glue = _count_calls(monkeypatch, engine, "glue")
+            collapse = _count_calls(monkeypatch, quad,
+                                    "collapse_slack_square")
+            if run == "push":
+                _push(script, 1)
+            else:
+                assert naturality_holds(script, 1)
+            assert (glue[0], collapse[0]) == (gluings, collapses), run
+            monkeypatch.undo()

@@ -102,6 +102,31 @@ def test_cli_apply_factorize(tmp_path, disc12, disc12_sutures, capsys):
     assert "0110 + 1010" in out
 
 
+LONE_FOLD = {"source": {"squares": 1, "slack": False, "gluings": []},
+             "moves": [{"fold": [[0, 0], [0, 3]]}]}
+
+
+@pytest.mark.parametrize("bits", [0, 1])
+def test_cli_apply_lone_square_fold(tmp_path, square, bits, capsys):
+    # folding the lone square onto itself leaves no square: the positive
+    # sutures vanish with it, the negative ones close up into a loop that
+    # no square can carry, which is reported, not raised
+    spath = tmp_path / "s.json"
+    spath.write_text(json.dumps(LONE_FOLD))
+    gpath = tmp_path / "g.json"
+    gpath.write_text(formats.emit_sutures(basic_system(square, bits)))
+    code = main(["apply", str(spath), str(gpath), "--factorize"])
+    out, err = capsys.readouterr()
+    assert "annihilate1 factor 0 (1->0)" in out
+    if bits:
+        assert code == 0 and err == ""
+        assert "image sutures:" in out and "image element" in out
+    else:
+        assert code == 1 and "Traceback" not in err
+        assert err == "error: trivial sutures on a vacuum-only complex " \
+                      "have no carrier square\n"
+
+
 def test_cli_check_suite(capsys):
     assert main(["check", "--suite", "bypass", "--cases", "3", "--seed", "5"]) == 0
     out = capsys.readouterr().out
