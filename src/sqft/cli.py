@@ -79,9 +79,8 @@ def cmd_element(args) -> int:
     else:
         elem = suture_element(c, g)
     e = euler_class(c, g)
-    words = elem.word_strings()
     print(f"euler class {e}")
-    print("element " + (" + ".join(words) if words else "0"))
+    print("element " + _element_text(elem))
     return 0
 
 
@@ -106,9 +105,17 @@ def cmd_apply(args) -> int:
         elem = lin(suture_element(src, g))
         print("image sutures:")
         sys.stdout.write(formats.emit_sutures(out))
-        words = elem.word_strings()
-        print("image element " + (" + ".join(words) if words else "0"))
+        print("image element " + _element_text(elem))
     return 0
+
+
+def _element_text(elem) -> str:
+    """A sum of basis words, or "0" for the zero element. The one word of
+    arity 0 reads "" on its own, so it prints as "1 (empty word)"."""
+    words = elem.word_strings()
+    if not words:
+        return "0"
+    return " + ".join(w or "1 (empty word)" for w in words)
 
 
 def cmd_slide(args) -> int:

@@ -263,6 +263,7 @@ def slide_slot_map(c: SquareComplex, edge: GluingPair, direction: str) -> dict[S
 
 def diagonal_slide(c: SquareComplex, edge: GluingPair | tuple[Slot, Slot],
                    direction: str) -> tuple[SquareComplex, SlideRecord]:
+    _require_valid(c)
     pair = _norm_pair(*edge)
     if pair not in c.gluings:
         raise ValueError(f"no internal edge {edge}")

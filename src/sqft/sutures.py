@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import Iterable, Optional
+from itertools import chain, count
+from typing import Iterable, Iterator, Optional
 
 from .surface import (
     GluingPair, Slot, SquareComplex, _norm_pair, validate_complex,
@@ -71,6 +71,11 @@ class CurveSystem:
             table.append(tuple(counts))
         return tuple(table)
 
+    # other facts kept outside the fields, each set where it is learned:
+    # `_frozen_form` (see Diagram), `_valid_on`, the complex validate_sutures
+    # last found the system valid on, and on a surgery child `_rewritten`
+    # (see _rewritten_on)
+
     def total_loops(self) -> int:
         return sum(self.loops)
 
@@ -91,60 +96,151 @@ class CurveSystem:
 # gives the positions; a global involution `mate` pairs chord endpoints within
 # squares. Gluing matching is positional: list[i] on one side corresponds to
 # list[m-1-i] on the partner side.
+#
+# A diagram made from a curve system in frozen form thaws a square (makes
+# its points and connects its chords) only when one of the square's slots is
+# first read or replaced, or a point is made in it. `freeze` rebuilds the
+# thawed squares and takes every other square's chords, loop count and
+# side-count row from the system as they were. Frozen form means that each
+# square is as freeze rebuilds it: chords canonical and sorted, each side's
+# positions 0, 1, 2, ... on sides 0..3. It is known, and marked on the system
+# as `_frozen_form`, for what freeze returns and for a system found valid
+# and normalized on a complex; any other system thaws whole.
+
+
+class _Slots(dict):
+    """A Diagram's point lists by (square, side), filled square by square
+    from the source system as the slots are first used."""
+
+    def __init__(self, base: Optional[CurveSystem], mate: dict[int, int],
+                 square_of: dict[int, int], ids: Iterator[int]):
+        self.base = base
+        self.mate = mate
+        self.square_of = square_of
+        self.ids = ids
+        self.thawed: set[int] = set()
+
+    def __missing__(self, slot: Slot) -> list[int]:
+        self.thaw(slot[0])
+        return dict.__getitem__(self, slot)
+
+    def __setitem__(self, slot: Slot, points: list[int]) -> None:
+        if slot[0] not in self.thawed:
+            self.thaw(slot[0])
+        dict.__setitem__(self, slot, points)
+
+    def thaw(self, sq: int) -> None:
+        base = self.base
+        if sq in self.thawed or base is None or not 0 <= sq < len(base.chords):
+            return
+        self.thawed.add(sq)
+        chords = base.chords[sq]
+        lists: tuple[list[int], ...] = ([], [], [], [])
+        ids: dict[EP, int] = {}
+        square_of, new_id = self.square_of, self.ids
+        eps = sorted(chain.from_iterable(chords))
+        if eps and not (eps[0][0] >= 0 and eps[-1][0] < 4):
+            raise KeyError(next((sq, k) for k, _ in eps if not 0 <= k < 4))
+        for ep in eps:
+            pid = next(new_id)
+            ids[ep] = pid
+            square_of[pid] = sq
+            lists[ep[0]].append(pid)
+        mate = self.mate
+        for a, b in chords:
+            pa, pb = ids[a], ids[b]
+            if pa == pb:
+                raise AssertionError("degenerate chord")
+            mate[pa] = pb
+            mate[pb] = pa
+        dict.update(self, zip(((sq, 0), (sq, 1), (sq, 2), (sq, 3)), lists))
 
 
 class Diagram:
-    def __init__(self, square_count: int):
+    def __init__(self, square_count: int, base: Optional[CurveSystem] = None):
+        # without a base every square starts thawed and empty
         self.square_count = square_count
-        self.order: dict[Slot, list[int]] = {
-            (s, k): [] for s in range(square_count) for k in range(4)
-        }
         self.mate: dict[int, int] = {}
-        self.loops: list[int] = [0] * square_count
         self.square_of: dict[int, int] = {}
-        self._next = 0
+        self.loops: list[int] = list(base.loops) if base else [0] * square_count
+        self._ids = count()
+        self.order = _Slots(base, self.mate, self.square_of, self._ids)
+        if base is None:
+            self.order.thawed.update(range(square_count))
+            dict.update(self.order, {
+                (s, k): [] for s in range(square_count) for k in range(4)})
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
     def from_system(g: CurveSystem) -> "Diagram":
-        d = Diagram(g.square_count)
-        ids: dict[tuple[int, EP], int] = {}
-        for sq in range(g.square_count):
-            eps = sorted(ep for ch in g.chords[sq] for ep in ch)
-            for ep in eps:
-                pid = d.new_point(sq)
-                ids[(sq, ep)] = pid
-                d.order[(sq, ep[0])].append(pid)
-            for a, b in g.chords[sq]:
-                d.connect(ids[(sq, a)], ids[(sq, b)])
-            d.loops[sq] = g.loops[sq]
+        """A diagram of g. A system known to be in frozen form thaws square
+        by square as the squares are first used, any other one whole."""
+        d = Diagram(g.square_count, g)
+        if not g.__dict__.get("_frozen_form"):
+            d.thaw_all()
         return d
 
+    @property
+    def thawed(self) -> set[int]:
+        return self.order.thawed
+
+    def thaw_all(self) -> None:
+        order = self.order
+        for sq in range(self.square_count):
+            if sq not in order.thawed:
+                order.thaw(sq)
+
+    def rewritten(self) -> tuple[int, ...]:
+        """The squares where the frozen system can differ from the system
+        the diagram was made from: the thawed ones and any whose loop count
+        changed, sorted."""
+        was = self.order.base.loops
+        changed = (sq for sq, n in enumerate(self.loops) if n != was[sq])
+        return tuple(sorted(self.order.thawed.union(changed)))
+
     def freeze(self) -> CurveSystem:
+        order = self.order
         pos: dict[int, EP] = {}
-        for (sq, k), lst in self.order.items():
-            for i, pid in enumerate(lst):
-                pos[pid] = (k, i)
-        chords: dict[int, list[tuple[EP, EP]]] = {}
+        for sq in order.thawed:
+            for k in range(4):
+                for i, pid in enumerate(order[(sq, k)]):
+                    pos[pid] = (k, i)
+        rebuilt: dict[int, list[Chord]] = {sq: [] for sq in order.thawed}
         done: set[int] = set()
+        square_of = self.square_of
         for pid, qid in self.mate.items():
             if pid in done:
                 continue
             done.add(pid)
             done.add(qid)
-            sq = self.square_of[pid]
-            if self.square_of[qid] != sq:
+            sq = square_of[pid]
+            if square_of[qid] != sq:
                 raise AssertionError("chord spans squares")
-            chords.setdefault(sq, []).append((pos[pid], pos[qid]))
-        return CurveSystem.build(self.square_count, chords,
-                                 {s: n for s, n in enumerate(self.loops)})
+            rebuilt[sq].append(_norm_chord(pos[pid], pos[qid]))
+        base = order.base
+        chords = list(base.chords) if base else [()] * self.square_count
+        for sq, found in rebuilt.items():
+            chords[sq] = tuple(sorted(found))
+        out = CurveSystem(tuple(chords), tuple(self.loops))
+        if len(self.mate) == len(square_of):
+            # every point is a chord end, so each side's positions run
+            # 0, 1, ... and its point count is the length of its list
+            out.__dict__["_frozen_form"] = True
+            table = base.__dict__.get("_side_counts") if base else None
+            if table is not None:
+                table = list(table)
+                for sq in rebuilt:
+                    table[sq] = tuple(len(order[(sq, k)]) for k in range(4))
+                out.__dict__["_side_counts"] = tuple(table)
+        return out
 
     # -- primitives ----------------------------------------------------------
 
     def new_point(self, square: int) -> int:
-        pid = self._next
-        self._next += 1
+        if square not in self.order.thawed:
+            self.order.thaw(square)
+        pid = next(self._ids)
         self.square_of[pid] = square
         return pid
 
@@ -173,16 +269,18 @@ class Diagram:
         return a, b, self.order[a], self.order[b]
 
     def remap_squares(self, perm: dict[int, int], new_count: int) -> "Diagram":
+        self.thaw_all()
         d = Diagram(new_count)
-        d._next = self._next
-        for (sq, k), lst in self.order.items():
-            if sq in perm:
-                d.order[(perm[sq], k)] = list(lst)
-        d.mate = dict(self.mate)
+        d._ids = self._ids
+        dict.update(d.order, (((perm[sq], k), list(lst))
+                              for (sq, k), lst in self.order.items()
+                              if sq in perm))
+        d.mate.update(self.mate)
         for s, cnt in enumerate(self.loops):
             if s in perm:
                 d.loops[perm[s]] = cnt
-        d.square_of = {pid: perm[sq] for pid, sq in self.square_of.items()}
+        d.square_of.update(
+            (pid, perm[sq]) for pid, sq in self.square_of.items())
         return d
 
 
@@ -194,7 +292,11 @@ def validate_sutures(c: SquareComplex, g: CurveSystem) -> "ValidationReport":
     """Problems of a curve system on a complex, in a fixed order.
 
     Each square is checked with one sort of its endpoints. Side counts are
-    read only when every endpoint lies on a side 0..3.
+    read only when every endpoint lies on a side 0..3. A surgery child of a
+    system found valid on c is read only at the squares the surgery rewrote
+    and at the boundary sides and gluings that meet them: its other squares
+    are the parent's own, so the report is the one the whole check gives. A
+    system found valid remembers c, for the children made from it.
     """
     from .surface import ValidationReport
 
@@ -205,8 +307,9 @@ def validate_sutures(c: SquareComplex, g: CurveSystem) -> "ValidationReport":
     if not validate_complex(c).ok:
         return ValidationReport(("underlying complex invalid",))
 
+    rewritten = _rewritten_on(c, g, parent_valid=True)
     on_sides = True
-    for sq in range(c.square_count):
+    for sq in range(c.square_count) if rewritten is None else rewritten:
         found, square_on_sides = _square_problems(sq, g.chords[sq], g.loops[sq])
         if found:
             problems.extend(found)
@@ -214,17 +317,35 @@ def validate_sutures(c: SquareComplex, g: CurveSystem) -> "ValidationReport":
     if not on_sides:
         return ValidationReport(tuple(problems))
 
-    for slot in c.boundary_slots:
+    if rewritten is None:
+        boundary, gluings = c.boundary_slots, c.sorted_gluings()
+    else:
+        boundary, gluings = c.sides_meeting(rewritten)
+    for slot in boundary:
         m = g.side_count(slot)
         if m != 1:
             problems.append(f"boundary side {slot} meets {m} points, wants 1")
-    for a, b in c.sorted_gluings():
+    for a, b in gluings:
         ma, mb = g.side_count(a), g.side_count(b)
         if ma != mb:
             problems.append(f"edge {a}-{b}: point counts {ma} != {mb}")
         elif ma % 2 == 0:
             problems.append(f"edge {a}-{b}: even intersection count {ma}")
+    if not problems:
+        g.__dict__["_valid_on"] = c
     return ValidationReport(tuple(problems))
+
+
+def _rewritten_on(c: SquareComplex, g: CurveSystem,
+                  parent_valid: bool = False) -> Optional[tuple[int, ...]]:
+    """The squares a bypass surgery on c rewrote to make g, sorted, or None
+    when g is not such a child (or, with parent_valid, its parent was not
+    known to be valid on c). Every other square of g is its parent's, in
+    canonical form with no chord on one glued side."""
+    made = g.__dict__.get("_rewritten")
+    if made is None or made[0] is not c or (parent_valid and not made[2]):
+        return None
+    return made[1]
 
 
 def _square_problems(sq: int, chords: tuple[Chord, ...],
@@ -336,20 +457,21 @@ def normalize(c: SquareComplex, g: CurveSystem) -> CurveSystem:
     glued side. So a valid g that is already in canonical form (each chord
     (a, b) with a <= b, each square's chords sorted) and has no chord with
     both endpoints on one glued side is returned as it is, with the side
-    counts it has cached. Surgery children, which bypass_surgery normalizes
-    and freezes, take this path.
+    counts it has cached. Surgery children take this path, and only the
+    squares their surgery rewrote are read to see it.
     """
-    if _canonical_without_edge_chords(c, g):
+    if _is_normal(c, g):
         return g
     d = Diagram.from_system(g)
     _normalize_diagram(c, d)
     return d.freeze()
 
 
-def _canonical_without_edge_chords(c: SquareComplex, g: CurveSystem) -> bool:
-    for sq, chords in enumerate(g.chords):
+def _is_normal(c: SquareComplex, g: CurveSystem) -> bool:
+    rewritten = _rewritten_on(c, g)
+    for sq in range(g.square_count) if rewritten is None else rewritten:
         prev = None
-        for chord in chords:
+        for chord in g.chords[sq]:
             a, b = chord
             if b < a or (prev is not None and chord < prev):
                 return False
@@ -359,21 +481,30 @@ def _canonical_without_edge_chords(c: SquareComplex, g: CurveSystem) -> bool:
     return True
 
 
-def _normalize_diagram(c: SquareComplex, d: Diagram) -> None:
+def _normalize_diagram(c: SquareComplex, d: Diagram,
+                       thawed_only: bool = False) -> None:
+    """Remove innermost bigons from d until none is left; with thawed_only
+    the search reads only the squares d has thawed, for a source system
+    known to be normalized, whose untouched squares hold no bigon."""
     edges = c.sorted_gluings()
+    squares = d.thawed if thawed_only else None
     while True:
-        hit = _find_bigon(d, edges)
+        hit = _find_bigon(d, edges, squares)
         if hit is None:
             return
         _remove_bigon(c, d, *hit)
 
 
-def _find_bigon(d: Diagram, edges: list[GluingPair]):
+def _find_bigon(d: Diagram, edges: list[GluingPair],
+                squares: Optional[set[int]]):
+    order, mate = d.order, d.mate
     for edge in edges:
         for slot in edge:
-            lst = d.order[slot]
+            if squares is not None and slot[0] not in squares:
+                continue
+            lst = order[slot]
             for i in range(len(lst) - 1):
-                if d.mate.get(lst[i]) == lst[i + 1]:
+                if mate.get(lst[i]) == lst[i + 1]:
                     return edge, slot, i
     return None
 
@@ -412,10 +543,29 @@ def _remove_bigon(c: SquareComplex, d: Diagram, edge: GluingPair,
 
 def bypass_surgery(c: SquareComplex, g: CurveSystem, edge: GluingPair,
                    triple_start: int, direction: str) -> CurveSystem:
+    """The child of g by the bypass at crossings t, t+1, t+2 of edge, with
+    every innermost bigon it leaves removed.
+
+    When g is valid and normalized on c (as every node of the bypass
+    recursion is), only the squares the surgery and the bigon removals read
+    are thawed, and since an untouched square of a normalized system holds
+    no bigon, the search reads only thawed squares; otherwise the search
+    reads every glued side. The child records, on c,
+    the squares that differ from g's and whether g was found valid on c, so
+    that normalize and validate_sutures read only those squares. It keeps
+    no reference to g.
+    """
+    normal = _is_normal(c, g)
+    if normal and g.__dict__.get("_valid_on") is c:
+        g.__dict__["_frozen_form"] = True
     d = Diagram.from_system(g)
     _surgery_raw(c, d, _norm_pair(*edge), triple_start, direction)
-    _normalize_diagram(c, d)
-    return d.freeze()
+    _normalize_diagram(c, d, thawed_only=normal)
+    child = d.freeze()
+    # (complex, rewritten squares, parent valid on it): see _rewritten_on
+    child.__dict__["_rewritten"] = (c, d.rewritten(),
+                                    g.__dict__.get("_valid_on") is c)
+    return child
 
 
 def _surgery_raw(c: SquareComplex, d: Diagram, edge: GluingPair,
@@ -507,71 +657,6 @@ def _surgery_raw(c: SquareComplex, d: Diagram, edge: GluingPair,
             d.connect(new_a, new_b)
         else:
             d.loops[slot_a[0]] += 1
-
-
-def disc_externals(d: Diagram, edge: GluingPair, t: int) -> tuple[int, ...]:
-    """The six chord endpoints just outside a bypass disc, C1 stub order.
-
-    Usable for iterated surgery at one disc (set_disc_config) when they are
-    six distinct points not themselves on the disc.
-    """
-    slot_a, slot_b, la, lb = d.edge_lists(edge)
-    m = len(la)
-    stubs = [la[t], la[t + 1], la[t + 2],
-             lb[m - 1 - t], lb[m - 2 - t], lb[m - 3 - t]]
-    ext = tuple(d.mate[s] for s in stubs)
-    if len(set(ext)) != 6 or set(ext) & set(stubs):
-        raise ValueError("disc externals are not six separate points")
-    return ext
-
-
-def set_disc_config(d: Diagram, edge: GluingPair, gap: int,
-                    externals: tuple[int, ...], k: int) -> None:
-    """Rewire the three disc strands among fixed externals to configuration
-    C_k; C1 crosses the edge three times, C0 and C2 once."""
-    slot_a, slot_b, la, lb = d.edge_lists(edge)
-    ab, am, at_, bb, bm, bt = externals
-    for e in externals:
-        w = d.mate.get(e)
-        if w is None:
-            continue
-        d.disconnect(e)
-        if w in la:
-            d.drop_point(slot_a, w)
-        elif w in lb:
-            d.drop_point(slot_b, w)
-        elif w in externals:
-            pass                        # a short chord between externals
-        else:
-            raise ValueError("disc content leaked outside the edge")
-    m = len(d.order[slot_a])
-    if k == 1:
-        a_ids = [d.new_point(slot_a[0]) for _ in range(3)]
-        b_ids = [d.new_point(slot_b[0]) for _ in range(3)]
-        d.order[slot_a][gap:gap] = a_ids
-        # crossing i sits at A position gap+i and B position (m+3)-1-(gap+i)
-        d.order[slot_b][m - gap:m - gap] = list(reversed(b_ids))
-        for aid, ext in zip(a_ids, (ab, am, at_)):
-            d.connect(aid, ext)
-        for bid, ext in zip(b_ids, (bb, bm, bt)):
-            d.connect(bid, ext)
-    else:
-        na = d.new_point(slot_a[0])
-        nb = d.new_point(slot_b[0])
-        d.order[slot_a].insert(gap, na)
-        d.order[slot_b].insert(m - gap, nb)
-        if k == 2:
-            d.connect(ab, na)
-            d.connect(nb, bt)
-            d.connect(am, at_)
-            d.connect(bb, bm)
-        elif k == 0:
-            d.connect(at_, na)
-            d.connect(nb, bb)
-            d.connect(am, ab)
-            d.connect(bm, bt)
-        else:
-            raise ValueError("k must be 0, 1, or 2")
 
 
 def bypass_triples(c: SquareComplex, g: CurveSystem) -> list[tuple[GluingPair, int]]:

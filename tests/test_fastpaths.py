@@ -15,8 +15,15 @@ Fast paths and their oracles:
   the union-find over corners (`vertex_classes_oracle`).
 - `compile_script` returns the last script it compiled as it is; the
   oracle is a fresh compile of an equal script.
+- `bypass_surgery` thaws, rebuilds and marks only the squares the surgery
+  and its bigon removals touch; the oracle thaws every square, rewires,
+  normalizes and freezes them all (`surgery_oracle`). `validate_sutures`
+  and `normalize` read only the rewritten squares of a child; their oracle
+  is the same call on a twin of the child that carries no record.
 """
 
+import itertools
+import json
 import sys
 import threading
 import weakref
@@ -27,21 +34,22 @@ import pytest
 from sqft import engine, formats, quad, surface, sutures
 from sqft.census import (
     disc_complex, enumerate_disc_sutures, matching_system, random_extension,
-    random_surface,
+    random_surface, random_sutures,
 )
 from sqft.engine import (
     Fold, Glue, MorphismScript, ScriptError, Zip, annihilation_as_fold,
     apply_script_to_sutures, compile_script, compiled_operator,
     naturality_holds, suture_element,
 )
-from sqft.regions import closed_components
+from sqft.regions import closed_components, is_trivial
 from sqft.surface import (
     SquareComplex, ValidationReport, VertexClass, canonical_form,
     canonical_permutation, validate_complex,
 )
 from sqft.sutures import (
-    CurveSystem, Diagram, _normalize_diagram, basic_system, finger_push,
-    normalize, validate_sutures,
+    CurveSystem, Diagram, _normalize_diagram, _rewritten_on, _surgery_raw,
+    basic_system, bypass_surgery, bypass_triples, finger_push, normalize,
+    require_valid_pair, validate_sutures,
 )
 from test_triviality import (
     POOL_MATCHINGS, _closed_components_oracle, _surgery_children,
@@ -55,6 +63,24 @@ from test_triviality import (
 
 def normalize_oracle(c, g):
     d = Diagram.from_system(g)
+    _normalize_diagram(c, d)
+    return d.freeze()
+
+
+def _thaw_every_square(g):
+    d = Diagram.from_system(g)
+    for sq in range(g.square_count):
+        for k in range(4):
+            d.order[(sq, k)]
+    assert d.thawed == set(range(g.square_count))
+    return d
+
+
+def surgery_oracle(c, g, edge, t, direction):
+    """The surgery on a whole diagram: thaw every square, rewire, remove
+    bigons on every glued side, freeze every square."""
+    d = _thaw_every_square(g)
+    _surgery_raw(c, d, surface._norm_pair(*edge), t, direction)
     _normalize_diagram(c, d)
     return d.freeze()
 
@@ -782,3 +808,264 @@ def test_exact_work_per_script(monkeypatch, disc12):
                 assert naturality_holds(script, 1)
             assert (glue[0], collapse[0]) == (gluings, collapses), run
             monkeypatch.undo()
+
+
+# ---------------------------------------------------------------------------
+# square-local surgery against the thaw-all surgery
+
+
+POOL_FILE = Path(__file__).resolve().parent.parent / "bench" / \
+    "disc_chords_pool.json"
+
+
+def _recursion_surgeries(c, g, every_triple=False):
+    """(parent, edge, t, direction, child) for the surgeries of the default
+    bypass recursion from g, made as the engine makes them: the root
+    validated and normalized, each node validated before it is cut. Each
+    node is cut both ways at its first triple (with every_triple, at each
+    of its triples); only the nontrivial children of the first triple are
+    walked on."""
+    require_valid_pair(c, g)
+    stack = [normalize(c, g)]
+    while stack:
+        node = stack.pop()
+        require_valid_pair(c, node)
+        triples = bypass_triples(c, node)
+        for i, (edge, t) in enumerate(triples if every_triple
+                                      else triples[:1]):
+            for direction in ("up", "down"):
+                child = bypass_surgery(c, node, edge, t, direction)
+                yield node, edge, t, direction, child
+                if i == 0 and not is_trivial(c, child):
+                    stack.append(normalize(c, child))
+
+
+def _noncrossing_matchings(points):
+    if not points:
+        yield []
+        return
+    for i in range(1, len(points), 2):
+        for inner in _noncrossing_matchings(points[1:i]):
+            for outer in _noncrossing_matchings(points[i + 1:]):
+                yield [(points[0], points[i])] + inner + outer
+
+
+def _self_glued_pairs():
+    """Every valid normalized system with three crossings on an edge that
+    glues two sides of one square: a lone square with sides 0 and 3
+    glued, and the same square glued to a second one."""
+    cone = SquareComplex.build(1, [((0, 0), (0, 3))], slack=True)
+    pair = SquareComplex.build(2, [((0, 0), (0, 3)), ((0, 2), (1, 1))],
+                               slack=True)
+    layouts = [(cone, [(3, 1, 1, 3)])] + [
+        (pair, [(3, 1, m, 3), (1, m, 1, 1)]) for m in (1, 3)]
+    for c, counts in layouts:
+        per_square = [list(_noncrossing_matchings(
+            [(k, p) for k in range(4) for p in range(sides[k])]))
+            for sides in counts]
+        for chords in itertools.product(*per_square):
+            g = CurveSystem.build(c.square_count, dict(enumerate(chords)))
+            if validate_sutures(c, g).ok and normalize(c, g) == g:
+                yield c, g
+
+
+def _annulus_torus_pairs():
+    torus = formats.parse_surface(
+        (FIXTURES / "punctured_torus.surface.json").read_text())
+    for c in (ANNULUS, torus):
+        for seed in range(30):
+            yield c, random_sutures(seed, c, rounds=8)
+
+
+def _pool_pairs():
+    pool = json.loads(POOL_FILE.read_text())["pool"]
+    for n, matchings in sorted(pool.items()):
+        c = disc_complex(int(n))
+        for m in matchings:
+            yield c, matching_system(int(n), [tuple(p) for p in m])
+
+
+def _surgeries_of(pairs, every_triple=True):
+    return [(c, surgery) for c, g in pairs
+            for surgery in _recursion_surgeries(c, g, every_triple)]
+
+
+@pytest.fixture(scope="module")
+def surgery_corpus(random_pairs):
+    # the records name the complex a child was made on, so each pair's
+    # surgeries are checked on that same complex object
+    return {
+        "census": _surgeries_of(_census_pairs()),
+        "pool": _surgeries_of(_pool_pairs(), every_triple=False),
+        "random": _surgeries_of(random_pairs),
+        "annulus and torus": _surgeries_of(_annulus_torus_pairs()),
+        "self-glued": _surgeries_of(_self_glued_pairs()),
+    }
+
+
+def test_surgery_corpus_reaches_every_case(surgery_corpus):
+    sizes = {name: len(part) for name, part in surgery_corpus.items()}
+    assert sizes["pool"] == 70 * 70
+    assert sizes["census"] > 1000 and sizes["random"] > 100
+    assert sizes["annulus and torus"] > 100 and sizes["self-glued"] >= 20
+    # closed components among the children, and edges within one square
+    assert sum(1 for c, (*_, child) in surgery_corpus["annulus and torus"]
+               if not child.total_loops() and closed_components(c, child)) \
+        > 50
+    assert sum(1 for _, (_, edge, *_) in surgery_corpus["self-glued"]
+               if edge[0][0] == edge[1][0]) >= 16
+
+
+@pytest.mark.parametrize("part", ["census", "pool", "random",
+                                  "annulus and torus", "self-glued"])
+def test_surgery_against_thaw_all(surgery_corpus, part):
+    for c, (node, edge, t, direction, child) in surgery_corpus[part]:
+        assert child == surgery_oracle(c, node, edge, t, direction)
+        rewritten = _rewritten_on(c, child, parent_valid=True)
+        assert rewritten == tuple(sorted(set(rewritten)))
+        assert {edge[0][0], edge[1][0]} <= set(rewritten)
+        for sq in set(range(c.square_count)) - set(rewritten):
+            assert child.chords[sq] is node.chords[sq]
+            assert child.loops[sq] == node.loops[sq]
+        twin = CurveSystem(child.chords, child.loops)
+        # the side-count table freeze assembles is the one the chords give
+        assert child._side_counts == twin._side_counts
+        assert normalize(c, child) is child and normalize(c, twin) is twin
+
+
+@pytest.mark.parametrize("part", ["census", "pool", "random",
+                                  "annulus and torus", "self-glued"])
+def test_local_validation_against_whole(surgery_corpus, part):
+    for c, (*_, child) in surgery_corpus[part]:
+        twin = CurveSystem(child.chords, child.loops)
+        assert validate_sutures(c, child) == validate_sutures(c, twin)
+        assert validate_sutures(c, child).problems == validate_oracle(c, child)
+
+
+def test_local_validation_reads_only_rewritten_squares(monkeypatch,
+                                                       surgery_corpus):
+    read = []
+    original = sutures._square_problems
+
+    def counting(sq, chords, loops):
+        read.append(sq)
+        return original(sq, chords, loops)
+
+    monkeypatch.setattr(sutures, "_square_problems", counting)
+    rewritten_total = 0
+    for c, (*_, child) in surgery_corpus["pool"]:
+        rewritten = _rewritten_on(c, child, parent_valid=True)
+        read.clear()
+        assert validate_sutures(c, child).ok
+        assert read == list(rewritten)
+        rewritten_total += len(rewritten)
+    # a child of the pool rewrites a few of its 13-19 squares
+    assert rewritten_total < 4 * len(surgery_corpus["pool"])
+
+
+def _damaged_square(g, sq):
+    """The _damaged changes, made to square sq alone."""
+    for bad in _damaged(g):
+        if all(bad.chords[s] == g.chords[s] and bad.loops[s] == g.loops[s]
+               for s in range(g.square_count) if s != sq):
+            yield bad
+
+
+def test_damage_to_a_rewritten_square_is_reported(surgery_corpus):
+    kinds = ("used by two chords", "not dense", "negative loop",
+             "chords cross", "meets", "point counts", "even intersection")
+    seen = set()
+    damaged = 0
+    for part in ("census", "random", "annulus and torus", "self-glued"):
+        for c, (*_, child) in surgery_corpus[part][::7]:
+            record = child.__dict__["_rewritten"]
+            for sq in record[1]:
+                for bad in _damaged_square(child, sq):
+                    # a surgery that broke square sq would leave this child
+                    bad.__dict__["_rewritten"] = record
+                    whole = validate_oracle(c, bad)
+                    assert validate_sutures(c, bad).problems == whole
+                    damaged += bool(whole)
+                    seen.update(k for k in kinds for p in whole if k in p)
+    assert damaged > 1000
+    assert seen == set(kinds)
+
+
+def test_surgery_child_keeps_no_parent():
+    n = 16
+    c = disc_complex(n)
+    parent = CurveSystem.build(c.square_count, dict(enumerate(
+        matching_system(n, POOL_MATCHINGS[n]).chords)))
+    require_valid_pair(c, parent)
+    edge, t = bypass_triples(c, parent)[0]
+    child = bypass_surgery(c, parent, edge, t, "up")
+    assert _rewritten_on(c, child, parent_valid=True)
+    ref = weakref.ref(parent)
+    del parent
+    assert ref() is None
+    assert validate_sutures(c, child).ok
+
+
+def test_from_system_thaws_as_squares_are_read(hexagon,
+                                               hexagon_superposition):
+    # a system not known to be in frozen form thaws whole
+    g = hexagon_superposition
+    assert Diagram.from_system(g).thawed == {0, 1}
+    assert Diagram.from_system(_hand_built(g)).freeze() == g
+    # what freeze returns thaws square by square
+    frozen = Diagram.from_system(g).freeze()
+    assert frozen == g
+    d = Diagram.from_system(frozen)
+    assert d.thawed == set()
+    d.order[(1, 2)]
+    assert d.thawed == {1}
+    assert d.freeze() == g
+    # a loop count changed without a thaw still counts as rewritten
+    d.loops[0] += 1
+    assert d.rewritten() == (0, 1)
+    assert d.freeze().loops == (1, 0)
+    # so does a parent found valid and normalized on the surgery's complex
+    require_valid_pair(hexagon, g)
+    bypass_surgery(hexagon, g, ((0, 0), (1, 1)), 0, "up")
+    assert Diagram.from_system(g).thawed == set()
+
+
+def test_surgery_on_unnormalized_parents():
+    # a parent with bigons (one finger move away from a census system) has
+    # bigons in squares the surgery never reads: the search reads them all
+    checked = 0
+    for c, g in _finger_pairs():
+        assert normalize(c, g) != g
+        for edge, t in bypass_triples(c, g)[:2]:
+            for direction in ("up", "down"):
+                child = bypass_surgery(c, g, edge, t, direction)
+                assert child == surgery_oracle(c, g, edge, t, direction)
+                assert normalize(c, child) is child
+                checked += 1
+    assert checked > 1000
+
+
+def test_fault_outside_the_surgery_of_an_unchecked_parent_is_reported():
+    # the record lets validation skip a child's untouched squares only when
+    # the parent was found valid on the same complex
+    n = 14
+    c = disc_complex(n)
+    good = matching_system(n, POOL_MATCHINGS[n])
+    edge, t = bypass_triples(c, good)[0]
+    far = max(set(range(c.square_count)) - {edge[0][0], edge[1][0]})
+    # frozen, so that the surgery thaws only what it reads
+    bad = Diagram.from_system(CurveSystem.build(
+        c.square_count, dict(enumerate(good.chords)), {far: -1})).freeze()
+    fault = f"square {far}: negative loop count"
+    assert validate_sutures(c, bad).problems == (fault,)
+    child = bypass_surgery(c, bad, edge, t, "up")
+    assert far not in _rewritten_on(c, child)
+    assert _rewritten_on(c, child, parent_valid=True) is None
+    assert validate_sutures(c, child).problems == (fault,)
+    # a valid parent on an equal complex that is another object: the child
+    # is checked whole on c
+    twin = SquareComplex(c.square_count, c.gluings, c.slack)
+    require_valid_pair(twin, good)
+    child = bypass_surgery(twin, good, edge, t, "up")
+    assert _rewritten_on(c, child) is None
+    assert validate_sutures(c, child).ok

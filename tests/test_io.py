@@ -226,3 +226,27 @@ def test_check_rejects_nonpositive_cases(argv, capsys):
     out, err = capsys.readouterr()
     assert "pass" not in out
     assert "--cases: expected a positive integer" in err
+
+
+def test_cli_slide_rejects_invalid_complex(tmp_path, capsys):
+    # side (0, 0) is glued twice; the slide used to emit a surface gluing
+    # (0, 0) to (0, 1) and exit 0
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(
+        {"squares": 2, "gluings": [[[0, 0], [1, 1]], [[0, 0], [1, 3]]]}))
+    assert main(["slide", str(path), "--edge", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: side (0, 0) glued more than once\n"
+
+
+def test_cli_apply_prints_the_empty_word(tmp_path, square, capsys):
+    # the positive lone-square fold leaves the unit of the 0-square target,
+    # whose one basis word is empty: it must not print as a blank
+    spath = tmp_path / "s.json"
+    spath.write_text(json.dumps(LONE_FOLD))
+    gpath = tmp_path / "g.json"
+    gpath.write_text(formats.emit_sutures(basic_system(square, 1)))
+    assert main(["apply", str(spath), str(gpath)]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "image element 1 (empty word)"
