@@ -132,9 +132,6 @@ def cmd_slide(args) -> int:
 
 
 def cmd_census(args) -> int:
-    if args.family != "disc":
-        print("only the disc family is enumerated")
-        return 2
     c = census.disc_complex(args.n)
     systems = census.enumerate_disc_sutures(args.n)
     print(f"disc with {2 * args.n} vertices: {len(systems)} suture classes "
@@ -193,6 +190,8 @@ def check_euler(seed: int, cases: int) -> list[str]:
         inv = invariants(c)
         dec = regions(c, g)
         e = dec.chi_plus - dec.chi_minus
+        if euler_class(c, g) != e:
+            fails.append(f"case {i}: euler class disagrees with regions")
         if 2 * dec.chi_plus != inv.n + inv.chi + e:
             fails.append(f"case {i}: chi+ identity fails")
         if 2 * dec.chi_minus != inv.n + inv.chi - e:
@@ -254,6 +253,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _census_size(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if not 2 <= value <= 7:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer from 2 to 7, got {text!r}")
+    return value
+
+
 def cmd_check(args) -> int:
     seed = args.seed
     if seed is None:
@@ -309,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="enumerate suture classes")
     p.add_argument("family", choices=("disc",))
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_census_size, required=True,
+                   help="half the boundary vertex count, 2 to 7")
     p.set_defaults(fn=cmd_census)
 
     p = sub.add_parser("check", help="run property suites")

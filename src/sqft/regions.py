@@ -7,6 +7,14 @@ coloring anchored at corner 0 (negative). Region Euler characteristics are
 computed from the honest cell structure of the region's completion: sutures
 are counted once per adjacent region side, and a crossing point contributes
 one 0-cell per sector, so pinched completions come out right.
+
+The Euler class e = chi(R+) - chi(R-) needs none of that structure: it is
+the signed count of the same cells, and every cell but the vertices and
+the faces cancels against one of the other sign. What is left is the signs
+of the quadrangulation's vertices, the faces of each square (the negative
+corner-0 face, and the face just inside each chord, signed by the parity
+of its smaller endpoint) and 2 for each square with an odd number of loose
+loops; see euler_class.
 """
 
 from __future__ import annotations
@@ -302,8 +310,40 @@ def regions(c: SquareComplex, g: CurveSystem) -> RegionDecomposition:
 
 
 def euler_class(c: SquareComplex, g: CurveSystem) -> int:
-    dec = regions(c, g)
-    return dec.chi_plus - dec.chi_minus
+    """e = chi(R+) - chi(R-) of a valid pair, by a signed count of local
+    cells; ValueError, as from regions(), for an invalid one.
+
+    e is the sum over regions of sign * chi, the signed count of the cells
+    _Analysis builds, with each cell's sign that of its region:
+    - crossing points and boundary-side points (one 0-cell in each sign),
+      the two boundary segments of a boundary side and the two sides of a
+      chord come in opposite-sign pairs and cancel;
+    - a glued side meets an odd number m of points, so its m + 1 segments
+      alternate in sign and cancel;
+    - a vertex class is a 0-cell of its corners' sign;
+    - a square with chords has one face per chord, the face just inside
+      it, and one more, the corner-0 face, which is negative. Every side
+      meets an odd number of points, so endpoint (k, p) has sorted index
+      k + p mod 2 and the gap after it is positive exactly when k + p is
+      even. The face just inside chord (a, b), a < b, starts with the gap
+      after a: its sign is sigma(a) = +1 if a's k + p is even, else -1;
+    - loose loops sit in the corner-0 face: an odd number of them adds 2
+      (the host's chi drops by 1, the innermost disc is positive), an even
+      number adds 0.
+    So e = sum of vertex signs + sum over squares of
+    (-1 + sum of sigma(min(a, b)) over its chords + 2 if its loops are odd).
+    Validation glues even sides to odd sides only, so matched corners have
+    equal signs and the coloring _Analysis asserts holds. min(a, b), not
+    the first endpoint, because a hand-built system need not be canonical.
+    """
+    require_valid_pair(c, g)
+    e = sum(v.sign for v in c.vertex_classes)
+    for chords, loops in zip(g.chords, g.loops):
+        e += sum(1 if sum(min(a, b)) % 2 == 0 else -1
+                 for a, b in chords) - 1
+        if loops % 2:
+            e += 2
+    return e
 
 
 def is_trivial(c: SquareComplex, g: CurveSystem) -> bool:

@@ -73,8 +73,8 @@ class CurveSystem:
 
     # other facts kept outside the fields, each set where it is learned:
     # `_frozen_form` (see Diagram), `_valid_on`, the complex validate_sutures
-    # last found the system valid on, and on a surgery child `_rewritten`
-    # (see _rewritten_on)
+    # last found the system valid on (require_valid_pair trusts it), and on
+    # a surgery child `_rewritten` (see _rewritten_on)
 
     def total_loops(self) -> int:
         return sum(self.loops)
@@ -296,7 +296,8 @@ def validate_sutures(c: SquareComplex, g: CurveSystem) -> "ValidationReport":
     system found valid on c is read only at the squares the surgery rewrote
     and at the boundary sides and gluings that meet them: its other squares
     are the parent's own, so the report is the one the whole check gives. A
-    system found valid remembers c, for the children made from it.
+    system found valid remembers c, for require_valid_pair and for the
+    children made from it.
     """
     from .surface import ValidationReport
 
@@ -404,6 +405,15 @@ def _noncrossing(chords: tuple[Chord, ...], eps: list[EP]) -> bool:
 
 
 def require_valid_pair(c: SquareComplex, g: CurveSystem) -> None:
+    """Raise ValueError unless g is a valid curve system on c.
+
+    A system validate_sutures last found valid on this very complex object
+    is not checked again: both are immutable, and the mark is set only on
+    an empty report. An equal complex that is another object, or a system
+    never found valid, gets the full check.
+    """
+    if g.__dict__.get("_valid_on") is c:
+        return
     report = validate_sutures(c, g)
     if not report.ok:
         raise ValueError("invalid curve system: " + "; ".join(report.problems))

@@ -20,6 +20,10 @@ Fast paths and their oracles:
   normalizes and freezes them all (`surgery_oracle`). `validate_sutures`
   and `normalize` read only the rewritten squares of a child; their oracle
   is the same call on a twin of the child that carries no record.
+- `euler_class` is a signed count of local cells; the oracle is
+  chi_plus - chi_minus of the region decomposition (`regions`).
+- `require_valid_pair` trusts a system validate_sutures found valid on the
+  same complex object; every other pair gets the full check.
 """
 
 import itertools
@@ -41,7 +45,7 @@ from sqft.engine import (
     apply_script_to_sutures, compile_script, compiled_operator,
     naturality_holds, suture_element,
 )
-from sqft.regions import closed_components, is_trivial
+from sqft.regions import closed_components, euler_class, is_trivial, regions
 from sqft.surface import (
     SquareComplex, ValidationReport, VertexClass, canonical_form,
     canonical_permutation, validate_complex,
@@ -486,8 +490,8 @@ def test_exact_work_per_element(monkeypatch, disc12, disc12_sutures):
         assert thaw[0] == freeze[0] == 2 * (k - 1)
         # c is fresh: its canonical form is computed once for all nodes
         assert canon[0] == 1
-        # validation still runs on every node
-        assert valid[0] == 2 * k
+        # each node validated once
+        assert valid[0] == 2 * k - 1
         engine.clear_cache()
         assert len(suture_element(c, g).words) == k
         assert canon[0] == 1
@@ -1069,3 +1073,111 @@ def test_fault_outside_the_surgery_of_an_unchecked_parent_is_reported():
     child = bypass_surgery(twin, good, edge, t, "up")
     assert _rewritten_on(c, child) is None
     assert validate_sutures(c, child).ok
+
+
+# ---------------------------------------------------------------------------
+# the Euler class by a signed count of cells against the region analysis
+
+
+def _euler_oracle(c, g):
+    dec = regions(c, g)
+    return dec.chi_plus - dec.chi_minus
+
+
+def _with_loops(g, sq, count):
+    loops = list(g.loops)
+    loops[sq] += count
+    return CurveSystem(g.chords, tuple(loops))
+
+
+def test_euler_class_against_regions(corpus, surgery_corpus, annulus,
+                                     punctured_torus, disc12, disc12_sutures,
+                                     hexagon_superposition):
+    # every seventh of the pool's 4,900 children: the region analysis of
+    # their 13-19 squares would take most of this test's time
+    pairs = list(corpus) + [
+        (c, child) for name, part in surgery_corpus.items()
+        for c, (*_, child) in (part[::7] if name == "pool" else part)]
+    pairs += [(HEXAGON, hexagon_superposition), (disc12, disc12_sutures)]
+    pairs += [(HEXAGON, basic_system(HEXAGON, bits)) for bits in range(4)]
+    pairs += [(c, random_sutures(seed, c, rounds=8))
+              for c in (annulus, punctured_torus) for seed in range(20)]
+    grades = set()
+    for c, g in pairs:
+        e = _euler_oracle(c, g)
+        assert euler_class(c, g) == e
+        # a hand-built system: every chord (b, a), chords in reverse order
+        assert euler_class(c, _hand_built(g)) == e
+        grades.add(e)
+    assert len(pairs) > 7000 and len(grades) > 10
+
+
+@pytest.mark.parametrize("flip, reverse",
+                         [(True, False), (False, True), (True, True)])
+def test_euler_class_of_hand_built_census(corpus_parts, flip, reverse):
+    # the face inside a chord starts after its smaller endpoint, whichever
+    # endpoint a hand-built chord names first
+    flipped = 0
+    for c, g in corpus_parts["census"]:
+        h = _hand_built(g, flip, reverse)
+        assert euler_class(c, h) == _euler_oracle(c, h) == euler_class(c, g)
+        flipped += h.chords != g.chords
+    assert flipped > 400
+
+
+def test_euler_class_with_loose_loops(corpus_parts):
+    sample = corpus_parts["census"][::7] + corpus_parts["random"][::4]
+    for c, g in sample:
+        for sq in range(c.square_count):
+            for count in (1, 2, 3):
+                h = _with_loops(g, sq, count)
+                e = _euler_oracle(c, h)
+                assert euler_class(c, h) == e
+                assert e == euler_class(c, g) + 2 * (count % 2)
+
+
+def test_euler_class_of_invalid_pair_raises_as_regions():
+    for name, (c, g) in sorted(MALFORMED.items()):
+        with pytest.raises(ValueError) as want:
+            regions(c, g)
+        with pytest.raises(ValueError) as got:
+            euler_class(c, g)
+        assert str(got.value) == str(want.value), name
+
+
+# ---------------------------------------------------------------------------
+# one validity check per (complex, system) pair
+
+
+def test_validity_mark_names_one_complex_object(monkeypatch,
+                                                hexagon_superposition):
+    g = hexagon_superposition
+    twin = SquareComplex.build(2, HEXAGON.gluings)
+    # side (0, 0), where g has three points, is a boundary side here
+    elsewhere = disc_complex(3)
+    valid = _count_calls(monkeypatch, sutures, "validate_sutures")
+    for _ in range(3):
+        require_valid_pair(HEXAGON, g)
+    assert valid[0] == 1 and g.__dict__["_valid_on"] is HEXAGON
+    # an equal complex that is another object gets the full check
+    assert twin == HEXAGON and twin is not HEXAGON
+    require_valid_pair(twin, g)
+    assert valid[0] == 2 and g.__dict__["_valid_on"] is twin
+    # so does one on which g is invalid, at every guard, and the mark stays
+    for guard in (require_valid_pair, euler_class, is_trivial, regions):
+        with pytest.raises(ValueError,
+                           match=r"boundary side \(0, 0\) meets 3 points"):
+            guard(elsewhere, g)
+    assert valid[0] == 6 and g.__dict__["_valid_on"] is twin
+    # validate_sutures itself always checks in full
+    assert sutures.validate_sutures(twin, g).ok and valid[0] == 7
+
+
+def test_invalid_system_is_checked_every_time(monkeypatch):
+    valid = _count_calls(monkeypatch, sutures, "validate_sutures")
+    for name, (c, g) in sorted(MALFORMED.items()):
+        for guard in (require_valid_pair, euler_class, require_valid_pair):
+            with pytest.raises(ValueError, match="invalid curve system"):
+                guard(c, g)
+        assert "_valid_on" not in g.__dict__, name
+    assert valid[0] == 3 * len(MALFORMED)

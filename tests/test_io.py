@@ -250,3 +250,35 @@ def test_cli_apply_prints_the_empty_word(tmp_path, square, capsys):
     assert main(["apply", str(spath), str(gpath)]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[-1] == "image element 1 (empty word)"
+
+
+@pytest.mark.parametrize("n", ["1", "8", "x"])
+def test_census_rejects_n_out_of_range(n, capsys):
+    # n = 1 used to fail with "error: need n >= 2" and n = 8 built a disc
+    # before failing; neither message named the flag
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "disc", "--n", n])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"--n: expected an integer from 2 to 7, got '{n}'" in err
+
+
+def test_census_largest_n(capsys):
+    assert main(["census", "disc", "--n", "7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "disc with 14 vertices: 429 suture classes " \
+                       "(catalan 429)"
+    assert sum(int(line.split(": ")[1].split()[0])
+               for line in lines[1:]) == 429
+
+
+def test_check_euler_compares_the_fast_euler_class(monkeypatch, capsys):
+    from sqft import cli
+    assert main(["check", "--suite", "euler", "--cases", "3"]) == 0
+    assert capsys.readouterr().out == "euler        pass\n"
+    monkeypatch.setattr(cli, "euler_class", lambda c, g: 99)
+    assert main(["check", "--suite", "euler", "--cases", "3"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "euler        FAIL"
+    assert "    case 0: euler class disagrees with regions" in out
