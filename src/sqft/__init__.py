@@ -12,7 +12,7 @@ from .quad import (
 )
 from .sutures import (
     CurveSystem, basic_system, bypass_surgery, bypass_triples, finger_push,
-    normalize, transport_glue, transport_unglue, validate_sutures,
+    normalize, transport_glue, validate_sutures,
 )
 from .regions import (
     Region, RegionDecomposition, euler_class, is_confining, is_trivial,

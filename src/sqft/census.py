@@ -2,7 +2,11 @@
 
 The disc census realizes every non-crossing perfect matching of the 2n
 boundary points as a curve system on the fan-quadrangulated disc; counts are
-checked against an independent Catalan recursion. Random surfaces come as
+checked against an independent Catalan recursion. The fan's squares lie in a
+row, each glued to the next along one arc, so a matching is realized
+directly: each chord is cut at the arcs between its end squares, and its
+crossings with an arc are ordered by where its endpoints lie on the
+boundary. Random surfaces come as
 scripts of elementary moves; random sutures interleave isotopy finger moves
 with bypass surgeries so that edge triples actually exist.
 """
@@ -11,11 +15,10 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .engine import CreateSquare, Fold, Glue, MorphismScript, Move, Zip
 from .quad import tighten
-from .routing import DiscSide, split_disc
 from .surface import Slot, SquareComplex, add_square, glue, invariants
 from .sutures import (
     CurveSystem, basic_system, bypass_surgery, finger_push, normalize,
@@ -76,45 +79,55 @@ def _disc_polygon(c: SquareComplex) -> tuple[list[Slot], dict]:
 
 @lru_cache(maxsize=None)
 def _disc_layout(n: int) -> tuple[SquareComplex, tuple[Slot, ...], tuple]:
-    """The disc, its boundary sides in cyclic order and the arcs between
-    its squares, shared by every matching of the same n."""
+    """The disc, its boundary sides in cyclic order and, per arc i between
+    squares i and i + 1, the positions in that order of the arc's inner
+    and outer corners, shared by every matching of the same n."""
     c = disc_complex(n)
     cycle, corner_pos = _disc_polygon(c)
-    arcs = []
-    for i in range(n - 2):
-        inner = corner_pos[c.corner_class[(i, 2)].key]
-        outer = corner_pos[c.corner_class[(i, 3)].key]
-        arcs.append((inner, outer, (i, 2), (i + 1, 1)))
-    return c, tuple(cycle), tuple(arcs)
+    arcs = tuple((corner_pos[c.corner_class[(i, 2)].key],
+                  corner_pos[c.corner_class[(i, 3)].key])
+                 for i in range(n - 2))
+    return c, tuple(cycle), arcs
 
 
-def matching_system(n: int, matching: tuple[tuple[int, int], ...]) -> CurveSystem:
-    """Realize one non-crossing matching of the disc's boundary points."""
+def matching_system(n: int, matching: Iterable[tuple[int, int]]) -> CurveSystem:
+    """Realize one non-crossing matching of the disc's boundary points.
+
+    Point g lies on the g-th boundary side. Square i is glued to square
+    i + 1 along arc i, (i, 2)-(i + 1, 1), so a chord between points in
+    squares a <= b crosses arcs a..b-1 and is cut into one chord per square
+    from a to b. The boundary from arc i's inner corner to its outer one
+    holds one endpoint of each chord that crosses the arc, and the
+    crossings are ordered by those endpoints, counted from the inner
+    corner: crossing k is point k on (i, 2) and point m-1-k on (i + 1, 1).
+    """
     c, cycle, arcs = _disc_layout(n)
-    sides = [DiscSide(key=slot, points=[g], corner=g)
-             for g, slot in enumerate(cycle)]
-    strands: dict[int, int] = {}
-    for a, b in matching:
-        strands[a] = b
-        strands[b] = a
-    cells = split_disc(sides, strands, list(arcs), next_id=2 * n)
+    size = 2 * n
+    chords = list(matching)
+    crossing: list[list[tuple[int, int]]] = [[] for _ in arcs]
+    for idx, (a, b) in enumerate(chords):
+        lo, hi = sorted((cycle[a][0], cycle[b][0]))
+        for i in range(lo, hi):
+            inner, outer = arcs[i]
+            span = (outer - inner) % size
+            ahead = a if (a - inner) % size < span else b
+            crossing[i].append(((ahead - inner) % size, idx))
+    position: list[dict[int, int]] = [
+        {idx: k for k, (_, idx) in enumerate(sorted(row))} for row in crossing]
 
-    chords: dict[int, list] = {}
-    for cell in cells:
-        sq = cell.sides[0].key[0]
-        pos_of = {}
-        for side in cell.sides:
-            if side.key[0] != sq:
-                raise AssertionError("census cell mixes squares")
-            for i, pid in enumerate(side.points):
-                pos_of[pid] = (side.key[1], i)
-        done = set()
-        for u, v in cell.strands.items():
-            if u not in done:
-                done.add(u)
-                done.add(v)
-                chords.setdefault(sq, []).append((pos_of[u], pos_of[v]))
-    g = CurveSystem.build(c.square_count, chords)
+    per_square: dict[int, list] = {}
+    for idx, (a, b) in enumerate(chords):
+        if cycle[a][0] > cycle[b][0]:
+            a, b = b, a
+        sq, side = cycle[a]
+        start = (side, 0)
+        for i in range(sq, cycle[b][0]):
+            k = position[i][idx]
+            per_square.setdefault(i, []).append((start, (2, k)))
+            start = (1, len(position[i]) - 1 - k)
+        sq, side = cycle[b]
+        per_square.setdefault(sq, []).append((start, (side, 0)))
+    g = CurveSystem.build(c.square_count, per_square)
     return normalize(c, g)
 
 

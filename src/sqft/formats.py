@@ -7,13 +7,17 @@ Script:   {"source": <surface>, "moves": [{"create": "+"},
            {"glue": [[sq,side],[sq,side]]}, {"fold": [...]}, {"zip": [...]}]}
 
 Emission is canonical (sorted gluings and chords, stable key order), so
-parse-then-emit is the identity on canonical documents.
+parse-then-emit is the identity on canonical documents. Parsing takes a
+count, square, side or position only as a JSON integer (`type(x) is int`:
+json loads true and false as bool, a subclass of int),
+and a square key only in canonical decimal ("0", "12", not "00" or "1_0"),
+each square named once.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from .engine import CreateSquare, Fold, Glue, Move, MorphismScript, Zip
 from .surface import SquareComplex
@@ -28,16 +32,32 @@ def _fail(msg: str) -> None:
     raise ParseError(msg)
 
 
-def _loads(text: str) -> Any:
+class _Keyed(dict):
+    """A JSON object, with the keys it names more than once (json keeps the
+    last value of each)."""
+
+    def __init__(self, pairs: list[tuple[str, Any]]):
+        super().__init__(pairs)
+        self.repeated: set[str] = set()
+        if len(self) != len(pairs):
+            keys = [key for key, _ in pairs]
+            self.repeated = {key for key in keys if keys.count(key) > 1}
+
+
+# for documents keyed by square, where a repeated key is an error
+_KEYED_DECODER = json.JSONDecoder(object_pairs_hook=_Keyed)
+
+
+def _loads(text: str, decode: Callable[[str], Any] = json.loads) -> Any:
     try:
-        return json.loads(text)
+        return decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
 
 def _check_slot(obj: Any, what: str, squares: int) -> tuple[int, int]:
     if (not isinstance(obj, (list, tuple)) or len(obj) != 2
-            or not all(isinstance(x, int) for x in obj)):
+            or not all(type(x) is int for x in obj)):
         _fail(f"{what}: expected [square, side], got {obj!r}")
     sq, side = obj
     if not 0 <= side < 4:
@@ -65,7 +85,7 @@ def emit_surface(c: SquareComplex) -> str:
 def surface_from_obj(obj: Any) -> SquareComplex:
     if not isinstance(obj, dict):
         _fail("surface: expected an object")
-    if "squares" not in obj or not isinstance(obj["squares"], int):
+    if "squares" not in obj or type(obj["squares"]) is not int:
         _fail("surface.squares: expected an integer")
     squares = obj["squares"]
     if squares < 0:
@@ -114,11 +134,17 @@ def _per_square(obj: dict, name: str,
         return
     if not isinstance(raw, dict):
         _fail(f"sutures.{name}: expected an object keyed by square index")
+    repeated = getattr(raw, "repeated", ())
     for key, val in raw.items():
         try:
             sq = int(key)
-        except ValueError:
+        except (TypeError, ValueError):
+            sq = None
+        # int() also reads "00", " 1", "+1" and "1_0"
+        if sq is None or str(sq) != key:
             _fail(f"sutures.{name}: bad square key {key!r}")
+        if key in repeated:
+            _fail(f"sutures.{name}: square {key} named twice")
         if not 0 <= sq < square_count:
             _fail(f"sutures.{name}: square {sq} out of range")
         yield key, sq, val
@@ -138,7 +164,7 @@ def sutures_from_obj(obj: Any, square_count: int) -> CurveSystem:
             eps = []
             for ep in ch:
                 if (not isinstance(ep, (list, tuple)) or len(ep) != 2
-                        or not all(isinstance(x, int) for x in ep)):
+                        or not all(type(x) is int for x in ep)):
                     _fail(f"sutures.chords[{key}][{i}]: bad endpoint {ep!r}")
                 side, pos = ep
                 if not 0 <= side < 4:
@@ -151,14 +177,14 @@ def sutures_from_obj(obj: Any, square_count: int) -> CurveSystem:
         chords[sq] = out
     loops: dict[int, int] = {}
     for key, sq, cnt in _per_square(obj, "loops", square_count):
-        if not isinstance(cnt, int) or cnt < 0:
+        if type(cnt) is not int or cnt < 0:
             _fail(f"sutures.loops[{key}]: expected a non-negative count")
         loops[sq] = cnt
     return CurveSystem.build(square_count, chords, loops)
 
 
 def parse_sutures(text: str, square_count: int) -> CurveSystem:
-    return sutures_from_obj(_loads(text), square_count)
+    return sutures_from_obj(_loads(text, _KEYED_DECODER.decode), square_count)
 
 
 # -- scripts ----------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .surface import SquareComplex
-from .sutures import EP, CurveSystem, require_valid_pair
+from .sutures import EP, CurveSystem, _rewritten_on, require_valid_pair
 
 
 @dataclass(frozen=True)
@@ -263,44 +263,66 @@ def closed_components(c: SquareComplex,
     """Closed suture components of a valid pair, as sets of endpoint keys
     (square, ep).
 
-    One walk: a strand steps along a chord, then across the gluing of the
-    side it reaches (point k of m there is point m-1-k on the partner side).
-    The walk first follows the arcs from the boundary points and marks every
-    endpoint they reach; each endpoint left over lies on a closed strand,
-    followed the same way until it returns to its start. When the arcs mark
-    every endpoint the answer is [] after that first walk. The steps read
-    the complex's cached partner map and the system's side-count table.
+    A strand steps along a chord, then across the gluing of the side it
+    reaches (point k of m there is point m-1-k on the partner side). Each
+    walk starts at an endpoint not yet reached and goes one way until it
+    leaves the gluings, meets a strand already walked (an arc) or returns
+    to its start (a closed strand). A chord's mates are built when a walk
+    first enters its square.
+
+    The full walk starts at the boundary points and then at every endpoint
+    they do not reach. A system with no closed component remembers the
+    complex it was found on, and a bypass surgery child records whether its
+    parent did so on the complex of the surgery. Such a child differs from
+    its parent only in the squares the surgery rewrote, so each of its
+    closed strands passes through one of them, and its walks start only at
+    the endpoints of those squares.
     """
     partner = c.partner_map
+    chords, counts = g.chords, g._side_counts
     mate: dict[tuple[int, EP], tuple[int, EP]] = {}
-    for s in range(c.square_count):
-        for a, b in g.chords[s]:
-            mate[(s, a)] = (s, b)
-            mate[(s, b)] = (s, a)
+    reached: set[tuple[int, EP]] = set()
+    out: list[set[tuple[int, EP]]] = []
 
-    def strand(p: tuple[int, EP], reached: set[tuple[int, EP]]) -> None:
-        # marks the strand through p until it leaves the gluings or closes
-        while p not in reached:
-            q = mate[p]
-            reached.add(p)
-            reached.add(q)
+    def walk(p: tuple[int, EP]) -> None:
+        start, points = p, []
+        while True:
+            q = mate.get(p)
+            if q is None:
+                s = p[0]
+                for a, b in chords[s]:
+                    mate[(s, a)] = (s, b)
+                    mate[(s, b)] = (s, a)
+                q = mate[p]
+            points.append(p)
+            points.append(q)
             sq, (side, pos) = q
             other = partner.get((sq, side))
             if other is None:
-                return
-            p = (other[0], (other[1], g.side_count(other) - 1 - pos))
+                break
+            osq, oside = other
+            p = (osq, (oside, counts[osq][oside] - 1 - pos))
+            if p == start:
+                out.append(set(points))
+                break
+            if p in reached:
+                break
+        reached.update(points)
 
-    reached: set[tuple[int, EP]] = set()
-    for s, k in c.boundary_slots:
-        # a boundary side of a valid pair meets one point
-        strand((s, (k, 0)), reached)
-    out = []
-    for start in mate.keys() - reached:
-        if start not in reached:
-            comp: set[tuple[int, EP]] = set()
-            strand(start, comp)
-            reached |= comp
-            out.append(comp)
+    squares = _rewritten_on(c, g, parent_valid=True, parent_open=True)
+    if squares is None:
+        squares = range(c.square_count)
+        for s, k in c.boundary_slots:
+            # a boundary side of a valid pair meets one point
+            if (s, (k, 0)) not in reached:
+                walk((s, (k, 0)))
+    for s in squares:
+        for a, _ in chords[s]:
+            # a walk reaches both ends of each chord it takes
+            if (s, a) not in reached:
+                walk((s, a))
+    if not out:
+        g.__dict__["_open_on"] = c
     return out
 
 

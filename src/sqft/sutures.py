@@ -73,8 +73,9 @@ class CurveSystem:
 
     # other facts kept outside the fields, each set where it is learned:
     # `_frozen_form` (see Diagram), `_valid_on`, the complex validate_sutures
-    # last found the system valid on (require_valid_pair trusts it), and on
-    # a surgery child `_rewritten` (see _rewritten_on)
+    # last found the system valid on (require_valid_pair trusts it),
+    # `_open_on`, the complex regions.closed_components last found no closed
+    # component on, and on a surgery child `_rewritten` (see _rewritten_on)
 
     def total_loops(self) -> int:
         return sum(self.loops)
@@ -338,13 +339,16 @@ def validate_sutures(c: SquareComplex, g: CurveSystem) -> "ValidationReport":
 
 
 def _rewritten_on(c: SquareComplex, g: CurveSystem,
-                  parent_valid: bool = False) -> Optional[tuple[int, ...]]:
+                  parent_valid: bool = False,
+                  parent_open: bool = False) -> Optional[tuple[int, ...]]:
     """The squares a bypass surgery on c rewrote to make g, sorted, or None
     when g is not such a child (or, with parent_valid, its parent was not
-    known to be valid on c). Every other square of g is its parent's, in
-    canonical form with no chord on one glued side."""
+    known to be valid on c; with parent_open, not known to have no closed
+    component on c). Every other square of g is its parent's, in canonical
+    form with no chord on one glued side."""
     made = g.__dict__.get("_rewritten")
-    if made is None or made[0] is not c or (parent_valid and not made[2]):
+    if (made is None or made[0] is not c or (parent_valid and not made[2])
+            or (parent_open and not made[3])):
         return None
     return made[1]
 
@@ -561,9 +565,10 @@ def bypass_surgery(c: SquareComplex, g: CurveSystem, edge: GluingPair,
     are thawed, and since an untouched square of a normalized system holds
     no bigon, the search reads only thawed squares; otherwise the search
     reads every glued side. The child records, on c,
-    the squares that differ from g's and whether g was found valid on c, so
-    that normalize and validate_sutures read only those squares. It keeps
-    no reference to g.
+    the squares that differ from g's, whether g was found valid on c and
+    whether g was found with no closed component on c, so that normalize,
+    validate_sutures and closed_components read only those squares. It
+    keeps no reference to g.
     """
     normal = _is_normal(c, g)
     if normal and g.__dict__.get("_valid_on") is c:
@@ -572,9 +577,11 @@ def bypass_surgery(c: SquareComplex, g: CurveSystem, edge: GluingPair,
     _surgery_raw(c, d, _norm_pair(*edge), triple_start, direction)
     _normalize_diagram(c, d, thawed_only=normal)
     child = d.freeze()
-    # (complex, rewritten squares, parent valid on it): see _rewritten_on
+    # (complex, rewritten squares, parent valid on it, parent found with
+    # no closed component on it): see _rewritten_on
     child.__dict__["_rewritten"] = (c, d.rewritten(),
-                                    g.__dict__.get("_valid_on") is c)
+                                    g.__dict__.get("_valid_on") is c,
+                                    g.__dict__.get("_open_on") is c)
     return child
 
 
@@ -679,7 +686,7 @@ def bypass_triples(c: SquareComplex, g: CurveSystem) -> list[tuple[GluingPair, i
 
 
 # ---------------------------------------------------------------------------
-# transport across gluing / ungluing
+# transport across a gluing
 
 
 def transport_glue(c: SquareComplex, g: CurveSystem, a: Slot, b: Slot) -> CurveSystem:
@@ -688,16 +695,6 @@ def transport_glue(c: SquareComplex, g: CurveSystem, a: Slot, b: Slot) -> CurveS
     for slot in (a, b):
         if g.side_count(slot) != 1:
             raise AssertionError(f"boundary side {slot} must meet one point")
-    return g
-
-
-def transport_unglue(c: SquareComplex, g: CurveSystem, edge: GluingPair) -> CurveSystem:
-    require_valid_pair(c, g)
-    pair = _norm_pair(*edge)
-    if pair not in c.gluings:
-        raise ValueError(f"no gluing {edge}")
-    if g.side_count(pair[0]) != 1:
-        raise ValueError("cut along an edge meeting the sutures once")
     return g
 
 

@@ -1,3 +1,7 @@
+import json
+import random
+from pathlib import Path
+
 import pytest
 
 from sqft.census import (
@@ -11,6 +15,10 @@ from sqft.regions import (
 )
 from sqft.surface import invariants, validate_complex
 from sqft.sutures import bypass_triples, normalize, validate_sutures
+from helpers import matching_system_oracle
+
+POOL_FILE = Path(__file__).resolve().parent.parent / "bench" / \
+    "disc_chords_pool.json"
 
 
 def test_disc_family_invariants():
@@ -104,3 +112,63 @@ def test_hugging_system_extremal(annulus, punctured_torus):
         assert not is_confining(c, g)
         gneg = boundary_hugging_system(c, -1)
         assert euler_class(c, gneg) == -inv.index
+
+
+def _random_matching(rng, n):
+    """A seeded non-crossing matching of 2n points: a shuffled bracket word
+    rotated to start after its lowest prefix (so it is balanced), its
+    points then rotated by a random step."""
+    word = [1] * n + [-1] * n
+    rng.shuffle(word)
+    depth = low = start = 0
+    for i, step in enumerate(word):
+        depth += step
+        if depth < low:
+            low, start = depth, i + 1
+    word = word[start:] + word[:start]
+    shift = rng.randrange(2 * n)
+    opened, out = [], []
+    for i, step in enumerate(word):
+        if step > 0:
+            opened.append(i)
+        else:
+            out.append(((opened.pop() + shift) % (2 * n),
+                        (i + shift) % (2 * n)))
+    return tuple(out)
+
+
+def _oracle_cases():
+    for n in range(2, 8):
+        for m in noncrossing_matchings(2 * n):
+            yield "census", n, m
+    pool = json.loads(POOL_FILE.read_text())["pool"]
+    for n, matchings in sorted(pool.items()):
+        for m in matchings:
+            yield "pool", int(n), [tuple(p) for p in m]
+    rng = random.Random(20261019)
+    for n in range(2, 21):
+        for _ in range(20):
+            yield "random", n, _random_matching(rng, n)
+
+
+def test_matching_system_against_split_disc():
+    sizes = {}
+    for part, n, m in _oracle_cases():
+        g = matching_system(n, m)
+        assert g == matching_system_oracle(n, m)
+        c = disc_complex(n)
+        assert validate_sutures(c, g).ok and normalize(c, g) is g
+        sizes[part] = sizes.get(part, 0) + 1
+    assert sizes == {"census": sum(catalan(n) for n in range(2, 8)),
+                     "pool": 70, "random": 19 * 20}
+
+
+def test_random_matchings_cover_every_chord_length():
+    rng = random.Random(20261019)
+    lengths = set()
+    for _ in range(200):
+        m = _random_matching(rng, 9)
+        assert sorted(p for ch in m for p in ch) == list(range(18))
+        lengths.update((b - a) % 18 for a, b in m)
+    # every odd gap between the ends of a chord occurs
+    assert lengths == set(range(1, 18, 2))

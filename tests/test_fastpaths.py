@@ -6,8 +6,10 @@ Fast paths and their oracles:
   glued side as it is; the oracle thaws, runs `_normalize_diagram` and
   freezes every time.
 - `closed_components` is one walk, from the boundary points and then from
-  the endpoints they do not reach; the oracle is the full component search
-  (`_closed_components_oracle`).
+  the endpoints they do not reach; a surgery child of a parent found with
+  no closed component on the same complex is walked only from the
+  endpoints of its rewritten squares. The oracle is the full component
+  search (`_closed_components_oracle`).
 - `validate_sutures` checks a square with one sort of its endpoints; the
   oracle is the per-problem loop below, which must give byte-identical
   problem lists.
@@ -1181,3 +1183,149 @@ def test_invalid_system_is_checked_every_time(monkeypatch):
                 guard(c, g)
         assert "_valid_on" not in g.__dict__, name
     assert valid[0] == 3 * len(MALFORMED)
+
+
+# ---------------------------------------------------------------------------
+# closed strands of a surgery child, walked from its rewritten squares
+
+
+def _walked_surgeries(pairs):
+    """(complex, parent, edge, t, direction, child) for the surgery children
+    at every triple of every node of the default recursion from each pair.
+    Each parent is walked by closed_components before it is cut, as
+    is_trivial walks each node of the recursion, so a parent with no
+    closed component carries its mark."""
+    for c, g in pairs:
+        stack = [normalize(c, g)]
+        while stack:
+            node = stack.pop()
+            require_valid_pair(c, node)
+            closed_components(c, node)
+            for i, (edge, t) in enumerate(bypass_triples(c, node)):
+                for direction in ("up", "down"):
+                    child = bypass_surgery(c, node, edge, t, direction)
+                    yield c, node, edge, t, direction, child
+                    if i == 0 and not is_trivial(c, child):
+                        stack.append(normalize(c, child))
+
+
+@pytest.fixture(scope="module")
+def walked_surgeries(random_pairs):
+    return (list(_walked_surgeries(_annulus_torus_pairs()))
+            + list(_walked_surgeries(random_pairs)))
+
+
+def _walked_from_rewritten(c, g):
+    return _rewritten_on(c, g, parent_valid=True, parent_open=True) is not None
+
+
+def test_closed_strands_of_children_against_full_search(surgery_corpus,
+                                                        walked_surgeries):
+    pool = {}
+    for c, (*_, child) in surgery_corpus["pool"]:
+        local = _walked_from_rewritten(c, child)
+        full = _closed_components_oracle(c, child)
+        assert closed_components(c, child) == full == []
+        pool[local] = pool.get(local, 0) + 1
+    # all but the two children of each of the 70 roots, which no is_trivial
+    # has walked before they are cut
+    assert pool == {True: 70 * 70 - 2 * 70, False: 2 * 70}
+
+    answers = {}
+    for c, *_, child in walked_surgeries:
+        if child.total_loops():
+            continue
+        local = _walked_from_rewritten(c, child)
+        fast = closed_components(c, child)
+        full = _closed_components_oracle(c, child)
+        assert _canonical_components(fast) == _canonical_components(full)
+        if local:
+            rewritten = set(_rewritten_on(c, child))
+            assert all(any(sq in rewritten for sq, _ in comp)
+                       for comp in full)
+        answers[local, bool(full)] = answers.get((local, bool(full)), 0) + 1
+    # both answers of each walk: about half of the children of parents with
+    # no closed component get one
+    assert answers[True, True] >= 30 and answers[True, False] >= 30
+    assert answers[False, True] > 0 and answers[False, False] > 0
+
+
+def _record_without_squares(child):
+    """A twin of child whose surgery record names no rewritten square: a
+    walk that trusts the record starts at no endpoint."""
+    twin = CurveSystem(child.chords, child.loops)
+    made = child.__dict__["_rewritten"]
+    twin.__dict__["_rewritten"] = (made[0], ()) + made[2:]
+    return twin
+
+
+def _comps(c, g):
+    return _canonical_components(closed_components(c, g))
+
+
+def test_closed_walk_trusts_only_a_parent_found_open_on_that_complex(
+        walked_surgeries):
+    c, parent, edge, t, direction, child = next(
+        case for case in walked_surgeries
+        if _walked_from_rewritten(case[0], case[-1])
+        and _closed_components_oracle(case[0], case[-1]))
+    full = _canonical_components(_closed_components_oracle(c, child))
+    assert _comps(c, child) == full
+    # the walk starts only at the squares the record names
+    assert closed_components(c, _record_without_squares(child)) == []
+
+    def cut(g):
+        again = bypass_surgery(c, g, edge, t, direction)
+        assert again == child
+        return again
+
+    # a parent never walked: the child gets the full walk
+    fresh = CurveSystem(parent.chords, parent.loops)
+    require_valid_pair(c, fresh)
+    again = cut(fresh)
+    assert not _walked_from_rewritten(c, again)
+    assert _comps(c, _record_without_squares(again)) == full
+    # a parent walked on an equal complex that is another object: the same
+    twin = SquareComplex(c.square_count, c.gluings, c.slack)
+    assert twin == c and twin is not c
+    assert closed_components(twin, fresh) == []
+    assert fresh.__dict__["_open_on"] is twin
+    again = cut(fresh)
+    assert not _walked_from_rewritten(c, again)
+    assert _comps(c, _record_without_squares(again)) == full
+    # walked on c itself, it is trusted
+    assert closed_components(c, fresh) == []
+    again = cut(fresh)
+    assert _walked_from_rewritten(c, again)
+    assert closed_components(c, _record_without_squares(again)) == []
+
+
+def test_closed_walk_of_a_parent_with_closed_strands_is_full(
+        walked_surgeries):
+    c, parent, *_, child = next(
+        case for case in walked_surgeries
+        if not case[-1].total_loops()
+        and _closed_components_oracle(case[0], case[1])
+        and _closed_components_oracle(case[0], case[-1]))
+    assert closed_components(c, parent)
+    assert "_open_on" not in parent.__dict__
+    assert not _walked_from_rewritten(c, child)
+    full = _canonical_components(_closed_components_oracle(c, child))
+    assert _comps(c, _record_without_squares(child)) == full
+
+
+def test_closed_walk_keeps_no_parent():
+    n = 16
+    c = disc_complex(n)
+    parent = CurveSystem.build(c.square_count, dict(enumerate(
+        matching_system(n, POOL_MATCHINGS[n]).chords)))
+    require_valid_pair(c, parent)
+    assert closed_components(c, parent) == []
+    edge, t = bypass_triples(c, parent)[0]
+    child = bypass_surgery(c, parent, edge, t, "up")
+    assert _walked_from_rewritten(c, child)
+    ref = weakref.ref(parent)
+    del parent
+    assert ref() is None
+    assert closed_components(c, child) == _closed_components_oracle(c, child)
+    assert child.__dict__["_open_on"] is c

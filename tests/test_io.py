@@ -282,3 +282,83 @@ def test_check_euler_compares_the_fast_euler_class(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "euler        FAIL"
     assert "    case 0: euler class disagrees with regions" in out
+
+
+HEXAGON_DOC = {"squares": 2, "gluings": [[[0, 0], [1, 1]]]}
+
+
+@pytest.mark.parametrize("doc, where", [
+    ({"squares": True}, "surface.squares: expected an integer"),
+    ({"squares": 2, "gluings": [[[True, 0], [1, 1]]]},
+     "surface.gluings[0][0]: expected [square, side]"),
+    ({"squares": 2, "gluings": [[[0, 0], [1, False]]]},
+     "surface.gluings[0][1]: expected [square, side]"),
+])
+def test_cli_surface_rejects_booleans(tmp_path, capsys, doc, where):
+    surf = tmp_path / "s.json"
+    surf.write_text(json.dumps(doc))
+    assert main(["info", str(surf)]) == 1
+    err = capsys.readouterr().err
+    assert where in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, where", [
+    ('{"loops": {"0": true}}', "sutures.loops[0]: expected a non-negative"),
+    ('{"chords": {"0": [[[true, 0], [1, 0]]]}}',
+     "sutures.chords[0][0]: bad endpoint"),
+    ('{"chords": {"0": [[[0, 0], [1, false]]]}}',
+     "sutures.chords[0][0]: bad endpoint"),
+    ('{"loops": {"00": 1}}', "sutures.loops: bad square key '00'"),
+    ('{"chords": {"1_0": []}}', "sutures.chords: bad square key '1_0'"),
+    ('{"chords": {" 1": []}}', "sutures.chords: bad square key ' 1'"),
+    ('{"loops": {"+1": 1}}', "sutures.loops: bad square key '+1'"),
+    ('{"loops": {"0": 1, "0": 2}}', "sutures.loops: square 0 named twice"),
+    ('{"chords": {"1": [], "0": [], "1": []}}',
+     "sutures.chords: square 1 named twice"),
+])
+def test_cli_sutures_reject_booleans_and_square_keys(tmp_path, capsys, text,
+                                                     where):
+    surf = tmp_path / "h.json"
+    surf.write_text(json.dumps(HEXAGON_DOC))
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    for argv in (["element", str(surf), str(bad)],
+                 ["validate", str(surf), str(bad)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert where in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("move, where", [
+    ({"glue": [[True, 1], [0, 3]]}, "script.moves[1].glue[0]"),
+    ({"fold": [[0, 1], [0, True]]}, "script.moves[1].fold[1]"),
+])
+def test_cli_script_rejects_boolean_slots(tmp_path, capsys, move, where):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"source": {"squares": 2},
+                                  "moves": [{"create": "+"}, move]}))
+    assert main(["apply", str(script)]) == 1
+    err = capsys.readouterr().err
+    assert f"{where}: expected [square, side]" in err
+    assert "Traceback" not in err
+
+
+def test_canonical_square_keys_still_parse(hexagon_superposition):
+    text = formats.emit_sutures(hexagon_superposition)
+    assert '"0"' in text and '"1"' in text
+    assert formats.parse_sutures(text, 2) == hexagon_superposition
+    ten = json.dumps({"loops": {"10": 1}})
+    assert formats.parse_sutures(ten, 11).loops[10] == 1
+
+
+def test_python_dash_m_sqft_is_the_cli(capsys):
+    assert main(["census", "disc", "--n", "3"]) == 0
+    expected = capsys.readouterr().out
+    proc = subprocess.run(
+        [sys.executable, "-m", "sqft", "census", "disc", "--n", "3"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == expected
+    bad = subprocess.run([sys.executable, "-m", "sqft", "census", "disc",
+                          "--n", "8"], capture_output=True, text=True)
+    assert bad.returncode == 2 and "Traceback" not in bad.stderr

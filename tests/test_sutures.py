@@ -6,10 +6,10 @@ from sqft.regions import (
 from sqft.surface import SquareComplex
 from sqft.sutures import (
     CurveSystem, Diagram, basic_square_chords, basic_system, bypass_surgery,
-    bypass_triples, finger_push, normalize, transport_glue, transport_unglue,
-    validate_sutures,
+    bypass_triples, finger_push, normalize, transport_glue, validate_sutures,
 )
 from disc_config import disc_externals, set_disc_config
+from helpers import transport_unglue
 
 EDGE = ((0, 0), (1, 1))
 
