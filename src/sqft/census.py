@@ -141,105 +141,6 @@ def enumerate_disc_sutures(n: int) -> list[CurveSystem]:
     return out
 
 
-def enumerate_basic(c: SquareComplex) -> list[CurveSystem]:
-    if c.internal_vertices():
-        raise ValueError("basic census needs a bona fide complex")
-    return [basic_system(c, bits) for bits in range(1 << c.square_count)]
-
-
-# ---------------------------------------------------------------------------
-# boundary-hugging fixtures: arcs around one sign of vertex per cycle plus
-# closed curves parallel to a cycle
-
-
-def _cycle_hops(c: SquareComplex, cycle: tuple[Slot, ...]):
-    """Per boundary edge of the cycle, the glued sides crossed at its end."""
-    hops = []
-    for slot in cycle:
-        sq, k = slot
-        cur = (sq, (k + 1) % 4)
-        crossing = []
-        while c.is_glued(cur):
-            mate = c.partner(cur)
-            crossing.append((cur, mate))
-            cur = (mate[0], (mate[1] + 1) % 4)
-        hops.append(crossing)
-    return hops
-
-
-def boundary_hugging_system(c: SquareComplex, arc_sign: int = +1,
-                            loops_per_cycle: Optional[dict[int, int]] = None
-                            ) -> CurveSystem:
-    """Arcs cutting off every arc_sign vertex, plus closed parallel curves.
-
-    The arcs realize the extremal boundary-parallel sutures; each extra loop
-    follows a whole boundary cycle just inside them. Crossing positions place
-    shallower tracks nearer the boundary.
-    """
-    loops_per_cycle = loops_per_cycle or {}
-    cycles = c.boundary_cycles
-    # tracks: list of (depth, [crossing events], closed?, cycle idx, arc data)
-    tracks = []
-    for ci, cycle in enumerate(cycles):
-        hops = _cycle_hops(c, cycle)
-        for ei, slot in enumerate(cycle):
-            end_class = c.edge_endpoints(slot)[1]
-            if end_class.sign == arc_sign:
-                nxt = cycle[(ei + 1) % len(cycle)]
-                tracks.append((0, hops[ei], slot, nxt))
-        lap = [ev for h in hops for ev in h]
-        for depth in range(1, loops_per_cycle.get(ci, 0) + 1):
-            tracks.append((depth, lap, None, None))
-
-    front: dict[Slot, list] = {}
-    back: dict[Slot, list] = {}
-    for ti, (depth, events, *_rest) in enumerate(tracks):
-        for ei, (out_side, in_side) in enumerate(events):
-            front.setdefault(out_side, []).append((depth, ti, ei))
-            back.setdefault(in_side, []).append((depth, ti, ei))
-
-    pos: dict[tuple[int, int], tuple[int, int]] = {}
-    counts: dict[Slot, int] = {}
-    for slot in c.slots():
-        f = sorted(front.get(slot, []))             # depth 0 nearest the start
-        b = sorted(back.get(slot, []), reverse=True)
-        for i, (_, ti, ei) in enumerate(f):
-            pos[(ti, 2 * ei)] = (slot[1], i)        # crossing's out endpoint
-        for i, (_, ti, ei) in enumerate(b):
-            pos[(ti, 2 * ei + 1)] = (slot[1], len(f) + i)
-        counts[slot] = len(f) + len(b)
-    for slot in c.boundary_slots:
-        counts[slot] = counts.get(slot, 0) + 1
-
-    chords: dict[int, list] = {}
-
-    def add(sq: int, a, b) -> None:
-        chords.setdefault(sq, []).append((a, b))
-
-    for ti, track in enumerate(tracks):
-        depth, events, prev_edge, next_edge = track
-        if prev_edge is not None:
-            # arc: boundary point of prev_edge .. hops .. point of next_edge
-            first_out = events[0][0]
-            add(prev_edge[0], (prev_edge[1], counts[prev_edge] - 1),
-                pos[(ti, 0)])
-            for ei in range(len(events) - 1):
-                add(events[ei][1][0], pos[(ti, 2 * ei + 1)],
-                    pos[(ti, 2 * ei + 2)])
-            add(next_edge[0], pos[(ti, 2 * len(events) - 1)],
-                (next_edge[1], counts[next_edge] - 1))
-        else:
-            for ei in range(len(events)):
-                nxt = (ei + 1) % len(events)
-                add(events[ei][1][0], pos[(ti, 2 * ei + 1)],
-                    pos[(ti, 2 * nxt)])
-    g = CurveSystem.build(c.square_count, chords)
-    report = validate_sutures(c, g)
-    if not report.ok:
-        raise AssertionError("hugging system invalid: " + "; ".join(report.problems))
-    return g
-
-
 # ---------------------------------------------------------------------------
 # random generators
 

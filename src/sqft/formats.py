@@ -11,13 +11,14 @@ parse-then-emit is the identity on canonical documents. Parsing takes a
 count, square, side or position only as a JSON integer (`type(x) is int`:
 json loads true and false as bool, a subclass of int),
 and a square key only in canonical decimal ("0", "12", not "00" or "1_0"),
-each square named once.
+each square named once; no object may name a key twice. Errors name the
+path of the offending field and quote its value as JSON.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from .engine import CreateSquare, Fold, Glue, Move, MorphismScript, Zip
 from .surface import SquareComplex
@@ -33,32 +34,40 @@ def _fail(msg: str) -> None:
 
 
 class _Keyed(dict):
-    """A JSON object, with the keys it names more than once (json keeps the
-    last value of each)."""
+    """A JSON object that names some keys more than once, with those keys
+    (json keeps the last value of each)."""
 
-    def __init__(self, pairs: list[tuple[str, Any]]):
-        super().__init__(pairs)
-        self.repeated: set[str] = set()
-        if len(self) != len(pairs):
-            keys = [key for key, _ in pairs]
-            self.repeated = {key for key in keys if keys.count(key) > 1}
+    repeated: list[str]
 
 
-# for documents keyed by square, where a repeated key is an error
-_KEYED_DECODER = json.JSONDecoder(object_pairs_hook=_Keyed)
+def _object(pairs: list[tuple[str, Any]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [key for key, _ in pairs]
+        obj = _Keyed(obj)
+        obj.repeated = [key for key in obj if keys.count(key) > 1]
+    return obj
 
 
-def _loads(text: str, decode: Callable[[str], Any] = json.loads) -> Any:
+_KEYED_DECODER = json.JSONDecoder(object_pairs_hook=_object)
+
+
+def _loads(text: str) -> Any:
     try:
-        return decode(text)
+        return _KEYED_DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+
+
+def _keys_once(obj: dict, what: str) -> None:
+    for key in getattr(obj, "repeated", ()):
+        _fail(f"{what}: key {json.dumps(key)} named twice")
 
 
 def _check_slot(obj: Any, what: str, squares: int) -> tuple[int, int]:
     if (not isinstance(obj, (list, tuple)) or len(obj) != 2
             or not all(type(x) is int for x in obj)):
-        _fail(f"{what}: expected [square, side], got {obj!r}")
+        _fail(f"{what}: expected [square, side], got {json.dumps(obj)}")
     sq, side = obj
     if not 0 <= side < 4:
         _fail(f"{what}: side index {side} out of range 0..3")
@@ -85,6 +94,7 @@ def emit_surface(c: SquareComplex) -> str:
 def surface_from_obj(obj: Any) -> SquareComplex:
     if not isinstance(obj, dict):
         _fail("surface: expected an object")
+    _keys_once(obj, "surface")
     if "squares" not in obj or type(obj["squares"]) is not int:
         _fail("surface.squares: expected an integer")
     squares = obj["squares"]
@@ -142,7 +152,7 @@ def _per_square(obj: dict, name: str,
             sq = None
         # int() also reads "00", " 1", "+1" and "1_0"
         if sq is None or str(sq) != key:
-            _fail(f"sutures.{name}: bad square key {key!r}")
+            _fail(f"sutures.{name}: bad square key {json.dumps(key)}")
         if key in repeated:
             _fail(f"sutures.{name}: square {key} named twice")
         if not 0 <= sq < square_count:
@@ -153,6 +163,7 @@ def _per_square(obj: dict, name: str,
 def sutures_from_obj(obj: Any, square_count: int) -> CurveSystem:
     if not isinstance(obj, dict):
         _fail("sutures: expected an object")
+    _keys_once(obj, "sutures")
     chords: dict[int, list] = {}
     for key, sq, lst in _per_square(obj, "chords", square_count):
         if not isinstance(lst, list):
@@ -165,7 +176,8 @@ def sutures_from_obj(obj: Any, square_count: int) -> CurveSystem:
             for ep in ch:
                 if (not isinstance(ep, (list, tuple)) or len(ep) != 2
                         or not all(type(x) is int for x in ep)):
-                    _fail(f"sutures.chords[{key}][{i}]: bad endpoint {ep!r}")
+                    _fail(f"sutures.chords[{key}][{i}]: bad endpoint "
+                          f"{json.dumps(ep)}")
                 side, pos = ep
                 if not 0 <= side < 4:
                     _fail(f"sutures.chords[{key}][{i}]: side index {side} "
@@ -184,7 +196,7 @@ def sutures_from_obj(obj: Any, square_count: int) -> CurveSystem:
 
 
 def parse_sutures(text: str, square_count: int) -> CurveSystem:
-    return sutures_from_obj(_loads(text, _KEYED_DECODER.decode), square_count)
+    return sutures_from_obj(_loads(text), square_count)
 
 
 # -- scripts ----------------------------------------------------------------
@@ -211,6 +223,7 @@ def emit_script(s: MorphismScript) -> str:
 def script_from_obj(obj: Any) -> MorphismScript:
     if not isinstance(obj, dict) or "source" not in obj:
         _fail("script: expected an object with a source surface")
+    _keys_once(obj, "script")
     source = surface_from_obj(obj["source"])
     moves: list[Move] = []
     raw = obj.get("moves", [])
@@ -219,10 +232,11 @@ def script_from_obj(obj: Any) -> MorphismScript:
     for i, mv in enumerate(raw):
         if not isinstance(mv, dict) or len(mv) != 1:
             _fail(f"script.moves[{i}]: expected a single-key object")
+        _keys_once(mv, f"script.moves[{i}]")
         key, val = next(iter(mv.items()))
         if key == "create":
             if val not in ("+", "-"):
-                _fail(f"script.moves[{i}].create: expected '+' or '-'")
+                _fail(f'script.moves[{i}].create: expected "+" or "-"')
             moves.append(CreateSquare(+1 if val == "+" else -1))
         elif key in ("glue", "fold", "zip"):
             if not isinstance(val, (list, tuple)) or len(val) != 2:
@@ -232,7 +246,7 @@ def script_from_obj(obj: Any) -> MorphismScript:
             b = _check_slot(val[1], f"script.moves[{i}].{key}[1]", 1 << 30)
             moves.append({"glue": Glue, "fold": Fold, "zip": Zip}[key](a, b))
         else:
-            _fail(f"script.moves[{i}]: unknown move {key!r}")
+            _fail(f"script.moves[{i}]: unknown move {json.dumps(key)}")
     return MorphismScript.build(source, moves)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .surface import SquareComplex
-from .sutures import EP, CurveSystem, _rewritten_on, require_valid_pair
+from .sutures import EP, CurveSystem, _unchecked, require_valid_pair
 
 
 @dataclass(frozen=True)
@@ -270,13 +270,12 @@ def closed_components(c: SquareComplex,
     to its start (a closed strand). A chord's mates are built when a walk
     first enters its square.
 
-    The full walk starts at the boundary points and then at every endpoint
-    they do not reach. A system with no closed component remembers the
-    complex it was found on, and a bypass surgery child records whether its
-    parent did so on the complex of the surgery. Such a child differs from
-    its parent only in the squares the surgery rewrote, so each of its
-    closed strands passes through one of them, and its walks start only at
-    the endpoints of those squares.
+    Walks start at the endpoints of the squares the system's `open` fact
+    leaves unchecked on c: every square, unless the fact names this very
+    complex object. A surgery child of a parent found with no closed
+    component on c names the squares the surgery rewrote: its other squares
+    are the parent's, so each of its closed strands passes through one of
+    them. Finding none sets the fact to (c, ()).
     """
     partner = c.partner_map
     chords, counts = g.chords, g._side_counts
@@ -309,20 +308,13 @@ def closed_components(c: SquareComplex,
                 break
         reached.update(points)
 
-    squares = _rewritten_on(c, g, parent_valid=True, parent_open=True)
-    if squares is None:
-        squares = range(c.square_count)
-        for s, k in c.boundary_slots:
-            # a boundary side of a valid pair meets one point
-            if (s, (k, 0)) not in reached:
-                walk((s, (k, 0)))
-    for s in squares:
+    for s in _unchecked(g.facts.open, c, c.square_count):
         for a, _ in chords[s]:
             # a walk reaches both ends of each chord it takes
             if (s, a) not in reached:
                 walk((s, a))
     if not out:
-        g.__dict__["_open_on"] = c
+        g.facts.open = (c, ())
     return out
 
 
@@ -400,90 +392,3 @@ def is_trivial(c: SquareComplex, g: CurveSystem) -> bool:
 def is_confining(c: SquareComplex, g: CurveSystem) -> bool:
     dec = regions(c, g)
     return any(not r.touches_boundary for r in dec.regions)
-
-
-# ---------------------------------------------------------------------------
-# independent flood-fill oracle for confinement (different face algorithm:
-# stack coloring of the cyclic bracket sequence instead of a half-edge trace)
-
-
-def confining_oracle(c: SquareComplex, g: CurveSystem) -> bool:
-    require_valid_pair(c, g)
-    if g.total_loops() > 0:
-        return True
-
-    gap_face: dict[tuple[int, int], int] = {}
-    face_count: dict[int, int] = {}
-    for s in range(c.square_count):
-        points = sorted(ep for ch in g.chords[s] for ep in ch)
-        index = {ep: i for i, ep in enumerate(points)}
-        pair: dict[int, int] = {}
-        for a, b in g.chords[s]:
-            pair[index[a]] = index[b]
-            pair[index[b]] = index[a]
-        # faces by bracket nesting: walk points once, stack of face ids
-        fresh = [0]
-        stack = [0]
-        opened: dict[int, int] = {}
-        for i in range(len(points)):
-            if pair[i] > i:
-                fresh[0] += 1
-                opened[i] = fresh[0]
-                stack.append(fresh[0])
-            else:
-                stack.pop()
-        # second pass records the face right after each point
-        stack = [0]
-        gap_face[(s, len(points) - 1)] = 0    # gap before point 0
-        for i in range(len(points)):
-            if pair[i] > i:
-                stack.append(opened[i])
-            else:
-                stack.pop()
-            gap_face[(s, i)] = stack[-1]      # gap from point i to i+1
-        face_count[s] = fresh[0] + 1
-
-    # nodes and adjacency across glued segments
-    def node(s: int, f: int) -> tuple[int, int]:
-        return (s, f)
-
-    side_offsets: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for s in range(c.square_count):
-        eps = sorted(ep for ch in g.chords[s] for ep in ch)
-        total = len(eps)
-        for k in range(4):
-            pos = [i for i, ep in enumerate(eps) if ep[0] == k]
-            side_offsets[(s, k)] = (pos[0], len(pos), total)
-
-    def seg_gap(s: int, k: int, j: int) -> int:
-        off, m, total = side_offsets[(s, k)]
-        if j < m:
-            return (off + j - 1) % total
-        return off + m - 1
-
-    adj: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    boundary_nodes: set[tuple[int, int]] = set()
-    for edge in c.sorted_gluings():
-        (sa, ka), (sb, kb) = edge
-        m = g.side_count((sa, ka))
-        for j in range(m + 1):
-            na = node(sa, gap_face[(sa, seg_gap(sa, ka, j))])
-            nb = node(sb, gap_face[(sb, seg_gap(sb, kb, m - j))])
-            adj.setdefault(na, set()).add(nb)
-            adj.setdefault(nb, set()).add(na)
-    for slot in c.boundary_slots:
-        sq, k = slot
-        for j in range(2):
-            boundary_nodes.add(node(sq, gap_face[(sq, seg_gap(sq, k, j))]))
-
-    all_nodes = {node(s, f) for s in range(c.square_count)
-                 for f in range(face_count[s])}
-    reached = set(boundary_nodes)
-    frontier = list(boundary_nodes)
-    while frontier:
-        n = frontier.pop()
-        for nb in adj.get(n, ()):
-            if nb not in reached:
-                reached.add(nb)
-                frontier.append(nb)
-    return reached != all_nodes

@@ -128,31 +128,20 @@ class SquareComplex:
         """The boundary slots of the given squares, taken in increasing
         order, and the gluings that meet them, in the orders of
         boundary_slots and sorted_gluings."""
-        boundary, at, order = self._sides_of_square
-        slots = [slot for sq in squares for slot in boundary[sq]]
-        meeting = sorted({i for sq in squares for i in at[sq]})
-        return slots, [order[i] for i in meeting]
+        partner = self.partner_map
+        boundary: list[Slot] = []
+        met: set[GluingPair] = set()
+        for sq in squares:
+            for slot in ((sq, 0), (sq, 1), (sq, 2), (sq, 3)):
+                other = partner.get(slot)
+                if other is None:
+                    boundary.append(slot)
+                else:
+                    met.add((slot, other) if slot < other else (other, slot))
+        return boundary, sorted(met)
 
     # -- per-complex caches: a complex never changes, so each is computed
     # once; they live outside the fields, which alone define == and hash
-
-    @cached_property
-    def _sides_of_square(self) -> tuple[tuple[tuple[Slot, ...], ...],
-                                        tuple[tuple[int, ...], ...],
-                                        tuple[GluingPair, ...]]:
-        # per square: its boundary slots, and the positions in the sorted
-        # gluings of the gluings that meet it; then the sorted gluings
-        # (valid complexes only)
-        boundary: list[list[Slot]] = [[] for _ in range(self.square_count)]
-        for slot in self.boundary_slots:
-            boundary[slot[0]].append(slot)
-        order = tuple(sorted(self.gluings))
-        at: list[list[int]] = [[] for _ in range(self.square_count)]
-        for i, (a, b) in enumerate(order):
-            at[a[0]].append(i)
-            if b[0] != a[0]:
-                at[b[0]].append(i)
-        return tuple(map(tuple, boundary)), tuple(map(tuple, at)), order
 
     @cached_property
     def _report(self) -> "ValidationReport":

@@ -16,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .surface import (
-    GluingPair, Slot, SquareComplex, _norm_pair, validate_complex,
+    GluingPair, Slot, SquareComplex, ValidationReport, _norm_pair,
+    validate_complex,
 )
 
 EP = tuple[int, int]                  # (side, position) within a square
@@ -28,6 +29,34 @@ Chord = tuple[EP, EP]
 
 def _norm_chord(a: EP, b: EP) -> Chord:
     return (a, b) if a <= b else (b, a)
+
+
+Fact = Optional[tuple[SquareComplex, Sequence[int]]]
+
+
+class PairFacts:
+    """What a curve system is known to satisfy, out of its fields, which
+    alone define ==, hash and repr. Each of `normal` (_is_normal), `valid`
+    (validate_sutures) and `open` (regions.closed_components) is None or
+    (complex, squares): on that complex object the check need read only
+    those squares, and () means it holds. `frozen` is the frozen form (see
+    Diagram), `side_counts` the points per (square, side)."""
+
+    __slots__ = ("normal", "valid", "open", "frozen", "side_counts")
+
+    def __init__(self) -> None:
+        self.normal = self.valid = self.open = None
+        self.frozen, self.side_counts = False, None
+
+
+def _unchecked(fact: Fact, c: SquareComplex, n: int) -> Sequence[int]:
+    """The squares a check must read on c: those the fact names when it is
+    about this very complex object, otherwise all n."""
+    return fact[1] if fact is not None and fact[0] is c else range(n)
+
+
+def _holds(fact: Fact, c: SquareComplex) -> bool:
+    return fact is not None and fact[0] is c and not fact[1]
 
 
 @dataclass(frozen=True)
@@ -57,25 +86,25 @@ class CurveSystem:
         return self._side_counts[sq][k]
 
     @cached_property
-    def _side_counts(self) -> tuple[tuple[int, int, int, int], ...]:
-        # points per (square, side), built on the first side_count and kept
-        # out of the fields, which alone define == and hash. Every endpoint
-        # side must be in 0..3: validate_sutures checks that before it reads
-        # a count
-        table = []
-        for chords in self.chords:
-            counts = [0, 0, 0, 0]
-            for a, b in chords:
-                counts[a[0]] += 1
-                counts[b[0]] += 1
-            table.append(tuple(counts))
-        return tuple(table)
+    def facts(self) -> PairFacts:
+        return PairFacts()
 
-    # other facts kept outside the fields, each set where it is learned:
-    # `_frozen_form` (see Diagram), `_valid_on`, the complex validate_sutures
-    # last found the system valid on (require_valid_pair trusts it),
-    # `_open_on`, the complex regions.closed_components last found no closed
-    # component on, and on a surgery child `_rewritten` (see _rewritten_on)
+    @cached_property
+    def _side_counts(self) -> tuple[tuple[int, int, int, int], ...]:
+        # the table freeze seeded, or one built on the first side_count.
+        # Every endpoint side must be in 0..3: validate_sutures checks that
+        # before it reads a count
+        facts = self.facts
+        if facts.side_counts is None:
+            table = []
+            for chords in self.chords:
+                counts = [0, 0, 0, 0]
+                for a, b in chords:
+                    counts[a[0]] += 1
+                    counts[b[0]] += 1
+                table.append(tuple(counts))
+            facts.side_counts = tuple(table)
+        return facts.side_counts
 
     def total_loops(self) -> int:
         return sum(self.loops)
@@ -104,9 +133,9 @@ class CurveSystem:
 # thawed squares and takes every other square's chords, loop count and
 # side-count row from the system as they were. Frozen form means that each
 # square is as freeze rebuilds it: chords canonical and sorted, each side's
-# positions 0, 1, 2, ... on sides 0..3. It is known, and marked on the system
-# as `_frozen_form`, for what freeze returns and for a system found valid
-# and normalized on a complex; any other system thaws whole.
+# positions 0, 1, 2, ... on sides 0..3. It is known, as the system's
+# `frozen` fact, for what freeze returns and for a system found valid and
+# normalized on a complex; any other system thaws whole.
 
 
 class _Slots(dict):
@@ -178,7 +207,7 @@ class Diagram:
         """A diagram of g. A system known to be in frozen form thaws square
         by square as the squares are first used, any other one whole."""
         d = Diagram(g.square_count, g)
-        if not g.__dict__.get("_frozen_form"):
+        if not g.facts.frozen:
             d.thaw_all()
         return d
 
@@ -227,13 +256,14 @@ class Diagram:
         if len(self.mate) == len(square_of):
             # every point is a chord end, so each side's positions run
             # 0, 1, ... and its point count is the length of its list
-            out.__dict__["_frozen_form"] = True
-            table = base.__dict__.get("_side_counts") if base else None
+            facts = out.facts
+            facts.frozen = True
+            table = base.facts.side_counts if base else None
             if table is not None:
                 table = list(table)
                 for sq in rebuilt:
                     table[sq] = tuple(len(order[(sq, k)]) for k in range(4))
-                out.__dict__["_side_counts"] = tuple(table)
+                facts.side_counts = tuple(table)
         return out
 
     # -- primitives ----------------------------------------------------------
@@ -292,16 +322,13 @@ class Diagram:
 def validate_sutures(c: SquareComplex, g: CurveSystem) -> "ValidationReport":
     """Problems of a curve system on a complex, in a fixed order.
 
-    Each square is checked with one sort of its endpoints. Side counts are
-    read only when every endpoint lies on a side 0..3. A surgery child of a
-    system found valid on c is read only at the squares the surgery rewrote
-    and at the boundary sides and gluings that meet them: its other squares
-    are the parent's own, so the report is the one the whole check gives. A
-    system found valid remembers c, for require_valid_pair and for the
-    children made from it.
+    The check reads the squares the `valid` fact leaves unchecked on c and
+    the boundary sides and gluings that meet them, each square with one
+    sort of its endpoints; side counts are read only when every endpoint
+    lies on a side 0..3. A surgery child of a system found valid on c
+    leaves the squares the surgery rewrote (its others are the parent's),
+    a system found valid on c none. An empty report sets the fact to (c, ()).
     """
-    from .surface import ValidationReport
-
     problems: list[str] = []
     if g.square_count != c.square_count:
         return ValidationReport((f"curve system has {g.square_count} squares, "
@@ -309,9 +336,9 @@ def validate_sutures(c: SquareComplex, g: CurveSystem) -> "ValidationReport":
     if not validate_complex(c).ok:
         return ValidationReport(("underlying complex invalid",))
 
-    rewritten = _rewritten_on(c, g, parent_valid=True)
+    squares = _unchecked(g.facts.valid, c, c.square_count)
     on_sides = True
-    for sq in range(c.square_count) if rewritten is None else rewritten:
+    for sq in squares:
         found, square_on_sides = _square_problems(sq, g.chords[sq], g.loops[sq])
         if found:
             problems.extend(found)
@@ -319,38 +346,21 @@ def validate_sutures(c: SquareComplex, g: CurveSystem) -> "ValidationReport":
     if not on_sides:
         return ValidationReport(tuple(problems))
 
-    if rewritten is None:
-        boundary, gluings = c.boundary_slots, c.sorted_gluings()
-    else:
-        boundary, gluings = c.sides_meeting(rewritten)
+    counts = g._side_counts
+    boundary, gluings = c.sides_meeting(squares)
     for slot in boundary:
-        m = g.side_count(slot)
+        m = counts[slot[0]][slot[1]]
         if m != 1:
             problems.append(f"boundary side {slot} meets {m} points, wants 1")
     for a, b in gluings:
-        ma, mb = g.side_count(a), g.side_count(b)
+        ma, mb = counts[a[0]][a[1]], counts[b[0]][b[1]]
         if ma != mb:
             problems.append(f"edge {a}-{b}: point counts {ma} != {mb}")
         elif ma % 2 == 0:
             problems.append(f"edge {a}-{b}: even intersection count {ma}")
     if not problems:
-        g.__dict__["_valid_on"] = c
+        g.facts.valid = (c, ())
     return ValidationReport(tuple(problems))
-
-
-def _rewritten_on(c: SquareComplex, g: CurveSystem,
-                  parent_valid: bool = False,
-                  parent_open: bool = False) -> Optional[tuple[int, ...]]:
-    """The squares a bypass surgery on c rewrote to make g, sorted, or None
-    when g is not such a child (or, with parent_valid, its parent was not
-    known to be valid on c; with parent_open, not known to have no closed
-    component on c). Every other square of g is its parent's, in canonical
-    form with no chord on one glued side."""
-    made = g.__dict__.get("_rewritten")
-    if (made is None or made[0] is not c or (parent_valid and not made[2])
-            or (parent_open and not made[3])):
-        return None
-    return made[1]
 
 
 def _square_problems(sq: int, chords: tuple[Chord, ...],
@@ -412,11 +422,11 @@ def require_valid_pair(c: SquareComplex, g: CurveSystem) -> None:
     """Raise ValueError unless g is a valid curve system on c.
 
     A system validate_sutures last found valid on this very complex object
-    is not checked again: both are immutable, and the mark is set only on
+    is not checked again: both are immutable, and the fact is set only on
     an empty report. An equal complex that is another object, or a system
     never found valid, gets the full check.
     """
-    if g.__dict__.get("_valid_on") is c:
+    if _holds(g.facts.valid, c):
         return
     report = validate_sutures(c, g)
     if not report.ok:
@@ -471,8 +481,9 @@ def normalize(c: SquareComplex, g: CurveSystem) -> CurveSystem:
     glued side. So a valid g that is already in canonical form (each chord
     (a, b) with a <= b, each square's chords sorted) and has no chord with
     both endpoints on one glued side is returned as it is, with the side
-    counts it has cached. Surgery children take this path, and only the
-    squares their surgery rewrote are read to see it.
+    counts it has cached. To see that, only the squares its `normal` fact
+    leaves unchecked on c are read: the rewritten squares of a surgery
+    child, none of a system already found normal on c.
     """
     if _is_normal(c, g):
         return g
@@ -482,8 +493,8 @@ def normalize(c: SquareComplex, g: CurveSystem) -> CurveSystem:
 
 
 def _is_normal(c: SquareComplex, g: CurveSystem) -> bool:
-    rewritten = _rewritten_on(c, g)
-    for sq in range(g.square_count) if rewritten is None else rewritten:
+    facts = g.facts
+    for sq in _unchecked(facts.normal, c, g.square_count):
         prev = None
         for chord in g.chords[sq]:
             a, b = chord
@@ -492,6 +503,7 @@ def _is_normal(c: SquareComplex, g: CurveSystem) -> bool:
             if a[0] == b[0] and c.is_glued((sq, a[0])):
                 return False
             prev = chord
+    facts.normal = (c, ())
     return True
 
 
@@ -564,24 +576,26 @@ def bypass_surgery(c: SquareComplex, g: CurveSystem, edge: GluingPair,
     recursion is), only the squares the surgery and the bigon removals read
     are thawed, and since an untouched square of a normalized system holds
     no bigon, the search reads only thawed squares; otherwise the search
-    reads every glued side. The child records, on c,
-    the squares that differ from g's, whether g was found valid on c and
-    whether g was found with no closed component on c, so that normalize,
+    reads every glued side. The child's facts name, on c, the squares R
+    that differ from g's: `normal` is (c, R), and `valid` and `open` are
+    (c, R) when g's own fact holds on c, so that normalize,
     validate_sutures and closed_components read only those squares. It
     keeps no reference to g.
     """
-    normal = _is_normal(c, g)
-    if normal and g.__dict__.get("_valid_on") is c:
-        g.__dict__["_frozen_form"] = True
+    known, normal = g.facts, _is_normal(c, g)
+    valid = _holds(known.valid, c)
+    if normal and valid:
+        known.frozen = True
     d = Diagram.from_system(g)
     _surgery_raw(c, d, _norm_pair(*edge), triple_start, direction)
     _normalize_diagram(c, d, thawed_only=normal)
     child = d.freeze()
-    # (complex, rewritten squares, parent valid on it, parent found with
-    # no closed component on it): see _rewritten_on
-    child.__dict__["_rewritten"] = (c, d.rewritten(),
-                                    g.__dict__.get("_valid_on") is c,
-                                    g.__dict__.get("_open_on") is c)
+    facts = child.facts
+    facts.normal = local = (c, d.rewritten())
+    if valid:
+        facts.valid = local
+    if _holds(known.open, c):
+        facts.open = local
     return child
 
 

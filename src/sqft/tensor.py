@@ -298,18 +298,6 @@ def slide_map(x: Z2Tensor, i: int, j: int, block: tuple[tuple[int, int], ...]) -
     return Z2Tensor(x.arity, frozenset(out))
 
 
-def block_power(block: tuple[tuple[int, int], ...], n: int) -> tuple[tuple[int, int], ...]:
-    def mul(a, b):
-        return tuple(
-            tuple((a[r][0] * b[0][c] + a[r][1] * b[1][c]) % 2 for c in range(2))
-            for r in range(2)
-        )
-    out = ((1, 0), (0, 1))
-    for _ in range(n):
-        out = mul(out, block)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # GF(2) rank, for census dimension checks
 

@@ -1,9 +1,18 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from sqft.census import random_surface, random_sutures
 from sqft.engine import compile_script
 from sqft.surface import SquareComplex
 from sqft.sutures import CurveSystem
+
+# the CLI tests run `python -m sqft` in subprocesses, which must import the
+# same source tree as the tests (pyproject.toml puts it on the tests' path)
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (
+    str(Path(__file__).resolve().parent.parent / "src"),
+    os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture

@@ -6,12 +6,22 @@
   polygon of the fan disc along its arcs with `routing.split_disc`, the
   general disc splitter; `census.matching_system` builds the chords of each
   square directly.
+- `enumerate_basic` lists the basic systems of a complex, and
+  `boundary_hugging_system` builds boundary-parallel arcs and loops.
+- `confining_oracle` decides confinement by a flood fill over faces found
+  by bracket nesting, apart from the half-edge trace of `regions`.
+- `block_power` is the n-th power of a 2x2 block over GF(2).
 """
+
+from typing import Optional
 
 from sqft.census import _disc_layout
 from sqft.routing import DiscSide, split_disc
-from sqft.surface import GluingPair, SquareComplex, _norm_pair
-from sqft.sutures import CurveSystem, normalize, require_valid_pair
+from sqft.surface import GluingPair, Slot, SquareComplex, _norm_pair
+from sqft.sutures import (
+    CurveSystem, basic_system, normalize, require_valid_pair,
+    validate_sutures,
+)
 
 
 def transport_unglue(c: SquareComplex, g: CurveSystem,
@@ -54,3 +64,205 @@ def matching_system_oracle(n: int, matching) -> CurveSystem:
                 chords.setdefault(sq, []).append((pos_of[u], pos_of[v]))
     g = CurveSystem.build(c.square_count, chords)
     return normalize(c, g)
+
+
+def enumerate_basic(c: SquareComplex) -> list[CurveSystem]:
+    if c.internal_vertices():
+        raise ValueError("basic census needs a bona fide complex")
+    return [basic_system(c, bits) for bits in range(1 << c.square_count)]
+
+
+# ---------------------------------------------------------------------------
+# boundary-hugging fixtures: arcs around one sign of vertex per cycle plus
+# closed curves parallel to a cycle
+
+
+def _cycle_hops(c: SquareComplex, cycle: tuple[Slot, ...]):
+    """Per boundary edge of the cycle, the glued sides crossed at its end."""
+    hops = []
+    for slot in cycle:
+        sq, k = slot
+        cur = (sq, (k + 1) % 4)
+        crossing = []
+        while c.is_glued(cur):
+            mate = c.partner(cur)
+            crossing.append((cur, mate))
+            cur = (mate[0], (mate[1] + 1) % 4)
+        hops.append(crossing)
+    return hops
+
+
+def boundary_hugging_system(c: SquareComplex, arc_sign: int = +1,
+                            loops_per_cycle: Optional[dict[int, int]] = None
+                            ) -> CurveSystem:
+    """Arcs cutting off every arc_sign vertex, plus closed parallel curves.
+
+    The arcs realize the extremal boundary-parallel sutures; each extra loop
+    follows a whole boundary cycle just inside them. Crossing positions place
+    shallower tracks nearer the boundary.
+    """
+    loops_per_cycle = loops_per_cycle or {}
+    cycles = c.boundary_cycles
+    # tracks: list of (depth, [crossing events], closed?, cycle idx, arc data)
+    tracks = []
+    for ci, cycle in enumerate(cycles):
+        hops = _cycle_hops(c, cycle)
+        for ei, slot in enumerate(cycle):
+            end_class = c.edge_endpoints(slot)[1]
+            if end_class.sign == arc_sign:
+                nxt = cycle[(ei + 1) % len(cycle)]
+                tracks.append((0, hops[ei], slot, nxt))
+        lap = [ev for h in hops for ev in h]
+        for depth in range(1, loops_per_cycle.get(ci, 0) + 1):
+            tracks.append((depth, lap, None, None))
+
+    front: dict[Slot, list] = {}
+    back: dict[Slot, list] = {}
+    for ti, (depth, events, *_rest) in enumerate(tracks):
+        for ei, (out_side, in_side) in enumerate(events):
+            front.setdefault(out_side, []).append((depth, ti, ei))
+            back.setdefault(in_side, []).append((depth, ti, ei))
+
+    pos: dict[tuple[int, int], tuple[int, int]] = {}
+    counts: dict[Slot, int] = {}
+    for slot in c.slots():
+        f = sorted(front.get(slot, []))             # depth 0 nearest the start
+        b = sorted(back.get(slot, []), reverse=True)
+        for i, (_, ti, ei) in enumerate(f):
+            pos[(ti, 2 * ei)] = (slot[1], i)        # crossing's out endpoint
+        for i, (_, ti, ei) in enumerate(b):
+            pos[(ti, 2 * ei + 1)] = (slot[1], len(f) + i)
+        counts[slot] = len(f) + len(b)
+    for slot in c.boundary_slots:
+        counts[slot] = counts.get(slot, 0) + 1
+
+    chords: dict[int, list] = {}
+
+    def add(sq: int, a, b) -> None:
+        chords.setdefault(sq, []).append((a, b))
+
+    for ti, track in enumerate(tracks):
+        depth, events, prev_edge, next_edge = track
+        if prev_edge is not None:
+            # arc: boundary point of prev_edge .. hops .. point of next_edge
+            first_out = events[0][0]
+            add(prev_edge[0], (prev_edge[1], counts[prev_edge] - 1),
+                pos[(ti, 0)])
+            for ei in range(len(events) - 1):
+                add(events[ei][1][0], pos[(ti, 2 * ei + 1)],
+                    pos[(ti, 2 * ei + 2)])
+            add(next_edge[0], pos[(ti, 2 * len(events) - 1)],
+                (next_edge[1], counts[next_edge] - 1))
+        else:
+            for ei in range(len(events)):
+                nxt = (ei + 1) % len(events)
+                add(events[ei][1][0], pos[(ti, 2 * ei + 1)],
+                    pos[(ti, 2 * nxt)])
+    g = CurveSystem.build(c.square_count, chords)
+    report = validate_sutures(c, g)
+    if not report.ok:
+        raise AssertionError("hugging system invalid: " + "; ".join(report.problems))
+    return g
+
+
+# ---------------------------------------------------------------------------
+# independent flood-fill oracle for confinement (different face algorithm:
+# stack coloring of the cyclic bracket sequence instead of a half-edge trace)
+
+
+def confining_oracle(c: SquareComplex, g: CurveSystem) -> bool:
+    require_valid_pair(c, g)
+    if g.total_loops() > 0:
+        return True
+
+    gap_face: dict[tuple[int, int], int] = {}
+    face_count: dict[int, int] = {}
+    for s in range(c.square_count):
+        points = sorted(ep for ch in g.chords[s] for ep in ch)
+        index = {ep: i for i, ep in enumerate(points)}
+        pair: dict[int, int] = {}
+        for a, b in g.chords[s]:
+            pair[index[a]] = index[b]
+            pair[index[b]] = index[a]
+        # faces by bracket nesting: walk points once, stack of face ids
+        fresh = [0]
+        stack = [0]
+        opened: dict[int, int] = {}
+        for i in range(len(points)):
+            if pair[i] > i:
+                fresh[0] += 1
+                opened[i] = fresh[0]
+                stack.append(fresh[0])
+            else:
+                stack.pop()
+        # second pass records the face right after each point
+        stack = [0]
+        gap_face[(s, len(points) - 1)] = 0    # gap before point 0
+        for i in range(len(points)):
+            if pair[i] > i:
+                stack.append(opened[i])
+            else:
+                stack.pop()
+            gap_face[(s, i)] = stack[-1]      # gap from point i to i+1
+        face_count[s] = fresh[0] + 1
+
+    # nodes and adjacency across glued segments
+    def node(s: int, f: int) -> tuple[int, int]:
+        return (s, f)
+
+    side_offsets: dict[tuple[int, int], tuple[int, int, int]] = {}
+    for s in range(c.square_count):
+        eps = sorted(ep for ch in g.chords[s] for ep in ch)
+        total = len(eps)
+        for k in range(4):
+            pos = [i for i, ep in enumerate(eps) if ep[0] == k]
+            side_offsets[(s, k)] = (pos[0], len(pos), total)
+
+    def seg_gap(s: int, k: int, j: int) -> int:
+        off, m, total = side_offsets[(s, k)]
+        if j < m:
+            return (off + j - 1) % total
+        return off + m - 1
+
+    adj: dict[tuple[int, int], set[tuple[int, int]]] = {}
+    boundary_nodes: set[tuple[int, int]] = set()
+    for edge in c.sorted_gluings():
+        (sa, ka), (sb, kb) = edge
+        m = g.side_count((sa, ka))
+        for j in range(m + 1):
+            na = node(sa, gap_face[(sa, seg_gap(sa, ka, j))])
+            nb = node(sb, gap_face[(sb, seg_gap(sb, kb, m - j))])
+            adj.setdefault(na, set()).add(nb)
+            adj.setdefault(nb, set()).add(na)
+    for slot in c.boundary_slots:
+        sq, k = slot
+        for j in range(2):
+            boundary_nodes.add(node(sq, gap_face[(sq, seg_gap(sq, k, j))]))
+
+    all_nodes = {node(s, f) for s in range(c.square_count)
+                 for f in range(face_count[s])}
+    reached = set(boundary_nodes)
+    frontier = list(boundary_nodes)
+    while frontier:
+        n = frontier.pop()
+        for nb in adj.get(n, ()):
+            if nb not in reached:
+                reached.add(nb)
+                frontier.append(nb)
+    return reached != all_nodes
+
+
+# ---------------------------------------------------------------------------
+# GF(2) blocks
+
+
+def block_power(block: tuple[tuple[int, int], ...], n: int) -> tuple[tuple[int, int], ...]:
+    def mul(a, b):
+        return tuple(
+            tuple((a[r][0] * b[0][c] + a[r][1] * b[1][c]) % 2 for c in range(2))
+            for r in range(2)
+        )
+    out = ((1, 0), (0, 1))
+    for _ in range(n):
+        out = mul(out, block)
+    return out

@@ -12,8 +12,8 @@ import pytest
 
 from sqft._derived import ROTATION_BLOCK, SLIDE_BLOCK
 from sqft.census import (
-    boundary_hugging_system, catalan, disc_complex, enumerate_basic,
-    enumerate_disc_sutures, random_extension, random_surface,
+    catalan, disc_complex, enumerate_disc_sutures, random_extension,
+    random_surface,
 )
 from sqft.engine import (
     CreateSquare, Fold, MorphismScript, apply_script_to_sutures,
@@ -30,6 +30,7 @@ from sqft.sutures import (
 from sqft.tensor import (
     Z2Tensor, apply_op, gf2_rank, is_homogeneous, slide_map,
 )
+from helpers import boundary_hugging_system, enumerate_basic
 
 SEED = 20260810
 

@@ -42,3 +42,10 @@ def test_traced_script_naturality_counts():
         calls["sutures.transport_glue.calls"] > 0
     assert calls["quad.collapse_slack_square.calls"] == \
         calls["routing.transport_collapse.calls"] > 0
+
+
+def test_committed_bench_records_are_json():
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert len(records) >= 7
+    for path in records:
+        assert isinstance(json.loads(path.read_text()), dict), path.name

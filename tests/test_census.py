@@ -5,17 +5,17 @@ from pathlib import Path
 import pytest
 
 from sqft.census import (
-    boundary_hugging_system, catalan, disc_complex, enumerate_basic,
-    enumerate_disc_sutures, matching_system, noncrossing_matchings,
-    random_surface, random_sutures,
+    catalan, disc_complex, enumerate_disc_sutures, matching_system,
+    noncrossing_matchings, random_surface, random_sutures,
 )
 from sqft.engine import compile_script, suture_element
-from sqft.regions import (
-    confining_oracle, euler_class, is_confining, is_trivial,
-)
+from sqft.regions import euler_class, is_confining, is_trivial
 from sqft.surface import invariants, validate_complex
 from sqft.sutures import bypass_triples, normalize, validate_sutures
-from helpers import matching_system_oracle
+from helpers import (
+    boundary_hugging_system, confining_oracle, enumerate_basic,
+    matching_system_oracle,
+)
 
 POOL_FILE = Path(__file__).resolve().parent.parent / "bench" / \
     "disc_chords_pool.json"

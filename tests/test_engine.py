@@ -4,9 +4,7 @@ from pathlib import Path
 import pytest
 
 from sqft import formats
-from sqft.census import (
-    boundary_hugging_system, random_extension, random_surface,
-)
+from sqft.census import random_extension, random_surface
 from sqft.engine import (
     CreateSquare, Fold, Glue, MorphismScript, ScriptError, Zip,
     annihilation_as_fold, apply_script_to_sutures, compile_script,
@@ -21,6 +19,7 @@ from sqft.tensor import (
     ANNIHILATE0, ANNIHILATE1, Z2Tensor, annihilate_op, apply_op, compose,
     is_homogeneous,
 )
+from helpers import boundary_hugging_system
 
 EDGE = ((0, 0), (1, 1))
 

@@ -5,11 +5,10 @@ Fast paths and their oracles:
 - `normalize` returns a system in canonical form with no chord on one
   glued side as it is; the oracle thaws, runs `_normalize_diagram` and
   freezes every time.
-- `closed_components` is one walk, from the boundary points and then from
-  the endpoints they do not reach; a surgery child of a parent found with
-  no closed component on the same complex is walked only from the
-  endpoints of its rewritten squares. The oracle is the full component
-  search (`_closed_components_oracle`).
+- `closed_components` is one walk, from every endpoint not yet reached; a
+  surgery child of a parent found with no closed component on the same
+  complex is walked only from the endpoints of its rewritten squares. The
+  oracle is the full component search (`_closed_components_oracle`).
 - `validate_sutures` checks a square with one sort of its endpoints; the
   oracle is the per-problem loop below, which must give byte-identical
   problem lists.
@@ -20,8 +19,11 @@ Fast paths and their oracles:
 - `bypass_surgery` thaws, rebuilds and marks only the squares the surgery
   and its bigon removals touch; the oracle thaws every square, rewires,
   normalizes and freezes them all (`surgery_oracle`). `validate_sutures`
-  and `normalize` read only the rewritten squares of a child; their oracle
-  is the same call on a twin of the child that carries no record.
+  and `normalize` read only the rewritten squares of a child, as its
+  `facts` name them; their oracle is the same call on a twin of the child
+  that carries no facts. A check that passes completes its fact, so the
+  tests read a child's facts from the surgery made again, before any
+  check has run on it.
 - `euler_class` is a signed count of local cells; the oracle is
   chi_plus - chi_minus of the region decomposition (`regions`).
 - `require_valid_pair` trusts a system validate_sutures found valid on the
@@ -53,7 +55,7 @@ from sqft.surface import (
     canonical_permutation, validate_complex,
 )
 from sqft.sutures import (
-    CurveSystem, Diagram, _normalize_diagram, _rewritten_on, _surgery_raw,
+    CurveSystem, Diagram, _holds, _normalize_diagram, _surgery_raw,
     basic_system, bypass_surgery, bypass_triples, finger_push, normalize,
     require_valid_pair, validate_sutures,
 )
@@ -927,7 +929,10 @@ def test_surgery_corpus_reaches_every_case(surgery_corpus):
 def test_surgery_against_thaw_all(surgery_corpus, part):
     for c, (node, edge, t, direction, child) in surgery_corpus[part]:
         assert child == surgery_oracle(c, node, edge, t, direction)
-        rewritten = _rewritten_on(c, child, parent_valid=True)
+        # the surgery made again: the corpus child's facts are complete
+        facts = bypass_surgery(c, node, edge, t, direction).facts
+        rewritten = facts.normal[1]
+        assert facts.normal[0] is c and facts.valid == facts.normal
         assert rewritten == tuple(sorted(set(rewritten)))
         assert {edge[0][0], edge[1][0]} <= set(rewritten)
         for sq in set(range(c.square_count)) - set(rewritten):
@@ -942,7 +947,8 @@ def test_surgery_against_thaw_all(surgery_corpus, part):
 @pytest.mark.parametrize("part", ["census", "pool", "random",
                                   "annulus and torus", "self-glued"])
 def test_local_validation_against_whole(surgery_corpus, part):
-    for c, (*_, child) in surgery_corpus[part]:
+    for c, (node, edge, t, direction, _) in surgery_corpus[part]:
+        child = bypass_surgery(c, node, edge, t, direction)
         twin = CurveSystem(child.chords, child.loops)
         assert validate_sutures(c, child) == validate_sutures(c, twin)
         assert validate_sutures(c, child).problems == validate_oracle(c, child)
@@ -959,12 +965,16 @@ def test_local_validation_reads_only_rewritten_squares(monkeypatch,
 
     monkeypatch.setattr(sutures, "_square_problems", counting)
     rewritten_total = 0
-    for c, (*_, child) in surgery_corpus["pool"]:
-        rewritten = _rewritten_on(c, child, parent_valid=True)
+    for c, (node, edge, t, direction, _) in surgery_corpus["pool"]:
+        child = bypass_surgery(c, node, edge, t, direction)
+        rewritten = child.facts.valid[1]
         read.clear()
         assert validate_sutures(c, child).ok
         assert read == list(rewritten)
         rewritten_total += len(rewritten)
+        # the fact is now complete on c: the check reads no square
+        read.clear()
+        assert validate_sutures(c, child).ok and read == []
     # a child of the pool rewrites a few of its 13-19 squares
     assert rewritten_total < 4 * len(surgery_corpus["pool"])
 
@@ -983,12 +993,13 @@ def test_damage_to_a_rewritten_square_is_reported(surgery_corpus):
     seen = set()
     damaged = 0
     for part in ("census", "random", "annulus and torus", "self-glued"):
-        for c, (*_, child) in surgery_corpus[part][::7]:
-            record = child.__dict__["_rewritten"]
+        for c, surgery in surgery_corpus[part][::7]:
+            child = bypass_surgery(c, *surgery[:4])
+            record = child.facts.valid
             for sq in record[1]:
                 for bad in _damaged_square(child, sq):
                     # a surgery that broke square sq would leave this child
-                    bad.__dict__["_rewritten"] = record
+                    bad.facts.valid = record
                     whole = validate_oracle(c, bad)
                     assert validate_sutures(c, bad).problems == whole
                     damaged += bool(whole)
@@ -1005,11 +1016,14 @@ def test_surgery_child_keeps_no_parent():
     require_valid_pair(c, parent)
     edge, t = bypass_triples(c, parent)[0]
     child = bypass_surgery(c, parent, edge, t, "up")
-    assert _rewritten_on(c, child, parent_valid=True)
+    assert child.facts.valid[0] is c and child.facts.valid[1]
+    assert child.facts.normal == child.facts.valid
     ref = weakref.ref(parent)
     del parent
     assert ref() is None
     assert validate_sutures(c, child).ok
+    assert normalize(c, child) is child
+    assert _holds(child.facts.valid, c) and _holds(child.facts.normal, c)
 
 
 def test_from_system_thaws_as_squares_are_read(hexagon,
@@ -1065,15 +1079,15 @@ def test_fault_outside_the_surgery_of_an_unchecked_parent_is_reported():
     fault = f"square {far}: negative loop count"
     assert validate_sutures(c, bad).problems == (fault,)
     child = bypass_surgery(c, bad, edge, t, "up")
-    assert far not in _rewritten_on(c, child)
-    assert _rewritten_on(c, child, parent_valid=True) is None
+    assert far not in child.facts.normal[1]
+    assert child.facts.valid is None
     assert validate_sutures(c, child).problems == (fault,)
     # a valid parent on an equal complex that is another object: the child
     # is checked whole on c
     twin = SquareComplex(c.square_count, c.gluings, c.slack)
     require_valid_pair(twin, good)
     child = bypass_surgery(twin, good, edge, t, "up")
-    assert _rewritten_on(c, child) is None
+    assert child.facts.valid[0] is twin and child.facts.normal[0] is twin
     assert validate_sutures(c, child).ok
 
 
@@ -1160,18 +1174,18 @@ def test_validity_mark_names_one_complex_object(monkeypatch,
     valid = _count_calls(monkeypatch, sutures, "validate_sutures")
     for _ in range(3):
         require_valid_pair(HEXAGON, g)
-    assert valid[0] == 1 and g.__dict__["_valid_on"] is HEXAGON
+    assert valid[0] == 1 and _holds(g.facts.valid, HEXAGON)
     # an equal complex that is another object gets the full check
     assert twin == HEXAGON and twin is not HEXAGON
     require_valid_pair(twin, g)
-    assert valid[0] == 2 and g.__dict__["_valid_on"] is twin
+    assert valid[0] == 2 and _holds(g.facts.valid, twin)
     # so does one on which g is invalid, at every guard, and the mark stays
     for guard in (require_valid_pair, euler_class, is_trivial, regions):
         with pytest.raises(ValueError,
                            match=r"boundary side \(0, 0\) meets 3 points"):
             guard(elsewhere, g)
-    assert valid[0] == 6 and g.__dict__["_valid_on"] is twin
-    # validate_sutures itself always checks in full
+    assert valid[0] == 6 and _holds(g.facts.valid, twin)
+    # validate_sutures itself is always called
     assert sutures.validate_sutures(twin, g).ok and valid[0] == 7
 
 
@@ -1181,7 +1195,7 @@ def test_invalid_system_is_checked_every_time(monkeypatch):
         for guard in (require_valid_pair, euler_class, require_valid_pair):
             with pytest.raises(ValueError, match="invalid curve system"):
                 guard(c, g)
-        assert "_valid_on" not in g.__dict__, name
+        assert g.facts.valid is None, name
     assert valid[0] == 3 * len(MALFORMED)
 
 
@@ -1216,13 +1230,15 @@ def walked_surgeries(random_pairs):
 
 
 def _walked_from_rewritten(c, g):
-    return _rewritten_on(c, g, parent_valid=True, parent_open=True) is not None
+    fact = g.facts.open
+    return fact is not None and fact[0] is c and bool(fact[1])
 
 
 def test_closed_strands_of_children_against_full_search(surgery_corpus,
                                                         walked_surgeries):
     pool = {}
-    for c, (*_, child) in surgery_corpus["pool"]:
+    for c, surgery in surgery_corpus["pool"]:
+        child = bypass_surgery(c, *surgery[:4])
         local = _walked_from_rewritten(c, child)
         full = _closed_components_oracle(c, child)
         assert closed_components(c, child) == full == []
@@ -1232,15 +1248,16 @@ def test_closed_strands_of_children_against_full_search(surgery_corpus,
     assert pool == {True: 70 * 70 - 2 * 70, False: 2 * 70}
 
     answers = {}
-    for c, *_, child in walked_surgeries:
+    for c, *surgery, _ in walked_surgeries:
+        child = bypass_surgery(c, *surgery)
         if child.total_loops():
             continue
         local = _walked_from_rewritten(c, child)
+        rewritten = set(child.facts.normal[1])
         fast = closed_components(c, child)
         full = _closed_components_oracle(c, child)
         assert _canonical_components(fast) == _canonical_components(full)
         if local:
-            rewritten = set(_rewritten_on(c, child))
             assert all(any(sq in rewritten for sq, _ in comp)
                        for comp in full)
         answers[local, bool(full)] = answers.get((local, bool(full)), 0) + 1
@@ -1251,11 +1268,11 @@ def test_closed_strands_of_children_against_full_search(surgery_corpus,
 
 
 def _record_without_squares(child):
-    """A twin of child whose surgery record names no rewritten square: a
-    walk that trusts the record starts at no endpoint."""
+    """A twin of child whose open fact, if it has one, names no square: a
+    walk that trusts the fact starts at no endpoint."""
     twin = CurveSystem(child.chords, child.loops)
-    made = child.__dict__["_rewritten"]
-    twin.__dict__["_rewritten"] = (made[0], ()) + made[2:]
+    if child.facts.open is not None:
+        twin.facts.open = (child.facts.open[0], ())
     return twin
 
 
@@ -1267,8 +1284,9 @@ def test_closed_walk_trusts_only_a_parent_found_open_on_that_complex(
         walked_surgeries):
     c, parent, edge, t, direction, child = next(
         case for case in walked_surgeries
-        if _walked_from_rewritten(case[0], case[-1])
+        if _walked_from_rewritten(case[0], bypass_surgery(*case[:5]))
         and _closed_components_oracle(case[0], case[-1]))
+    child = bypass_surgery(c, parent, edge, t, direction)
     full = _canonical_components(_closed_components_oracle(c, child))
     assert _comps(c, child) == full
     # the walk starts only at the squares the record names
@@ -1289,7 +1307,7 @@ def test_closed_walk_trusts_only_a_parent_found_open_on_that_complex(
     twin = SquareComplex(c.square_count, c.gluings, c.slack)
     assert twin == c and twin is not c
     assert closed_components(twin, fresh) == []
-    assert fresh.__dict__["_open_on"] is twin
+    assert _holds(fresh.facts.open, twin)
     again = cut(fresh)
     assert not _walked_from_rewritten(c, again)
     assert _comps(c, _record_without_squares(again)) == full
@@ -1302,13 +1320,14 @@ def test_closed_walk_trusts_only_a_parent_found_open_on_that_complex(
 
 def test_closed_walk_of_a_parent_with_closed_strands_is_full(
         walked_surgeries):
-    c, parent, *_, child = next(
+    c, parent, *surgery, child = next(
         case for case in walked_surgeries
         if not case[-1].total_loops()
         and _closed_components_oracle(case[0], case[1])
         and _closed_components_oracle(case[0], case[-1]))
     assert closed_components(c, parent)
-    assert "_open_on" not in parent.__dict__
+    assert not _holds(parent.facts.open, c)
+    child = bypass_surgery(c, parent, *surgery)
     assert not _walked_from_rewritten(c, child)
     full = _canonical_components(_closed_components_oracle(c, child))
     assert _comps(c, _record_without_squares(child)) == full
@@ -1328,4 +1347,100 @@ def test_closed_walk_keeps_no_parent():
     del parent
     assert ref() is None
     assert closed_components(c, child) == _closed_components_oracle(c, child)
-    assert child.__dict__["_open_on"] is c
+    assert _holds(child.facts.open, c)
+
+
+# ---------------------------------------------------------------------------
+# one record of facts, one path per check: a fact names the squares its
+# check still reads
+
+
+class _Watched(tuple):
+    """A system's per-square chords that note each square read."""
+
+    def __new__(cls, chords):
+        out = super().__new__(cls, chords)
+        out.read = set()
+        return out
+
+    def __getitem__(self, sq):
+        self.read.add(sq)
+        return tuple.__getitem__(self, sq)
+
+
+def _watched(g):
+    return CurveSystem(_Watched(g.chords), g.loops)
+
+
+FACT_CHECKS = {
+    "valid": lambda c, g: validate_sutures(c, g).ok,
+    "normal": lambda c, g: normalize(c, g) is g,
+    "open": lambda c, g: closed_components(c, g) == [],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACT_CHECKS))
+def test_each_check_reads_what_its_fact_leaves(name):
+    check = FACT_CHECKS[name]
+    n = 16
+    c = disc_complex(n)
+    every = set(range(c.square_count))
+    twin = SquareComplex(c.square_count, c.gluings, c.slack)
+    g = _watched(matching_system(n, POOL_MATCHINGS[n]))
+    assert getattr(g.facts, name) is None
+    # no fact: every square, then the fact holds on c
+    assert check(c, g) and g.chords.read == every
+    assert _holds(getattr(g.facts, name), c)
+    # a complete fact on c: no square
+    g.chords.read.clear()
+    assert check(c, g) and g.chords.read == set()
+    # a fact naming an equal complex that is another object: every square
+    g = _watched(g)
+    setattr(g.facts, name, (twin, ()))
+    assert check(c, g) and g.chords.read == every
+    assert _holds(getattr(g.facts, name), c)
+    # a fact naming squares on c: those squares (a walk may go on into
+    # others)
+    g = _watched(g)
+    setattr(g.facts, name, (c, (3, 7)))
+    assert check(c, g)
+    if name == "open":
+        assert {3, 7} <= g.chords.read
+    else:
+        assert g.chords.read == {3, 7}
+
+
+def test_forged_fact_still_finds_what_its_squares_hold(hexagon):
+    # normalize: a bigon in a square the fact names is removed; one in a
+    # square it leaves is trusted away
+    for c, g in itertools.islice(_finger_pairs(), 40):
+        want = normalize_oracle(c, g)
+        bigons = {sq for sq in range(c.square_count)
+                  if g.chords[sq] != want.chords[sq]}
+        for squares in (tuple(sorted(bigons)), ()):
+            forged = CurveSystem(g.chords, g.loops)
+            forged.facts.normal = (c, squares)
+            assert (normalize(c, forged) == want) is bool(squares)
+    # closed_components: a circle through a square the fact names is found
+    edge = ((0, 0), (1, 1))
+    g = _with_circle(hexagon, basic_system(hexagon, 1), edge)
+    full = _closed_components_oracle(hexagon, g)
+    assert len(full) == 1
+    for squares, found in (((0,), full), ((1,), full), ((), [])):
+        forged = CurveSystem(g.chords, g.loops)
+        forged.facts.open = (hexagon, squares)
+        assert closed_components(hexagon, forged) == found
+
+
+def test_facts_leave_equality_and_output_alone(hexagon,
+                                               hexagon_superposition):
+    g = hexagon_superposition
+    text, shown = formats.emit_sutures(g), repr(g)
+    require_valid_pair(hexagon, g)
+    normalize(hexagon, g)
+    closed_components(hexagon, g)
+    twin = CurveSystem(g.chords, g.loops)
+    assert g == twin and hash(g) == hash(twin) and twin.facts.valid is None
+    assert formats.emit_sutures(g) == text and repr(g) == shown
+    # a parsed system carries no facts
+    assert formats.parse_sutures(text, 2).facts.valid is None

@@ -142,7 +142,7 @@ def test_cli_render(tmp_path, hexagon):
 
 
 @pytest.mark.parametrize("doc, where", [
-    ({"loops": {"x": 1}}, "sutures.loops: bad square key 'x'"),
+    ({"loops": {"x": 1}}, 'sutures.loops: bad square key "x"'),
     ({"loops": [1]}, "sutures.loops: expected an object"),
     ({"chords": [1]}, "sutures.chords: expected an object"),
 ])
@@ -308,10 +308,10 @@ def test_cli_surface_rejects_booleans(tmp_path, capsys, doc, where):
      "sutures.chords[0][0]: bad endpoint"),
     ('{"chords": {"0": [[[0, 0], [1, false]]]}}',
      "sutures.chords[0][0]: bad endpoint"),
-    ('{"loops": {"00": 1}}', "sutures.loops: bad square key '00'"),
-    ('{"chords": {"1_0": []}}', "sutures.chords: bad square key '1_0'"),
-    ('{"chords": {" 1": []}}', "sutures.chords: bad square key ' 1'"),
-    ('{"loops": {"+1": 1}}', "sutures.loops: bad square key '+1'"),
+    ('{"loops": {"00": 1}}', 'sutures.loops: bad square key "00"'),
+    ('{"chords": {"1_0": []}}', 'sutures.chords: bad square key "1_0"'),
+    ('{"chords": {" 1": []}}', 'sutures.chords: bad square key " 1"'),
+    ('{"loops": {"+1": 1}}', 'sutures.loops: bad square key "+1"'),
     ('{"loops": {"0": 1, "0": 2}}', "sutures.loops: square 0 named twice"),
     ('{"chords": {"1": [], "0": [], "1": []}}',
      "sutures.chords: square 1 named twice"),
@@ -362,3 +362,69 @@ def test_python_dash_m_sqft_is_the_cli(capsys):
     bad = subprocess.run([sys.executable, "-m", "sqft", "census", "disc",
                           "--n", "8"], capture_output=True, text=True)
     assert bad.returncode == 2 and "Traceback" not in bad.stderr
+
+
+def _cli_error(tmp_path, capsys, command, documents):
+    """Run `sqft command` on the documents, written as given, and return
+    its error line; it must exit 1 without a traceback."""
+    paths = []
+    for i, text in enumerate(documents):
+        path = tmp_path / f"doc{i}.json"
+        path.write_text(text)
+        paths.append(str(path))
+    assert main([command] + paths) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
+HEXAGON_TEXT = json.dumps(HEXAGON_DOC)
+
+
+@pytest.mark.parametrize("command, documents, where", [
+    ("info", ['{"squares": 1, "squares": 2, "gluings": []}'],
+     'surface: key "squares" named twice'),
+    ("info", ['{"squares": 2, "gluings": [], "gluings": []}'],
+     'surface: key "gluings" named twice'),
+    ("validate", [HEXAGON_TEXT, '{"chords": {}, "chords": {}}'],
+     'sutures: key "chords" named twice'),
+    ("validate", [HEXAGON_TEXT, '{"chords": {}, "loops": {}, "loops": {}}'],
+     'sutures: key "loops" named twice'),
+    ("apply", ['{"source": {"squares": 1}, '
+               '"moves": [{"create": "+", "create": "-"}]}'],
+     'script.moves[0]: key "create" named twice'),
+    ("apply", ['{"source": {"squares": 1}, "moves": [], "moves": []}'],
+     'script: key "moves" named twice'),
+    ("apply", ['{"source": {"squares": 1, "slack": false, "slack": true}}'],
+     'surface: key "slack" named twice'),
+], ids=["surface squares", "surface gluings", "sutures chords",
+        "sutures loops", "script move", "script moves", "script source"])
+def test_cli_rejects_repeated_keys(tmp_path, capsys, command, documents,
+                                   where):
+    assert f"error: {where}" in _cli_error(tmp_path, capsys, command,
+                                           documents)
+
+
+def test_unrepeated_documents_still_parse(hexagon):
+    assert formats.parse_surface(HEXAGON_TEXT) == hexagon
+    script = formats.parse_script(
+        '{"source": {"squares": 1}, "moves": [{"create": "-"}]}')
+    assert script.moves == (CreateSquare(-1),)
+
+
+@pytest.mark.parametrize("command, documents, where", [
+    ("info", ['{"squares": 2, "gluings": [[[true, 1], [0, 3]]]}'],
+     "surface.gluings[0][0]: expected [square, side], got [true, 1]"),
+    ("validate", [HEXAGON_TEXT, '{"chords": {"0": [[[0, 0], [1, null]]]}}'],
+     "sutures.chords[0][0]: bad endpoint [1, null]"),
+    ("validate", [HEXAGON_TEXT, '{"loops": {"00": 1}}'],
+     'sutures.loops: bad square key "00"'),
+    ("apply", ['{"source": {"squares": 1}, "moves": [{"foo": 1}]}'],
+     'script.moves[0]: unknown move "foo"'),
+    ("apply", ['{"source": {"squares": 1}, "moves": [{"create": 1}]}'],
+     'script.moves[0].create: expected "+" or "-"'),
+], ids=["slot", "endpoint", "square key", "move", "create"])
+def test_cli_parse_errors_quote_json(tmp_path, capsys, command, documents,
+                                     where):
+    assert f"error: {where}\n" in _cli_error(tmp_path, capsys, command,
+                                             documents)

@@ -1,15 +1,13 @@
 import pytest
 
-from sqft.regions import (
-    confining_oracle, euler_class, is_confining, is_trivial, regions,
-)
+from sqft.regions import euler_class, is_confining, is_trivial, regions
 from sqft.surface import SquareComplex
 from sqft.sutures import (
     CurveSystem, Diagram, basic_square_chords, basic_system, bypass_surgery,
     bypass_triples, finger_push, normalize, transport_glue, validate_sutures,
 )
 from disc_config import disc_externals, set_disc_config
-from helpers import transport_unglue
+from helpers import confining_oracle, transport_unglue
 
 EDGE = ((0, 0), (1, 1))
 

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 from sqft.tensor import (
     Z2Tensor, annihilate_op, apply_annihilate, apply_create, apply_op,
-    block_power, compose, create_op, gf2_rank, grading, identity_map,
-    is_homogeneous, slide_map,
+    compose, create_op, gf2_rank, grading, identity_map, is_homogeneous,
+    slide_map,
 )
 from sqft._derived import SLIDE_BLOCK
+from helpers import block_power
 
 
 def words(arity, max_terms=4):
