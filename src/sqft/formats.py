@@ -91,27 +91,29 @@ def emit_surface(c: SquareComplex) -> str:
     return json.dumps(surface_to_obj(c), indent=2) + "\n"
 
 
-def surface_from_obj(obj: Any) -> SquareComplex:
+def surface_from_obj(obj: Any, path: str = "surface") -> SquareComplex:
+    """The complex a surface document describes; errors name fields under
+    `path`, the document's place in the file."""
     if not isinstance(obj, dict):
-        _fail("surface: expected an object")
-    _keys_once(obj, "surface")
+        _fail(f"{path}: expected an object")
+    _keys_once(obj, path)
     if "squares" not in obj or type(obj["squares"]) is not int:
-        _fail("surface.squares: expected an integer")
+        _fail(f"{path}.squares: expected an integer")
     squares = obj["squares"]
     if squares < 0:
-        _fail("surface.squares: negative")
+        _fail(f"{path}.squares: negative")
     slack = obj.get("slack", False)
     if not isinstance(slack, bool):
-        _fail("surface.slack: expected a boolean")
+        _fail(f"{path}.slack: expected a boolean")
     gluings = []
     raw = obj.get("gluings", [])
     if not isinstance(raw, list):
-        _fail("surface.gluings: expected a list")
+        _fail(f"{path}.gluings: expected a list")
     for i, pair in enumerate(raw):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            _fail(f"surface.gluings[{i}]: expected a pair of slots")
-        a = _check_slot(pair[0], f"surface.gluings[{i}][0]", squares)
-        b = _check_slot(pair[1], f"surface.gluings[{i}][1]", squares)
+            _fail(f"{path}.gluings[{i}]: expected a pair of slots")
+        a = _check_slot(pair[0], f"{path}.gluings[{i}][0]", squares)
+        b = _check_slot(pair[1], f"{path}.gluings[{i}][1]", squares)
         gluings.append((a, b))
     return SquareComplex.build(squares, gluings, slack=slack)
 
@@ -224,7 +226,7 @@ def script_from_obj(obj: Any) -> MorphismScript:
     if not isinstance(obj, dict) or "source" not in obj:
         _fail("script: expected an object with a source surface")
     _keys_once(obj, "script")
-    source = surface_from_obj(obj["source"])
+    source = surface_from_obj(obj["source"], "script.source")
     moves: list[Move] = []
     raw = obj.get("moves", [])
     if not isinstance(raw, list):

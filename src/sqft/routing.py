@@ -5,19 +5,22 @@ the other diagonal of their hexagonal union) and the slack square collapse
 (a square is squeezed onto two of its sides, its chords re-routed around the
 surviving vertex). Both reduce to planar bookkeeping: strands in a disc are
 determined up to isotopy by their boundary endpoints, so crossings with any
-new cut are forced, including their order along the cut.
+new cut are forced, including their order along the cut. Both, like the
+bypass in sutures.py, join the arcs that meet at the points they drop end to
+end with one helper, sutures._splice, and keep the closed curves it counts
+as loops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Optional
+from typing import Hashable
 
 from .quad import CollapseRecord, slide_slot_map
 from .surface import (
     GluingPair, Slot, SquareComplex, UnsupportedConfiguration, _norm_pair,
 )
-from .sutures import CurveSystem, Diagram
+from .sutures import CurveSystem, Diagram, _splice
 
 
 # ---------------------------------------------------------------------------
@@ -160,58 +163,22 @@ def slide_sutures(c: SquareComplex, g: CurveSystem, edge: GluingPair | tuple,
             ids[(slot[0], slot[1], pos)] = counter
             counter += 1
 
-    # strands: chords joined across the old diagonal
-    mate: dict[int, int] = {}
-    for sq in (p_sq, q_sq):
-        for a, b in g.chords[sq]:
-            u, v = ids[(sq, *a)], ids[(sq, *b)]
-            mate[u] = v
-            mate[v] = u
+    # strands: the two squares' chords joined through the old diagonal
     m = g.side_count(pair[0])
-    jump: dict[int, int] = {}
-    for pos in range(m):
-        u = ids[(pair[0][0], pair[0][1], pos)]
-        v = ids[(pair[1][0], pair[1][1], m - 1 - pos)]
-        jump[u] = v
-        jump[v] = u
-
-    diag_pts = {ids[(slot[0], slot[1], pos)]
-                for slot in pair for pos in range(m)}
+    diagonal = [(ids[(*pair[0], pos)], ids[(*pair[1], m - 1 - pos)])
+                for pos in range(m)]
+    links = diagonal + [(ids[(sq, *a)], ids[(sq, *b)])
+                        for sq in (p_sq, q_sq) for a, b in g.chords[sq]]
+    paths, loops_extra = _splice(links, {u for ends in diagonal for u in ends})
     strands: dict[int, int] = {}
-    loops_extra = 0
-    seen: set[int] = set()
-    for start in list(mate):
-        if start in seen or start in diag_pts:
-            continue
-        cur = mate[start]
-        seen.add(start)
-        while cur in diag_pts:
-            seen.add(cur)
-            cur = jump[cur]
-            seen.add(cur)
-            cur = mate[cur]
-        seen.add(cur)
-        strands[start] = cur
-        strands[cur] = start
-    for pt in diag_pts:              # closed strands through the diagonal only
-        if pt in seen:
-            continue
-        cur = pt
-        while cur not in seen:
-            seen.add(cur)
-            nxt = jump[mate[cur]] if mate[cur] in diag_pts else None
-            if nxt is None:
-                raise AssertionError("open strand in closed trace")
-            seen.add(mate[cur])
-            cur = nxt
-        loops_extra += 1
+    for u, v in paths:
+        strands[u] = v
+        strands[v] = u
 
     if direction == "ccw":
         arc = (1, 4, (p_sq, p), (q_sq, q))
-    elif direction == "cw":
-        arc = (2, 5, (q_sq, q), (p_sq, p))
     else:
-        raise ValueError("direction must be 'ccw' or 'cw'")
+        arc = (2, 5, (q_sq, q), (p_sq, p))
     cells = split_disc(sides, strands, [arc], counter)
 
     chords: dict[int, list] = {s: list(g.chords[s]) for s in range(g.square_count)}
@@ -288,37 +255,18 @@ def _collapse_degenerate(c: SquareComplex, d: Diagram, rec: CollapseRecord) -> N
         raise AssertionError("degenerate collapse expects a self-glued pair")
     t1, t2 = c.partner(b1), c.partner(b2)
 
+    # the self-gluing pairs, then the square's chords, those at b-side
+    # points first in b1-then-b2 order, so each strand starts at its first
+    # b-side point
     la1, la2 = d.order[a1], d.order[a2]
-    m = len(la1)
-    jump = {}
-    for i in range(m):
-        jump[la1[i]] = la2[m - 1 - i]
-        jump[la2[m - 1 - i]] = la1[i]
-
-    b_points = set(d.order[b1]) | set(d.order[b2])
-    strands: list[tuple[int, int]] = []
-    cycles = 0
+    links = list(zip(la1, reversed(la2)))
     seen: set[int] = set()
-    for start in list(d.order[b1]) + list(d.order[b2]):
-        if start in seen:
-            continue
-        seen.add(start)
-        cur = d.mate[start]
-        while cur not in b_points:
-            seen.add(cur)
-            cur = jump[cur]
-            seen.add(cur)
-            cur = d.mate[cur]
-        seen.add(cur)
-        strands.append((start, cur))
-    for pid in la1 + la2:
+    for pid in d.order[b1] + d.order[b2] + la1 + la2:
         if pid not in seen:
-            cur = pid
-            while cur not in seen:
-                seen.add(cur)
-                seen.add(d.mate[cur])
-                cur = jump[d.mate[cur]]
-            cycles += 1
+            q = d.mate[pid]
+            seen.update((pid, q))
+            links.append((pid, q))
+    strands, cycles = _splice(links, set(la1 + la2))
 
     host = None
     for t in (t1, t2):
@@ -494,52 +442,14 @@ def _collapse_generic(c: SquareComplex, d: Diagram, rec: CollapseRecord) -> None
         for i in range(0, len(chain), 2):
             proposed.append((chain[i], chain[i + 1]))
 
-    # stitch through the dying stubs' own chords (each chord linked once,
-    # even when it joins two dying stubs)
-    dying_set = set(dying)
-    links: list[tuple[int, int]] = list(proposed)
-    seen_old: set[frozenset[int]] = set()
+    # stitch through the dying stubs' own chords, each once even when it
+    # joins two dying stubs
+    links = proposed + [(s, d.disconnect(s)) for s in dying if s in d.mate]
     for s in dying:
-        key = frozenset((s, d.mate[s]))
-        if key not in seen_old:
-            seen_old.add(key)
-            links.append((s, d.mate[s]))
-    incid: dict[int, list[int]] = {}
-    for ei, (x, y) in enumerate(links):
-        incid.setdefault(x, []).append(ei)
-        incid.setdefault(y, []).append(ei)
-    for s in dying:
-        if s in d.mate:
-            d.disconnect(s)
         del d.square_of[s]
-    used = [False] * len(links)
-
-    def follow(node: int, ei: int) -> Optional[int]:
-        while True:
-            used[ei] = True
-            x, y = links[ei]
-            node = y if node == x else x
-            if node not in dying_set:
-                return node
-            remaining = [e for e in incid[node] if not used[e]]
-            if not remaining:
-                return None              # closed back up: a cycle
-            ei = remaining[0]
-
-    for node, es in incid.items():
-        if node in dying_set:
-            continue
-        for ei in es:
-            if not used[ei]:
-                other = follow(node, ei)
-                if other is None:
-                    raise AssertionError("open strand closed on itself")
-                d.connect(node, other)
-    for ei in range(len(links)):
-        if not used[ei]:                 # cycle through dying stubs only
-            follow(links[ei][0], ei)
-            d.loops[wedge[0][0]] += 1
-
-    d.loops[wedge[0][0]] += d.loops[w]
+    paths, cycles = _splice(links, set(dying))
+    for p, q in paths:
+        d.connect(p, q)
+    d.loops[wedge[0][0]] += cycles + d.loops[w]
     d.loops[w] = 0
     _consume_square(d, w)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .surface import (
     GluingPair, Slot, SquareComplex, ValidationReport, _norm_pair,
@@ -612,82 +612,78 @@ def _surgery_raw(c: SquareComplex, d: Diagram, edge: GluingPair,
 
     aB, aM, aT = la[t], la[t + 1], la[t + 2]
     bB, bM, bT = lb[m - 1 - t], lb[m - 2 - t], lb[m - 3 - t]
-    stubs = [aB, aM, aT, bB, bM, bT]
+    stubs = (aB, aM, aT, bB, bM, bT)
     if direction == "up":
         cross, short1, short2 = (aB, bT), (aM, aT), (bB, bM)
     else:
         cross, short1, short2 = (aT, bB), (aM, aB), (bM, bT)
 
-    # old chords at the stubs (deduped; a chord may join two stubs when the
-    # edge self-glues one square)
-    old_edges: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    for s in stubs:
-        if s in seen:
-            continue
-        w = d.mate[s]
-        seen.add(s)
-        if w in stubs:
-            seen.add(w)
-        old_edges.append((s, w))
-    for u, _ in old_edges:
-        d.disconnect(u)
-
-    links: list[tuple[int, int, bool]] = [(u, v, False) for u, v in old_edges]
-    links.append((cross[0], cross[1], True))
-    links.append((short1[0], short1[1], False))
-    links.append((short2[0], short2[1], False))
-    incid: dict[int, list[int]] = {}
-    for ei, (u, v, _) in enumerate(links):
-        incid.setdefault(u, []).append(ei)
-        incid.setdefault(v, []).append(ei)
-
-    for pid in stubs:
-        d.drop_point(slot_a if pid in la else slot_b, pid)
+    # the old chords at the stubs, each once even when it joins two stubs
+    # (the edge self-glues one square)
+    links = [(s, d.disconnect(s)) for s in stubs if s in d.mate]
+    for pid in stubs[:3]:
+        d.drop_point(slot_a, pid)
+    for pid in stubs[3:]:
+        d.drop_point(slot_b, pid)
     new_a = d.insert(slot_a, t)
     new_b = d.insert(slot_b, m - 3 - t)
+    # the crossing link is cut where it meets the edge, so a strand that
+    # crosses ends at the new points, one path on each side
+    links += [(cross[0], new_a), (new_b, cross[1]), short1, short2]
+    paths, cycles = _splice(links, set(stubs))
+    for p, q in paths:
+        d.connect(p, q)
+    d.loops[slot_a[0]] += cycles
 
+
+def _splice(links: Sequence[tuple[int, int]],
+            inner: Collection[int]) -> tuple[list[tuple[int, int]], int]:
+    """Join the point pairs `links` end to end through the points of `inner`.
+
+    Every move that re-routes sutures does this: sutures in a disc are fixed
+    up to isotopy by their endpoints, so the arcs that meet at the points a
+    move drops join end to end, and the closed curves that leaves are
+    counted. Each inner point must end exactly two links (AssertionError
+    otherwise); every other point is outer and ends one.
+
+    Returns the (start, end) outer points of each path and the number of
+    closed paths, which are made only of inner points. A path starts at the
+    first outer point of the first link that ends at one of its outer
+    points, and the paths come in the order of those links.
+    """
+    ends: dict[int, list[int]] = {}
+    for i, (u, v) in enumerate(links):
+        ends.setdefault(u, []).append(i)
+        ends.setdefault(v, []).append(i)
+    for p in inner:
+        if len(ends.get(p, ())) != 2:
+            raise AssertionError(
+                f"point {p} ends {len(ends.get(p, ()))} links, wants 2")
     used = [False] * len(links)
-    a_stubs = {aB, aM, aT}
 
-    def walk(node: int, ei: int) -> tuple[list[int], int]:
-        """Follow unused links from node; returns (chain, cross position)."""
-        chain = [node]
-        cross_pos = -1
-        while True:
-            used[ei] = True
-            u, v, is_cross = links[ei]
-            if is_cross:
-                cross_pos = len(chain) - 1
+    def walk(node: int, i: int) -> int:
+        # from node along link i, until an outer point or a used link
+        while not used[i]:
+            used[i] = True
+            u, v = links[i]
             node = v if node == u else u
-            chain.append(node)
-            remaining = [e for e in incid.get(node, ()) if not used[e]]
-            if not remaining:
-                return chain, cross_pos
-            ei = remaining[0]
+            if node not in inner:
+                break
+            a, b = ends[node]
+            i = b if i == a else a
+        return node
 
-    for x, incident in incid.items():
-        if len(incident) != 1 or used[incident[0]]:
-            continue
-        chain, cross_pos = walk(x, incident[0])
-        y = chain[-1]
-        if cross_pos < 0:
-            d.connect(x, y)
-        else:
-            # the path enters the edge crossing from the A side or the B side
-            enters_from_a = chain[cross_pos] in a_stubs
-            d.connect(x, new_a if enters_from_a else new_b)
-            d.connect(new_b if enters_from_a else new_a, y)
-    for ei, (u, _, _) in enumerate(links):
-        if used[ei]:
-            continue
-        chain, cross_pos = walk(u, ei)        # a closed all-stub component
-        if cross_pos >= 0:
-            if slot_a[0] != slot_b[0]:
-                raise AssertionError("closed crossing strand needs one square")
-            d.connect(new_a, new_b)
-        else:
-            d.loops[slot_a[0]] += 1
+    paths = []
+    for i, (u, v) in enumerate(links):
+        if not used[i] and (u not in inner or v not in inner):
+            start = u if u not in inner else v
+            paths.append((start, walk(start, i)))
+    cycles = 0
+    for i, (u, _) in enumerate(links):
+        if not used[i]:
+            walk(u, i)
+            cycles += 1
+    return paths, cycles
 
 
 def bypass_triples(c: SquareComplex, g: CurveSystem) -> list[tuple[GluingPair, int]]:

@@ -1,7 +1,10 @@
 """Smoke runs of the benchmark: its per-layer table agrees with the exact
 work of the recursion (one normalization and one triviality test per node)
-and of a script (one compile per op)."""
+and of a script (one compile per op); and the names the bench reaches in
+the engine still exist."""
 
+import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -49,3 +52,19 @@ def test_committed_bench_records_are_json():
     assert len(records) >= 7
     for path in records:
         assert isinstance(json.loads(path.read_text()), dict), path.name
+
+
+def test_names_the_bench_reaches_exist():
+    # LAYERS is read from the source, so the check imports nothing from
+    # bench/ and runs no workload
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["LAYERS"])
+    for module, functions in layers.items():
+        mod = importlib.import_module(f"sqft.{module}")
+        for fn in functions:
+            assert callable(getattr(mod, fn, None)), f"{module}.{fn}"
+    # bench/workloads.py screens faults by this frame name
+    routing = importlib.import_module("sqft.routing")
+    assert callable(getattr(routing, "_collapse_degenerate", None))

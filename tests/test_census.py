@@ -103,6 +103,37 @@ def test_route_representative_matches_elements():
     assert elements == {"0", "1"}
 
 
+def _dominated(u, v, arity):
+    """Whether every prefix of word u, factor 0 first, holds no more 1s than
+    the same prefix of word v."""
+    ones_u = ones_v = 0
+    for i in range(arity):
+        ones_u += (u >> i) & 1
+        ones_v += (v >> i) & 1
+        if ones_u > ones_v:
+            return False
+    return True
+
+
+def test_census_elements_have_dominance_extremes():
+    """In the prefix-count order on words of equal weight, each census
+    element has exactly one least and one greatest word."""
+    checked = 0
+    for n in range(3, 8):
+        c = disc_complex(n)
+        for g in enumerate_disc_sutures(n):
+            el = suture_element(c, g)
+            words = el.words
+            assert len({bin(w).count("1") for w in words}) == 1
+            least = [u for u in words
+                     if all(_dominated(u, v, el.arity) for v in words)]
+            greatest = [u for u in words
+                        if all(_dominated(v, u, el.arity) for v in words)]
+            assert len(least) == len(greatest) == 1
+            checked += 1
+    assert checked == 622
+
+
 def test_hugging_system_extremal(annulus, punctured_torus):
     for c in (annulus, punctured_torus):
         inv = invariants(c)

@@ -28,6 +28,8 @@ Fast paths and their oracles:
   chi_plus - chi_minus of the region decomposition (`regions`).
 - `require_valid_pair` trusts a system validate_sutures found valid on the
   same complex object; every other pair gets the full check.
+- `sutures._splice`, the strand join of every re-routing move, is one walk
+  over the links; the oracle is a union-find over the same links.
 """
 
 import itertools
@@ -38,6 +40,8 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sqft import engine, formats, quad, surface, sutures
 from sqft.census import (
@@ -1444,3 +1448,80 @@ def test_facts_leave_equality_and_output_alone(hexagon,
     assert formats.emit_sutures(g) == text and repr(g) == shown
     # a parsed system carries no facts
     assert formats.parse_sutures(text, 2).facts.valid is None
+
+
+# ---------------------------------------------------------------------------
+# the strand splice against a union-find over its links
+
+
+@st.composite
+def splice_inputs(draw):
+    """Links that form paths (outer ends, inner points between) and cycles
+    (inner points only), with shuffled labels, orientations and order."""
+    paths = draw(st.lists(st.integers(0, 4), max_size=6))   # inner points
+    cycles = draw(st.lists(st.integers(1, 4), max_size=4))  # points
+    labels = iter(draw(st.permutations(
+        range(sum(k + 2 for k in paths) + sum(cycles)))))
+    links, inner = [], set()
+    for k in paths:
+        strand = [next(labels) for _ in range(k + 2)]
+        inner.update(strand[1:-1])
+        links.extend(zip(strand, strand[1:]))
+    for k in cycles:
+        ring = [next(labels) for _ in range(k)]
+        inner.update(ring)
+        links.extend(zip(ring, ring[1:] + ring[:1]))
+    flips = draw(st.lists(st.booleans(), min_size=len(links),
+                          max_size=len(links)))
+    links = [(v, u) if flip else (u, v) for (u, v), flip in zip(links, flips)]
+    order = draw(st.permutations(range(len(links))))
+    return [links[i] for i in order], inner
+
+
+def _splice_oracle(links, inner):
+    """[index of the first link with an outer point or None, the outer
+    points] for each connected component of the links, the components with
+    outer points in the order of those links."""
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    for u, v in links:
+        parent[find(u)] = find(v)
+    comps = {}
+    for i, (u, v) in enumerate(links):
+        comp = comps.setdefault(find(u), [None, set()])
+        outer = {u, v} - inner
+        if outer and comp[0] is None:
+            comp[0] = i
+        comp[1].update(outer)
+    return sorted(comps.values(), key=lambda comp: (comp[0] is None,
+                                                    comp[0] or 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(splice_inputs())
+def test_splice_against_union_find(case):
+    links, inner = case
+    paths, cycles = sutures._splice(links, inner)
+    comps = _splice_oracle(links, inner)
+    opened = [(first, outer) for first, outer in comps if outer]
+    assert all(len(outer) == 2 for _, outer in opened)
+    assert cycles == len(comps) - len(opened)
+    assert [set(path) for path in paths] == [outer for _, outer in opened]
+    # a path starts at the first outer point of the link that starts it
+    for (start, _), (first, _) in zip(paths, opened):
+        assert start == next(p for p in links[first] if p not in inner)
+
+
+@settings(max_examples=50, deadline=None)
+@given(splice_inputs())
+def test_splice_rejects_an_inner_point_ending_one_link(case):
+    links, inner = case
+    outer = [p for link in links for p in link if p not in inner]
+    assume(outer)
+    with pytest.raises(AssertionError):
+        sutures._splice(links, inner | {outer[0]})

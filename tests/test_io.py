@@ -396,13 +396,25 @@ HEXAGON_TEXT = json.dumps(HEXAGON_DOC)
     ("apply", ['{"source": {"squares": 1}, "moves": [], "moves": []}'],
      'script: key "moves" named twice'),
     ("apply", ['{"source": {"squares": 1, "slack": false, "slack": true}}'],
-     'surface: key "slack" named twice'),
+     'script.source: key "slack" named twice'),
 ], ids=["surface squares", "surface gluings", "sutures chords",
         "sutures loops", "script move", "script moves", "script source"])
 def test_cli_rejects_repeated_keys(tmp_path, capsys, command, documents,
                                    where):
     assert f"error: {where}" in _cli_error(tmp_path, capsys, command,
                                            documents)
+
+
+@pytest.mark.parametrize("source, where", [
+    ({"squares": True}, "script.source.squares: expected an integer"),
+    ({"squares": 1, "gluings": [[[0, 0], [0, 4]]]},
+     "script.source.gluings[0][1]: side index 4 out of range 0..3"),
+])
+def test_cli_script_source_errors_name_the_script(tmp_path, capsys, source,
+                                                  where):
+    doc = json.dumps({"source": source, "moves": []})
+    assert f"error: {where}\n" in _cli_error(tmp_path, capsys, "apply",
+                                              [doc])
 
 
 def test_unrepeated_documents_still_parse(hexagon):
