@@ -205,10 +205,13 @@ def check_euler(seed: int, cases: int) -> list[str]:
 
 
 def check_naturality(seed: int, cases: int) -> list[str]:
+    # each case extends a random surface of 1-4 squares, so that every
+    # word of its source is a distinct check
     fails = []
     for i in range(cases):
-        script = census.random_surface(seed + i, 6)
-        for bits in range(1 << script.source.square_count):
+        source = compile_script(census.random_surface(seed + i, 4)).target
+        script = census.random_extension(seed + i, source, 8)
+        for bits in range(1 << source.square_count):
             if not naturality_holds(script, bits):
                 fails.append(f"case {i}: naturality fails at word {bits}")
     return fails

@@ -276,33 +276,38 @@ def _compile(script: MorphismScript) -> CompiledScript:
         raise ScriptError("script source must be a valid bona fide complex")
     steps: list[ScriptStep] = []
     for move in script.moves:
-        arity = cur.square_count
-        collapses: list[tuple[SquareComplex, CollapseRecord]] = []
-        if isinstance(move, CreateSquare):
-            if move.sign not in (+1, -1):
-                raise ScriptError("creation sign must be +1 or -1")
-            cur = add_square(cur)
-            ops = (create_op(1 if move.sign > 0 else 0, arity),)
-        else:
-            glued, kind = glue(cur, move.a, move.b)
-            want = {Glue: "standard", Fold: "fold", Zip: "zip"}[type(move)]
-            if kind.kind != want:
-                raise ScriptError(
-                    f"move {move} classifies as {kind.kind}, not {want}")
-            tight = glued
-            for before, rec, tight in collapse_steps(glued):
-                collapses.append((before, rec))
-            # a complex that is already tight is kept, with its caches
-            cur = tight if not tight.slack else SquareComplex(
-                tight.square_count, tight.gluings, slack=False)
-            expected = {Glue: 0, Fold: 1, Zip: 2}[type(move)]
-            if len(collapses) != expected:
-                raise ScriptError(f"move {move} produced {len(collapses)} "
-                                  f"collapses, expected {expected}")
-            ops = tuple(fold_operator(rec, before.square_count)
-                        for before, rec in collapses)
-        steps.append(ScriptStep(move, cur, ops, tuple(collapses)))
+        steps.append(apply_move(cur, move))
+        cur = steps[-1].complex_after
     return CompiledScript(script, tuple(steps))
+
+
+def apply_move(c: SquareComplex, move: Move) -> ScriptStep:
+    """One move on a tight complex, tightened: a gluing must classify as its
+    kind and collapse as many squares as its kind swallows vertices
+    (ScriptError otherwise)."""
+    if isinstance(move, CreateSquare):
+        if move.sign not in (+1, -1):
+            raise ScriptError("creation sign must be +1 or -1")
+        op = create_op(1 if move.sign > 0 else 0, c.square_count)
+        return ScriptStep(move, add_square(c), (op,), ())
+    glued, kind = glue(c, move.a, move.b)
+    want, expected = {Glue: ("standard", 0), Fold: ("fold", 1),
+                      Zip: ("zip", 2)}[type(move)]
+    if kind.kind != want:
+        raise ScriptError(f"move {move} classifies as {kind.kind}, not {want}")
+    collapses: list[tuple[SquareComplex, CollapseRecord]] = []
+    tight = glued
+    for before, rec, tight in collapse_steps(glued):
+        collapses.append((before, rec))
+    if len(collapses) != expected:
+        raise ScriptError(f"move {move} produced {len(collapses)} "
+                          f"collapses, expected {expected}")
+    # a complex that is already tight is kept, with its caches
+    if tight.slack:
+        tight = SquareComplex(tight.square_count, tight.gluings, slack=False)
+    ops = tuple(fold_operator(rec, before.square_count)
+                for before, rec in collapses)
+    return ScriptStep(move, tight, ops, tuple(collapses))
 
 
 @dataclass(frozen=True)
@@ -350,7 +355,8 @@ def apply_script_to_sutures(script: MorphismScript,
     gluing moves carry the curves across the new edge, and each collapse of
     the interleaved tightening re-routes them around the swallowed vertex.
     The complexes are the compiled script's; none is recomputed here, and
-    a script just compiled is not compiled again.
+    a script just compiled is not compiled again. Only the entry pair is
+    checked: each move re-routes sutures in a disc, keeping them valid.
     """
     compiled = compile_script(script)
     require_valid_pair(script.source, g)
@@ -367,7 +373,6 @@ def apply_script_to_sutures(script: MorphismScript,
             g = transport_glue(glued, g, move.a, move.b)
             for before, rec in step.collapses:
                 g = transport_collapse(before, normalize(before, g), rec)
-        require_valid_pair(step.complex_after, g)
     return compiled.target, g
 
 
@@ -390,25 +395,17 @@ def annihilation_as_fold(c: SquareComplex, e1: Slot, e2: Slot, e3: Slot,
     k = c.square_count
     side = 0 if e2[1] % 2 == 1 else 1       # parity opposite to e2
     moves: list[Move] = [CreateSquare(sign), Glue((k, side), e2)]
-
-    # track the two remaining fold targets through the tightening collapses
-    track = {
-        "fold1": (e1, (k, (side + 1) % 4)),
-        "fold2": ((k, (side - 1) % 4), e3),
-    }
-    cur, kind = glue(add_square(c), (k, side), e2)
-    if kind.kind != "standard":
-        raise ValueError("middle edge cannot take a standard gluing")
-    for name in ("fold1", "fold2"):
-        a, b = track[name]
-        cur, kind = glue(cur, a, b)
-        if kind.kind != "fold":
-            raise ValueError(f"{name} does not classify as a fold")
-        moves.append(Fold(a, b))
-        for before, rec, cur in collapse_steps(cur):
+    # the two fold targets, tracked through the tightening collapses
+    folds = [(e1, (k, (side + 1) % 4)), ((k, (side - 1) % 4), e3)]
+    cur = c
+    for i in range(4):
+        if i >= 2:
+            moves.append(Fold(*folds[i - 2]))
+        step = apply_move(cur, moves[i])
+        cur = step.complex_after
+        for before, rec in step.collapses:
             bmap = collapse_boundary_map(before, rec)
-            track = {key: (bmap.get(sa, sa), bmap.get(sb, sb))
-                     for key, (sa, sb) in track.items()}
+            folds = [(bmap.get(a, a), bmap.get(b, b)) for a, b in folds]
     return MorphismScript.build(c, moves)
 
 

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .surface import (
-    Corner, GluingPair, InvalidComplex, Slot, SquareComplex,
-    UnsupportedConfiguration, VertexClass, _norm_pair, _require_valid,
-    remove_square,
+    Corner, GluingPair, InvalidComplex, Slot, SquareComplex, VertexClass,
+    _norm_pair, _require_valid, remove_square,
 )
 
 
@@ -82,15 +81,6 @@ def _fan(c: SquareComplex, start: Corner) -> tuple[tuple[GluingPair, ...], tuple
             raise InvalidComplex("fan walk does not close")
 
 
-def _exotic(c: SquareComplex, sq: int, y_corner: int) -> bool:
-    # a y-side glued to the opposite side of the same square would drag the
-    # target vertex along; such squares are never selected
-    a1 = (sq, (y_corner - 1) % 4)
-    a2 = (sq, y_corner)
-    return (c.partner(a1) == (sq, (y_corner + 2) % 4)
-            or c.partner(a2) == (sq, (y_corner + 1) % 4))
-
-
 def find_collapsible_square(c: SquareComplex, y: VertexClass) -> tuple[int, int, VertexClass]:
     """Locate a square to collapse, searching from the internal vertex y.
 
@@ -98,29 +88,26 @@ def find_collapsible_square(c: SquareComplex, y: VertexClass) -> tuple[int, int,
     over the same-sign diagonal graph; the square found may sit at another
     internal vertex of the same sign, which is then the one collapsed first.
     Expects a valid complex; `collapse_steps` checks it.
+
+    No square found has a side at y glued to its own opposite side: by the
+    gluing rule (see surface), with y at corner (s, c), gluing (s, c - 1) to
+    (s, c + 2) or (s, c) to (s, c + 1) makes corner (s, c + 2) y itself,
+    not a boundary vertex.
     """
     if not y.internal:
         raise ValueError("vertex is not internal")
     cc = c.corner_class
     seen = {y.key}
     queue = [y]
-    candidates: list[tuple[int, int, VertexClass]] = []
     while queue:
         z = queue.pop(0)
         for sq, corner in sorted(z.corners):
             opp = cc[(sq, (corner + 2) % 4)]
             if not opp.internal:
-                candidates.append((sq, corner, opp))
-            elif opp.key not in seen:
+                return sq, corner, opp
+            if opp.key not in seen:
                 seen.add(opp.key)
                 queue.append(opp)
-    for sq, corner, opp in candidates:
-        if not _exotic(c, sq, corner):
-            return sq, corner, opp
-    if candidates:
-        raise UnsupportedConfiguration(
-            "only squares with a y-side glued to their own opposite side "
-            "qualify; collapse transport does not model this configuration")
     raise InvalidComplex("no collapsible square reachable; complex inconsistent")
 
 

@@ -221,12 +221,6 @@ def transport_collapse(c: SquareComplex, g: CurveSystem,
     """
     d = Diagram.from_system(g)
     w = rec.square
-    a1, a2, b1, b2 = rec.sides()
-    part = c.partner_map
-    if part.get(a1) == b1 or part.get(a2) == b2:
-        raise UnsupportedConfiguration(
-            "square folded onto its own opposite side")
-
     if rec.n == 1:
         _collapse_degenerate(c, d, rec)
     else:

@@ -123,23 +123,6 @@ class SquareComplex:
     def sorted_gluings(self) -> list[GluingPair]:
         return sorted(self.gluings)
 
-    def sides_meeting(self, squares: Iterable[int]
-                      ) -> tuple[list[Slot], list[GluingPair]]:
-        """The boundary slots of the given squares, taken in increasing
-        order, and the gluings that meet them, in the orders of
-        boundary_slots and sorted_gluings."""
-        partner = self.partner_map
-        boundary: list[Slot] = []
-        met: set[GluingPair] = set()
-        for sq in squares:
-            for slot in ((sq, 0), (sq, 1), (sq, 2), (sq, 3)):
-                other = partner.get(slot)
-                if other is None:
-                    boundary.append(slot)
-                else:
-                    met.add((slot, other) if slot < other else (other, slot))
-        return boundary, sorted(met)
-
     # -- per-complex caches: a complex never changes, so each is computed
     # once; they live outside the fields, which alone define == and hash
 

@@ -36,8 +36,10 @@ Fact = Optional[tuple[SquareComplex, Sequence[int]]]
 
 class PairFacts:
     """What a curve system is known to satisfy, out of its fields, which
-    alone define ==, hash and repr. Each of `normal` (_is_normal), `valid`
-    (validate_sutures) and `open` (regions.closed_components) is None or
+    alone define ==, hash and repr. `valid` is None or the complex object
+    the system is known to be valid on (validate_sutures found no problem,
+    or the system is a bypass child of one valid there). Each of `normal`
+    (_is_normal) and `open` (regions.closed_components) is None or
     (complex, squares): on that complex object the check need read only
     those squares, and () means it holds. `frozen` is the frozen form (see
     Diagram), `side_counts` the points per (square, side)."""
@@ -322,13 +324,14 @@ class Diagram:
 def validate_sutures(c: SquareComplex, g: CurveSystem) -> "ValidationReport":
     """Problems of a curve system on a complex, in a fixed order.
 
-    The check reads the squares the `valid` fact leaves unchecked on c and
-    the boundary sides and gluings that meet them, each square with one
-    sort of its endpoints; side counts are read only when every endpoint
-    lies on a side 0..3. A surgery child of a system found valid on c
-    leaves the squares the surgery rewrote (its others are the parent's),
-    a system found valid on c none. An empty report sets the fact to (c, ()).
+    A system known to be valid on this very complex object (its `valid`
+    fact is c) reads nothing and gets the empty report; any other system is
+    checked whole, each square with one sort of its endpoints, then the
+    point counts of the boundary sides and gluings, read only when every
+    endpoint lies on a side 0..3. An empty report sets the fact to c.
     """
+    if g.facts.valid is c:
+        return ValidationReport()
     problems: list[str] = []
     if g.square_count != c.square_count:
         return ValidationReport((f"curve system has {g.square_count} squares, "
@@ -336,9 +339,8 @@ def validate_sutures(c: SquareComplex, g: CurveSystem) -> "ValidationReport":
     if not validate_complex(c).ok:
         return ValidationReport(("underlying complex invalid",))
 
-    squares = _unchecked(g.facts.valid, c, c.square_count)
     on_sides = True
-    for sq in squares:
+    for sq in range(c.square_count):
         found, square_on_sides = _square_problems(sq, g.chords[sq], g.loops[sq])
         if found:
             problems.extend(found)
@@ -347,19 +349,18 @@ def validate_sutures(c: SquareComplex, g: CurveSystem) -> "ValidationReport":
         return ValidationReport(tuple(problems))
 
     counts = g._side_counts
-    boundary, gluings = c.sides_meeting(squares)
-    for slot in boundary:
+    for slot in c.boundary_slots:
         m = counts[slot[0]][slot[1]]
         if m != 1:
             problems.append(f"boundary side {slot} meets {m} points, wants 1")
-    for a, b in gluings:
+    for a, b in c.sorted_gluings():
         ma, mb = counts[a[0]][a[1]], counts[b[0]][b[1]]
         if ma != mb:
             problems.append(f"edge {a}-{b}: point counts {ma} != {mb}")
         elif ma % 2 == 0:
             problems.append(f"edge {a}-{b}: even intersection count {ma}")
     if not problems:
-        g.facts.valid = (c, ())
+        g.facts.valid = c
     return ValidationReport(tuple(problems))
 
 
@@ -421,12 +422,12 @@ def _noncrossing(chords: tuple[Chord, ...], eps: list[EP]) -> bool:
 def require_valid_pair(c: SquareComplex, g: CurveSystem) -> None:
     """Raise ValueError unless g is a valid curve system on c.
 
-    A system validate_sutures last found valid on this very complex object
-    is not checked again: both are immutable, and the fact is set only on
-    an empty report. An equal complex that is another object, or a system
-    never found valid, gets the full check.
+    A system known to be valid on this very complex object is not checked
+    again: both are immutable, and the fact is set only by an empty report
+    or by a bypass on a valid parent. An equal complex that is another
+    object, or a system with no such fact, gets the full check.
     """
-    if _holds(g.facts.valid, c):
+    if g.facts.valid is c:
         return
     report = validate_sutures(c, g)
     if not report.ok:
@@ -576,14 +577,15 @@ def bypass_surgery(c: SquareComplex, g: CurveSystem, edge: GluingPair,
     recursion is), only the squares the surgery and the bigon removals read
     are thawed, and since an untouched square of a normalized system holds
     no bigon, the search reads only thawed squares; otherwise the search
-    reads every glued side. The child's facts name, on c, the squares R
-    that differ from g's: `normal` is (c, R), and `valid` and `open` are
-    (c, R) when g's own fact holds on c, so that normalize,
-    validate_sutures and closed_components read only those squares. It
-    keeps no reference to g.
+    reads every glued side. A bypass re-routes sutures inside a disc, so
+    the child of a system valid on c is valid on c: its `valid` fact is c
+    when g's is. Its `normal` fact is (c, R), for the squares R that differ
+    from g's, and so is its `open` fact when g's holds on c, so that
+    normalize and closed_components read only those squares. It keeps no
+    reference to g.
     """
     known, normal = g.facts, _is_normal(c, g)
-    valid = _holds(known.valid, c)
+    valid = known.valid is c
     if normal and valid:
         known.frozen = True
     d = Diagram.from_system(g)
@@ -593,7 +595,7 @@ def bypass_surgery(c: SquareComplex, g: CurveSystem, edge: GluingPair,
     facts = child.facts
     facts.normal = local = (c, d.rewritten())
     if valid:
-        facts.valid = local
+        facts.valid = c
     if _holds(known.open, c):
         facts.open = local
     return child
@@ -701,7 +703,6 @@ def bypass_triples(c: SquareComplex, g: CurveSystem) -> list[tuple[GluingPair, i
 
 def transport_glue(c: SquareComplex, g: CurveSystem, a: Slot, b: Slot) -> CurveSystem:
     """Curve data after gluing boundary sides a and b (each meets one point)."""
-    require_valid_pair(c, g)
     for slot in (a, b):
         if g.side_count(slot) != 1:
             raise AssertionError(f"boundary side {slot} must meet one point")

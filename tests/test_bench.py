@@ -1,7 +1,8 @@
 """Smoke runs of the benchmark: its per-layer table agrees with the exact
-work of the recursion (one normalization and one triviality test per node)
-and of a script (one compile per op); and the names the bench reaches in
-the engine still exist."""
+work of the recursion (one normalization and one triviality test per node,
+one validation per root) and of a script (one compile per op, the pushed
+pair validated at entry and at the target); and the names the bench
+reaches in the engine still exist."""
 
 import ast
 import importlib
@@ -27,6 +28,9 @@ def test_traced_disc_chords_counts():
     # every diagram of the pool has a 71-node recursion
     assert metrics["regions.is_trivial.calls"]["value"] == 71
     assert metrics["sutures.normalize.calls"]["value"] == 71
+    # the root is validated; every node below it is a surgery child of a
+    # valid pair
+    assert metrics["sutures.validate_sutures.calls"]["value"] == 1
 
 
 def test_traced_script_naturality_counts():
@@ -45,6 +49,9 @@ def test_traced_script_naturality_counts():
         calls["sutures.transport_glue.calls"] > 0
     assert calls["quad.collapse_slack_square.calls"] == \
         calls["routing.transport_collapse.calls"] > 0
+    # the push checks its entry pair and the image is checked once, by the
+    # element at the target
+    assert calls["sutures.validate_sutures.calls"] < 3
 
 
 def test_committed_bench_records_are_json():

@@ -18,22 +18,26 @@ Fast paths and their oracles:
   oracle is a fresh compile of an equal script.
 - `bypass_surgery` thaws, rebuilds and marks only the squares the surgery
   and its bigon removals touch; the oracle thaws every square, rewires,
-  normalizes and freezes them all (`surgery_oracle`). `validate_sutures`
-  and `normalize` read only the rewritten squares of a child, as its
-  `facts` name them; their oracle is the same call on a twin of the child
-  that carries no facts. A check that passes completes its fact, so the
-  tests read a child's facts from the surgery made again, before any
-  check has run on it.
+  normalizes and freezes them all (`surgery_oracle`). `normalize` reads
+  only the rewritten squares of a child, as its `facts` name them; its
+  oracle is the same call on a twin of the child that carries no facts. A
+  check that passes completes its fact, so the tests read a child's facts
+  from the surgery made again, before any check has run on it.
+- A surgery child of a pair valid on a complex object is trusted valid
+  there, and a push through a script checks only its entry pair; the
+  oracles check every surgery child of the corpora, and every pair a push
+  passes through, in full (`validate_oracle`).
 - `euler_class` is a signed count of local cells; the oracle is
   chi_plus - chi_minus of the region decomposition (`regions`).
-- `require_valid_pair` trusts a system validate_sutures found valid on the
-  same complex object; every other pair gets the full check.
+- `require_valid_pair` trusts a system known valid on the same complex
+  object; every other pair gets the full check.
 - `sutures._splice`, the strand join of every re-routing move, is one walk
   over the links; the oracle is a union-find over the same links.
 """
 
 import itertools
 import json
+import random
 import sys
 import threading
 import weakref
@@ -49,19 +53,21 @@ from sqft.census import (
     random_surface, random_sutures,
 )
 from sqft.engine import (
-    Fold, Glue, MorphismScript, ScriptError, Zip, annihilation_as_fold,
-    apply_script_to_sutures, compile_script, compiled_operator,
-    naturality_holds, suture_element,
+    CreateSquare, Fold, Glue, MorphismScript, ScriptError, Zip,
+    annihilation_as_fold, apply_script_to_sutures, compile_script,
+    compiled_operator, naturality_holds, suture_element,
 )
 from sqft.regions import closed_components, euler_class, is_trivial, regions
+from sqft.routing import transport_collapse
 from sqft.surface import (
     SquareComplex, ValidationReport, VertexClass, canonical_form,
     canonical_permutation, validate_complex,
 )
 from sqft.sutures import (
     CurveSystem, Diagram, _holds, _normalize_diagram, _surgery_raw,
-    basic_system, bypass_surgery, bypass_triples, finger_push, normalize,
-    require_valid_pair, validate_sutures,
+    basic_square_chords, basic_system, bypass_surgery, bypass_triples,
+    finger_push, normalize, require_valid_pair, transport_glue,
+    validate_sutures,
 )
 from test_triviality import (
     POOL_MATCHINGS, _closed_components_oracle, _surgery_children,
@@ -498,8 +504,9 @@ def test_exact_work_per_element(monkeypatch, disc12, disc12_sutures):
         assert thaw[0] == freeze[0] == 2 * (k - 1)
         # c is fresh: its canonical form is computed once for all nodes
         assert canon[0] == 1
-        # each node validated once
-        assert valid[0] == 2 * k - 1
+        # the root validated once: every node below is a surgery child of a
+        # valid pair, so it is valid
+        assert valid[0] == 1
         engine.clear_cache()
         assert len(suture_element(c, g).words) == k
         assert canon[0] == 1
@@ -823,6 +830,67 @@ def test_exact_work_per_script(monkeypatch, disc12):
 
 
 # ---------------------------------------------------------------------------
+# the push checks only its entry pair: every intermediate pair is valid
+
+
+def _push_checked(script, g):
+    """apply_script_to_sutures's loop, checking every intermediate
+    (complex, system) pair in full."""
+    compiled = compile_script(script)
+    pairs = [(script.source, g)]
+    for step in compiled.steps:
+        move = step.move
+        if isinstance(move, CreateSquare):
+            k = g.square_count
+            chords = dict(enumerate(g.chords))
+            chords[k] = basic_square_chords(move.sign > 0)
+            g = CurveSystem.build(k + 1, chords, dict(enumerate(g.loops)))
+            pairs.append((step.complex_after, g))
+            continue
+        glued = step.collapses[0][0] if step.collapses else step.complex_after
+        g = transport_glue(glued, g, move.a, move.b)
+        pairs.append((glued, g))
+        for before, rec in step.collapses:
+            g = normalize(before, g)
+            pairs.append((before, g))
+            g = transport_collapse(before, g, rec)
+        pairs.append((step.complex_after, g))
+    for c, h in pairs:
+        assert validate_oracle(c, h) == ()
+    return compiled.target, g, len(pairs)
+
+
+def _disc_annihilations():
+    for n in range(3, 8):
+        c = disc_complex(n)
+        cycle = c.boundary_cycles[0]
+        for i in range(len(cycle)):
+            for sign in (1, -1):
+                yield annihilation_as_fold(
+                    c, cycle[i], cycle[(i + 1) % len(cycle)],
+                    cycle[(i + 2) % len(cycle)], sign)
+
+
+def test_every_pair_a_push_passes_through_is_valid():
+    # every word of each extension's 1-4-square source; the all-negative,
+    # the all-positive and one seeded word of each annihilation's disc
+    rng = random.Random(13)
+    cases = [(script, bits) for script in _extension_scripts(range(80))
+             for bits in range(1 << script.source.square_count)]
+    for script in _disc_annihilations():
+        k = script.source.square_count
+        cases += [(script, bits)
+                  for bits in (0, (1 << k) - 1, rng.getrandbits(k))]
+    checked = 0
+    for script, bits in cases:
+        g = basic_system(script.source, bits)
+        target, image, count = _push_checked(script, g)
+        assert (target, image) == apply_script_to_sutures(script, g)
+        checked += count
+    assert len(cases) > 750 and checked > 7000
+
+
+# ---------------------------------------------------------------------------
 # square-local surgery against the thaw-all surgery
 
 
@@ -936,7 +1004,7 @@ def test_surgery_against_thaw_all(surgery_corpus, part):
         # the surgery made again: the corpus child's facts are complete
         facts = bypass_surgery(c, node, edge, t, direction).facts
         rewritten = facts.normal[1]
-        assert facts.normal[0] is c and facts.valid == facts.normal
+        assert facts.normal[0] is c and facts.valid is c
         assert rewritten == tuple(sorted(set(rewritten)))
         assert {edge[0][0], edge[1][0]} <= set(rewritten)
         for sq in set(range(c.square_count)) - set(rewritten):
@@ -951,36 +1019,14 @@ def test_surgery_against_thaw_all(surgery_corpus, part):
 @pytest.mark.parametrize("part", ["census", "pool", "random",
                                   "annulus and torus", "self-glued"])
 def test_local_validation_against_whole(surgery_corpus, part):
-    for c, (node, edge, t, direction, _) in surgery_corpus[part]:
-        child = bypass_surgery(c, node, edge, t, direction)
+    # a surgery child of a valid parent is trusted valid on the surgery's
+    # complex object; the full check of a twin that carries no facts
+    # agrees
+    for c, (node, edge, t, direction, child) in surgery_corpus[part]:
+        assert bypass_surgery(c, node, edge, t, direction).facts.valid is c
         twin = CurveSystem(child.chords, child.loops)
-        assert validate_sutures(c, child) == validate_sutures(c, twin)
-        assert validate_sutures(c, child).problems == validate_oracle(c, child)
-
-
-def test_local_validation_reads_only_rewritten_squares(monkeypatch,
-                                                       surgery_corpus):
-    read = []
-    original = sutures._square_problems
-
-    def counting(sq, chords, loops):
-        read.append(sq)
-        return original(sq, chords, loops)
-
-    monkeypatch.setattr(sutures, "_square_problems", counting)
-    rewritten_total = 0
-    for c, (node, edge, t, direction, _) in surgery_corpus["pool"]:
-        child = bypass_surgery(c, node, edge, t, direction)
-        rewritten = child.facts.valid[1]
-        read.clear()
-        assert validate_sutures(c, child).ok
-        assert read == list(rewritten)
-        rewritten_total += len(rewritten)
-        # the fact is now complete on c: the check reads no square
-        read.clear()
-        assert validate_sutures(c, child).ok and read == []
-    # a child of the pool rewrites a few of its 13-19 squares
-    assert rewritten_total < 4 * len(surgery_corpus["pool"])
+        assert validate_oracle(c, twin) == ()
+        assert validate_sutures(c, twin).ok and twin.facts.valid is c
 
 
 def _damaged_square(g, sq):
@@ -999,11 +1045,9 @@ def test_damage_to_a_rewritten_square_is_reported(surgery_corpus):
     for part in ("census", "random", "annulus and torus", "self-glued"):
         for c, surgery in surgery_corpus[part][::7]:
             child = bypass_surgery(c, *surgery[:4])
-            record = child.facts.valid
-            for sq in record[1]:
+            for sq in child.facts.normal[1]:
                 for bad in _damaged_square(child, sq):
                     # a surgery that broke square sq would leave this child
-                    bad.facts.valid = record
                     whole = validate_oracle(c, bad)
                     assert validate_sutures(c, bad).problems == whole
                     damaged += bool(whole)
@@ -1020,14 +1064,13 @@ def test_surgery_child_keeps_no_parent():
     require_valid_pair(c, parent)
     edge, t = bypass_triples(c, parent)[0]
     child = bypass_surgery(c, parent, edge, t, "up")
-    assert child.facts.valid[0] is c and child.facts.valid[1]
-    assert child.facts.normal == child.facts.valid
+    assert child.facts.valid is c and child.facts.normal[1]
     ref = weakref.ref(parent)
     del parent
     assert ref() is None
     assert validate_sutures(c, child).ok
     assert normalize(c, child) is child
-    assert _holds(child.facts.valid, c) and _holds(child.facts.normal, c)
+    assert child.facts.valid is c and _holds(child.facts.normal, c)
 
 
 def test_from_system_thaws_as_squares_are_read(hexagon,
@@ -1065,13 +1108,16 @@ def test_surgery_on_unnormalized_parents():
                 child = bypass_surgery(c, g, edge, t, direction)
                 assert child == surgery_oracle(c, g, edge, t, direction)
                 assert normalize(c, child) is child
+                # trusted valid, as census.random_sutures trusts it
+                assert child.facts.valid is c
+                assert validate_oracle(c, child) == ()
                 checked += 1
     assert checked > 1000
 
 
 def test_fault_outside_the_surgery_of_an_unchecked_parent_is_reported():
-    # the record lets validation skip a child's untouched squares only when
-    # the parent was found valid on the same complex
+    # a child is trusted valid only when its parent was found valid on the
+    # same complex object
     n = 14
     c = disc_complex(n)
     good = matching_system(n, POOL_MATCHINGS[n])
@@ -1091,7 +1137,7 @@ def test_fault_outside_the_surgery_of_an_unchecked_parent_is_reported():
     twin = SquareComplex(c.square_count, c.gluings, c.slack)
     require_valid_pair(twin, good)
     child = bypass_surgery(twin, good, edge, t, "up")
-    assert child.facts.valid[0] is twin and child.facts.normal[0] is twin
+    assert child.facts.valid is twin and child.facts.normal[0] is twin
     assert validate_sutures(c, child).ok
 
 
@@ -1178,17 +1224,17 @@ def test_validity_mark_names_one_complex_object(monkeypatch,
     valid = _count_calls(monkeypatch, sutures, "validate_sutures")
     for _ in range(3):
         require_valid_pair(HEXAGON, g)
-    assert valid[0] == 1 and _holds(g.facts.valid, HEXAGON)
+    assert valid[0] == 1 and g.facts.valid is HEXAGON
     # an equal complex that is another object gets the full check
     assert twin == HEXAGON and twin is not HEXAGON
     require_valid_pair(twin, g)
-    assert valid[0] == 2 and _holds(g.facts.valid, twin)
+    assert valid[0] == 2 and g.facts.valid is twin
     # so does one on which g is invalid, at every guard, and the mark stays
     for guard in (require_valid_pair, euler_class, is_trivial, regions):
         with pytest.raises(ValueError,
                            match=r"boundary side \(0, 0\) meets 3 points"):
             guard(elsewhere, g)
-    assert valid[0] == 6 and _holds(g.facts.valid, twin)
+    assert valid[0] == 6 and g.facts.valid is twin
     # validate_sutures itself is always called
     assert sutures.validate_sutures(twin, g).ok and valid[0] == 7
 
@@ -1355,8 +1401,8 @@ def test_closed_walk_keeps_no_parent():
 
 
 # ---------------------------------------------------------------------------
-# one record of facts, one path per check: a fact names the squares its
-# check still reads
+# one record of facts, one path per check: the `normal` and `open` facts
+# name the squares their checks still read
 
 
 class _Watched(tuple):
@@ -1377,7 +1423,6 @@ def _watched(g):
 
 
 FACT_CHECKS = {
-    "valid": lambda c, g: validate_sutures(c, g).ok,
     "normal": lambda c, g: normalize(c, g) is g,
     "open": lambda c, g: closed_components(c, g) == [],
 }

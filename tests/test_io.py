@@ -284,6 +284,30 @@ def test_check_euler_compares_the_fast_euler_class(monkeypatch, capsys):
     assert "    case 0: euler class disagrees with regions" in out
 
 
+def test_check_naturality_runs_every_source_word(monkeypatch):
+    from sqft import cli, engine
+    from sqft.tensor import annihilate_op
+    words = []
+
+    def counting(script, bits):
+        words.append(bits)
+        return engine.naturality_holds(script, bits)
+
+    monkeypatch.setattr(cli, "naturality_holds", counting)
+    # the 25 sources have 1-4 squares: 178 words in all
+    assert cli.check_naturality(0, 25) == [] and len(words) == 178
+    # a fold operator of the wrong sign fails at many words; checking only
+    # the empty word of each case found 8 of these failures
+    fold = engine.fold_operator
+
+    def flipped(rec, arity_in):
+        acted = fold(rec, arity_in).acted
+        return annihilate_op(int(rec.sign > 0), arity_in, rec.square, acted)
+
+    monkeypatch.setattr(engine, "fold_operator", flipped)
+    assert len(cli.check_naturality(0, 25)) == 93
+
+
 HEXAGON_DOC = {"squares": 2, "gluings": [[[0, 0], [1, 1]]]}
 
 

@@ -1,10 +1,14 @@
+import itertools
+
 import pytest
 
 from sqft.quad import (
     collapse_steps, diagonal_slide, dual_graph, find_collapsible_square,
     make_collapse_record, collapse_slack_square, tighten,
 )
-from sqft.surface import SquareComplex, canonical_form, glue, invariants
+from sqft.surface import (
+    SquareComplex, canonical_form, glue, invariants, validate_complex,
+)
 
 
 def folded_hexagon(hexagon):
@@ -147,3 +151,34 @@ def test_degenerate_collapse_attached_blister(hexagon):
     assert len(records) == 1 and records[0].n == 1
     assert out.square_count == 1
     assert invariants(out).index == 1
+
+
+def _small_slack_complexes():
+    """Every valid slack complex of 1-3 squares with at most 4 gluings."""
+    for n in range(1, 4):
+        slots = [(s, k) for s in range(n) for k in range(4)]
+        pairs = [(a, b) for a, b in itertools.combinations(slots, 2)
+                 if (a[1] + b[1]) % 2 == 1]
+        for m in range(5):
+            for chosen in itertools.combinations(pairs, m):
+                used = [slot for pair in chosen for slot in pair]
+                if len(set(used)) == len(used):
+                    c = SquareComplex.build(n, chosen, slack=True)
+                    if validate_complex(c).ok:
+                        yield c
+
+
+def test_no_collapse_square_is_glued_to_its_own_opposite_side():
+    # a candidate has its corner at an internal vertex and the opposite
+    # corner on the boundary; a y-side glued to the opposite side of the
+    # same square would make the two corners one vertex
+    candidates = 0
+    for c in _small_slack_complexes():
+        cc = c.corner_class
+        for sq in range(c.square_count):
+            for k in range(4):
+                if cc[(sq, k)].internal and not cc[(sq, (k + 2) % 4)].internal:
+                    candidates += 1
+                    assert c.partner((sq, (k - 1) % 4)) != (sq, (k + 2) % 4)
+                    assert c.partner((sq, k)) != (sq, (k + 1) % 4)
+    assert candidates == 13704
