@@ -143,15 +143,12 @@ def collapse_slack_square(c: SquareComplex, r: CollapseRecord) -> SquareComplex:
     own = {a1: b1, b1: a1, a2: b2, b2: a2}     # arc identifications
     w_sides = set(own)
 
-    def attachment(side: Slot) -> Optional[Slot]:
-        return c.partner(side)
-
     new_pairs: list[GluingPair] = [
         g for g in c.gluings if g[0] not in w_sides and g[1] not in w_sides
     ]
     resolved: set[Slot] = set()
     for side in (a1, a2, b1, b2):
-        att = attachment(side)
+        att = c.partner(side)
         if side in resolved or (att is not None and att in w_sides):
             continue
         # walk the identification chain from this free end
@@ -159,12 +156,12 @@ def collapse_slack_square(c: SquareComplex, r: CollapseRecord) -> SquareComplex:
         cur = own[side]
         while True:
             resolved.add(cur)
-            nxt = attachment(cur)
+            nxt = c.partner(cur)
             if nxt is None or nxt not in w_sides:
                 break
             resolved.add(nxt)
             cur = own[nxt]
-        far = attachment(cur)
+        far = c.partner(cur)
         if att is not None and far is not None:
             if (att[1] + far[1]) % 2 == 0:
                 raise InvalidComplex("collapse produced a parity-violating edge")

@@ -74,12 +74,9 @@ class _SquareFaces:
         self.face_count = face
 
         self.idx = index
-        self.first_of_side = {}
         self.last_of_side = {}
         for i, (side, _) in enumerate(self.points):
             self.last_of_side[side] = i
-            if side not in self.first_of_side:
-                self.first_of_side[side] = i
 
     def corner_gap(self, k: int) -> int:
         # corner k lies between the last point of side k-1 and the first of k
@@ -251,12 +248,6 @@ class _Analysis:
         base = [Region(sign[r], chis[r], touches[r]) for r in range(nr)]
         self.decomposition = RegionDecomposition(tuple(base + extra))
 
-    def chord_regions(self, sq: int, a: EP, b: EP) -> tuple[int, int]:
-        sf = self.sqf[sq]
-        i, j = sf.idx[a], sf.idx[b]
-        return (self.region(sq, sf.face_of_half[(i, j)]),
-                self.region(sq, sf.face_of_half[(j, i)]))
-
 
 def closed_components(c: SquareComplex,
                       g: CurveSystem) -> list[set[tuple[int, EP]]]:
@@ -367,26 +358,17 @@ def is_trivial(c: SquareComplex, g: CurveSystem) -> bool:
     The checks run in this order: loose loops (trivial); validation of the
     pair, which raises ValueError; no closed component (nontrivial, decided
     without any region data); otherwise the full region analysis, trivial
-    when a disc region away from the boundary borders a closed component.
+    when some disc region lies away from the boundary. Such a region
+    borders closed components only: each side of an arc lies in the region
+    that holds the boundary segment beside the arc's end.
     """
     if g.total_loops() > 0:
         return True
     require_valid_pair(c, g)
-    comps = closed_components(c, g)
-    if not comps:
+    if not closed_components(c, g):
         return False
-    an = _Analysis(c, g)
-    dec = an.decomposition
-    for comp in comps:
-        for s in range(c.square_count):
-            for a, b in g.chords[s]:
-                if (s, a) not in comp:
-                    continue
-                for r in an.chord_regions(s, a, b):
-                    reg = dec.regions[r]
-                    if reg.chi == 1 and not reg.touches_boundary:
-                        return True
-    return False
+    return any(r.chi == 1 and not r.touches_boundary
+               for r in _Analysis(c, g).decomposition.regions)
 
 
 def is_confining(c: SquareComplex, g: CurveSystem) -> bool:

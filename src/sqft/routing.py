@@ -5,10 +5,15 @@ the other diagonal of their hexagonal union) and the slack square collapse
 (a square is squeezed onto two of its sides, its chords re-routed around the
 surviving vertex). Both reduce to planar bookkeeping: strands in a disc are
 determined up to isotopy by their boundary endpoints, so crossings with any
-new cut are forced, including their order along the cut. Both, like the
-bypass in sutures.py, join the arcs that meet at the points they drop end to
-end with one helper, sutures._splice, and keep the closed curves it counts
-as loops.
+new cut are forced, including their order along the cut, and each move
+places them directly, as census.matching_system does on the fan disc. Both,
+like the bypass in sutures.py, join the arcs that meet at the points they
+drop end to end with one helper, sutures._splice, and keep the closed curves
+it counts as loops. A collapse edits the curves in place and drops its
+square by slicing the frozen system.
+
+split_disc, the general splitter of a disc along arcs between corners, is
+not used by either move; the tests keep it as their disc-splitting oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .quad import CollapseRecord, slide_slot_map
 from .surface import (
     GluingPair, Slot, SquareComplex, UnsupportedConfiguration, _norm_pair,
 )
-from .sutures import CurveSystem, Diagram, _splice
+from .sutures import CurveSystem, Diagram, _splice, normalize
 
 
 # ---------------------------------------------------------------------------
@@ -136,74 +141,49 @@ def slide_sutures(c: SquareComplex, g: CurveSystem, edge: GluingPair | tuple,
 
     Expects an edge-efficient (normalized) system, so no strand meets the old
     diagonal twice in a row and no closed strand lives on the diagonal alone.
+    The strands of the hexagon are the two squares' chords joined through
+    the old diagonal. The new diagonal runs from the hexagon's corner 1
+    (ccw) or 2 (cw), corner k being the one before outer side k, to the
+    corner three sides on. A strand with one end on those three sides
+    crosses it, and the crossings are ranked by that end, as in
+    census.matching_system: crossing k is point len - 1 - k on the new
+    diagonal of the square those sides go to and point k on the other's.
     """
-    from .sutures import normalize
-
     g = normalize(c, g)
     pair = _norm_pair(*edge)
     (p_sq, p), (q_sq, q) = pair
     mapping = slide_slot_map(c, pair, direction)
+    hexagon = list(mapping)             # the outer sides, in order
+    first = 1 if direction == "ccw" else 2
+    near = {slot: i for i, slot in enumerate(hexagon[first:first + 3])}
+    diagonal = {p_sq: p, q_sq: q}       # each square keeps its diagonal side
 
-    outer = [
-        (p_sq, (p + 1) % 4), (p_sq, (p + 2) % 4), (p_sq, (p + 3) % 4),
-        (q_sq, (q + 1) % 4), (q_sq, (q + 2) % 4), (q_sq, (q + 3) % 4),
-    ]
-    ids: dict[tuple[int, int, int], int] = {}
-    counter = 0
-    sides = []
-    for k, slot in enumerate(outer):
-        pts = []
-        for pos in range(g.side_count(slot)):
-            ids[(slot[0], slot[1], pos)] = counter
-            pts.append(counter)
-            counter += 1
-        sides.append(DiscSide(key=mapping[slot], points=pts, corner=k))
-    for slot in pair:                 # old diagonal points
-        for pos in range(g.side_count(slot)):
-            ids[(slot[0], slot[1], pos)] = counter
-            counter += 1
-
-    # strands: the two squares' chords joined through the old diagonal
+    # points are (slot, position); those of the old diagonal are dropped
     m = g.side_count(pair[0])
-    diagonal = [(ids[(*pair[0], pos)], ids[(*pair[1], m - 1 - pos)])
-                for pos in range(m)]
-    links = diagonal + [(ids[(sq, *a)], ids[(sq, *b)])
-                        for sq in (p_sq, q_sq) for a, b in g.chords[sq]]
-    paths, loops_extra = _splice(links, {u for ends in diagonal for u in ends})
-    strands: dict[int, int] = {}
-    for u, v in paths:
-        strands[u] = v
-        strands[v] = u
+    cut = [((pair[0], i), (pair[1], m - 1 - i)) for i in range(m)]
+    links = cut + [(((sq, a[0]), a[1]), ((sq, b[0]), b[1]))
+                   for sq in (p_sq, q_sq) for a, b in g.chords[sq]]
+    strands, cycles = _splice(links, {u for ends in cut for u in ends})
 
-    if direction == "ccw":
-        arc = (1, 4, (p_sq, p), (q_sq, q))
-    else:
-        arc = (2, 5, (q_sq, q), (p_sq, p))
-    cells = split_disc(sides, strands, [arc], counter)
+    chords = dict(enumerate(g.chords))
+    chords[p_sq], chords[q_sq] = [], []
+    crossing = []
+    for u, v in strands:
+        if (u[0] in near) != (v[0] in near):
+            crossing.append((u, v) if u[0] in near else (v, u))
+        else:
+            (sq, k), (_, l) = mapping[u[0]], mapping[v[0]]
+            chords[sq].append(((k, u[1]), (l, v[1])))
+    crossing.sort(key=lambda ends: (near[ends[0][0]], ends[0][1]))
+    last = len(crossing) - 1
+    for i, ends in enumerate(crossing):
+        for (slot, pos), at in zip(ends, (last - i, i)):
+            sq, k = mapping[slot]
+            chords[sq].append(((k, pos), (diagonal[sq], at)))
 
-    chords: dict[int, list] = {s: list(g.chords[s]) for s in range(g.square_count)}
-    chords[p_sq] = []
-    chords[q_sq] = []
-    for cell in cells:
-        pos_of: dict[int, tuple[int, int]] = {}
-        sq = cell.sides[0].key[0]
-        for side in cell.sides:
-            if side.key[0] != sq:
-                raise AssertionError("cell mixes squares")
-            for i, pid in enumerate(side.points):
-                pos_of[pid] = (side.key[1], i)
-        done = set()
-        for u, v in cell.strands.items():
-            if u in done:
-                continue
-            done.add(u)
-            done.add(v)
-            chords[sq].append((pos_of[u], pos_of[v]))
-
-    loops = {s: g.loops[s] for s in range(g.square_count)}
-    loops[p_sq] = loops.get(p_sq, 0) + loops_extra
-    out = CurveSystem.build(g.square_count, chords, loops)
-    return out
+    loops = dict(enumerate(g.loops))
+    loops[p_sq] += cycles
+    return CurveSystem.build(g.square_count, chords, loops)
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +192,16 @@ def slide_sutures(c: SquareComplex, g: CurveSystem, edge: GluingPair | tuple,
 
 def transport_collapse(c: SquareComplex, g: CurveSystem,
                        rec: CollapseRecord) -> CurveSystem:
-    """Curve data after collapsing the recorded square.
+    """Curve data after collapsing the recorded square, for a normalized g.
 
     The square's chords are re-routed: chords parallel to a collapsing side
     pair fuse into single crossings of the merged edge; everything else wraps
     around the surviving vertex, picking up one innermost crossing on each
-    intermediate edge of the fan.
+    intermediate edge of the fan. The strands and loops are moved off the
+    square, whose own chords are left as they are, and the square is then
+    sliced out of the frozen system, shifting the later squares down by one
+    as remove_square does. The result keeps the frozen form, so a system in
+    frozen form is thawed only in the squares the collapse reads.
     """
     d = Diagram.from_system(g)
     w = rec.square
@@ -225,20 +209,11 @@ def transport_collapse(c: SquareComplex, g: CurveSystem,
         _collapse_degenerate(c, d, rec)
     else:
         _collapse_generic(c, d, rec)
-
-    perm = {s: (s if s < w else s - 1) for s in range(c.square_count) if s != w}
-    d2 = d.remap_squares(perm, c.square_count - 1)
-    return d2.freeze()
-
-
-def _consume_square(d: Diagram, w: int) -> None:
-    for k in range(4):
-        slot = (w, k)
-        for pid in list(d.order[slot]):
-            if pid in d.mate:
-                d.disconnect(pid)
-            d.drop_point(slot, pid)
-    d.loops[w] = 0
+    full = d.freeze()
+    out = CurveSystem(full.chords[:w] + full.chords[w + 1:],
+                      full.loops[:w] + full.loops[w + 1:])
+    out.facts.frozen = full.facts.frozen
+    return out
 
 
 def _collapse_degenerate(c: SquareComplex, d: Diagram, rec: CollapseRecord) -> None:
@@ -262,11 +237,7 @@ def _collapse_degenerate(c: SquareComplex, d: Diagram, rec: CollapseRecord) -> N
             links.append((pid, q))
     strands, cycles = _splice(links, set(la1 + la2))
 
-    host = None
-    for t in (t1, t2):
-        if t is not None:
-            host = t[0]
-            break
+    host = next((t[0] for t in (t1, t2) if t is not None), None)
 
     # the outer crossing of every b-side point, read before the loop below
     # drops any point from the outer sides
@@ -276,12 +247,11 @@ def _collapse_degenerate(c: SquareComplex, d: Diagram, rec: CollapseRecord) -> N
             lo, lt = d.order[b], d.order[t]
             outer.update((u, lt[len(lo) - 1 - i]) for i, u in enumerate(lo))
 
+    on_b1 = set(d.order[b1])
     for u, v in strands:
-        su = b1 if u in d.order[b1] else b2
-        sv = b1 if v in d.order[b1] else b2
-        if su == sv:
+        if (u in on_b1) == (v in on_b1):
             # strand doubling back: join the outer chords directly
-            slot_t = t1 if su == b1 else t2
+            slot_t = t1 if u in on_b1 else t2
             if slot_t is None:
                 raise AssertionError("doubled strand on a boundary side")
             ou, ov = outer[u], outer[v]
@@ -299,151 +269,91 @@ def _collapse_degenerate(c: SquareComplex, d: Diagram, rec: CollapseRecord) -> N
 
     total_loops = cycles + d.loops[w]
     if host is None:
-        # the component was a lone slack vacuum; only standard sutures vanish
+        # the component was a lone slack vacuum; only standard sutures
+        # vanish, other curves leave a loop on a square that stays
         if total_loops or len(strands) != 1:
-            host_sq = 0 if c.square_count > 1 else None
-            if host_sq is None:
+            if c.square_count == 1:
                 raise UnsupportedConfiguration(
                     "trivial sutures on a vacuum-only complex have no "
                     "carrier square")
-            d.loops[host_sq] += 1
+            d.loops[1 if w == 0 else 0] += 1
     else:
         d.loops[host] += total_loops
 
-    _consume_square(d, w)
-
 
 def _collapse_generic(c: SquareComplex, d: Diagram, rec: CollapseRecord) -> None:
-    w = rec.square
-    n = rec.n
+    w, n = rec.square, rec.n
     a1, a2, b1, b2 = rec.sides()
     s1, s2 = c.partner(a1), c.partner(a2)
-    t1, t2 = c.partner(b1), c.partner(b2)
     if s1 is None or s2 is None or s1[0] == w or s2[0] == w:
         raise AssertionError("fan sides must glue to other squares")
 
-    # fan edge slots: e_j = (L_j, R_j), L_j in wedge j-1's square ending at y,
-    # R_j in wedge j's square starting at y
-    wedge = list(rec.wedges)                      # (S_i, kappa_i), i = 1..n-1
-    tips: dict[int, tuple[Slot, Slot]] = {}
-    for j in range(2, n):
-        sL, kL = wedge[j - 2]
-        sR, kR = wedge[j - 1]
-        tips[j] = ((sL, (kL - 1) % 4), (sR, kR))
-        if _norm_pair(*tips[j]) != rec.fan[j - 1]:
+    # the intermediate fan edges e_j = (L_j, R_j), j = 2..n-1: L_j in
+    # wedge j-1's square ending at y, R_j in wedge j's square starting at y
+    tips: list[tuple[Slot, Slot]] = []
+    wedges = rec.wedges
+    for edge, (sL, kL), (sR, kR) in zip(rec.fan[1:], wedges, wedges[1:]):
+        tips.append(((sL, (kL - 1) % 4), (sR, kR)))
+        if _norm_pair(*tips[-1]) != edge:
             raise AssertionError("fan record inconsistent")
 
-    station = {a1[1]: 1, a2[1]: n - 1, b1[1]: 0, b2[1]: n}
-    # linear order of the square's points, cut at the internal vertex; chords
-    # nest around the target corner, tighter nests stay closer to it
-    lin: dict[int, int] = {}
+    # per point of w: its side, its rank in w's points cut at the internal
+    # vertex (sides a2, b2, b1, a1 from y round to y) and its index on its side
+    row: dict[int, tuple[Slot, int, int]] = {}
     for slot in (a2, b2, b1, a1):
-        for pid in d.order[slot]:
-            lin[pid] = len(lin)
+        for i, pid in enumerate(d.order[slot]):
+            row[pid] = (slot, len(row), i)
 
-    w_chords: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    for slot in (a1, a2, b1, b2):
-        for pid in d.order[slot]:
-            if pid in seen:
-                continue
-            q = d.mate[pid]
-            seen.add(pid)
-            seen.add(q)
-            w_chords.append((pid, q))
-
-    def side_of(pid: int) -> Slot:
-        for slot in (a1, a2, b1, b2):
-            if pid in d.order[slot]:
-                return slot
-        raise AssertionError
-
-    info = []
-    for u, v in w_chords:
-        su, sv = station[side_of(u)[1]], station[side_of(v)[1]]
-        if su > sv:
-            u, v = v, u
-            su, sv = sv, su
-        info.append((u, v, su, sv))
-
-    # fresh crossings at each intermediate fan edge, innermost at the vertex
-    tip_ids: dict[tuple[int, int], tuple[int, int]] = {}    # (chord idx, j)
-    for j in range(2, n):
-        crossing = [idx for idx, (u, v, su, sv) in enumerate(info)
-                    if su <= j - 1 and sv >= j]
-        crossing.sort(key=lambda idx: -min(lin[info[idx][0]], lin[info[idx][1]]))
-        slot_l, slot_r = tips[j]
-        front, back = [], []
-        for idx in crossing:
-            pid_r = d.new_point(slot_r[0])
-            pid_l = d.new_point(slot_l[0])
-            tip_ids[(idx, j)] = (pid_l, pid_r)
-            front.append(pid_r)
-            back.append(pid_l)
-        d.order[slot_r] = front + d.order[slot_r]
-        d.order[slot_l] = d.order[slot_l] + list(reversed(back))
-
-    # rebuild the merged edges E1 = (s1, t1), E2 = (s2, t2); anchors[pid] is
-    # the point continuing chord-endpoint pid's strand, possibly one of the
-    # dying fan stubs whose own chords get stitched in afterwards
+    # the merged edge (s, t) of each collapsing pair (a, b) takes b's points
+    # in order. A chord from b to a fuses with the crossing of s across from
+    # its end on a. Every other chord end gets an anchor, the point its
+    # strand goes on from: a fresh point of s for an end on b; for an end on
+    # a, the point of s across from it, which dies, its own chord stitched
+    # in below. So a chord is fused exactly when its ends have no anchor.
     anchors: dict[int, int] = {}
-    parallel: set[int] = set()
     dying: list[int] = []
-
-    def chord_of(pid: int) -> tuple[int, int, int, int]:
-        return next(rec_ for rec_ in info if pid in rec_[:2])
-
-    def rebuild(bs: Slot, as_: Slot, ss: Slot):
-        lb, la_, ls = d.order[bs], list(d.order[as_]), list(d.order[ss])
-        new_s: list[int] = []
-        reused: set[int] = set()
-        for bpt in lb:
-            u, v, _, _ = chord_of(bpt)
-            other = v if u == bpt else u
-            if other in la_:
-                # chord parallel to the collapsing pair: the two crossings fuse
-                sid = ls[len(la_) - 1 - la_.index(other)]
-                new_s.append(sid)
-                reused.add(sid)
-                parallel.add(bpt)
-                parallel.add(other)
+    for b, a, s in ((b1, a1, s1), (b2, a2, s2)):
+        la, ls = d.order[a], d.order[s]
+        last = len(la) - 1
+        merged = []
+        for pid in d.order[b]:
+            side, _, i = row[d.mate[pid]]
+            if side == a:
+                merged.append(ls[last - i])
             else:
-                fresh = d.new_point(ss[0])
-                new_s.append(fresh)
-                anchors[bpt] = fresh
+                anchors[pid] = d.new_point(s[0])
+                merged.append(anchors[pid])
+        fused = set(merged)
         for x, sid in enumerate(ls):
-            if sid in reused:
-                continue
-            apt = la_[len(la_) - 1 - x]   # rerouted stub's old crossing
-            anchors[apt] = sid
-            dying.append(sid)
-        d.order[ss] = new_s
+            if sid not in fused:
+                anchors[la[last - x]] = sid
+                dying.append(sid)
+        d.order[s] = merged
 
-    rebuild(b1, a1, s1)
-    rebuild(b2, a2, s2)
+    # each other chord wraps around y from its end on b1 or a1, the end of
+    # higher rank, and crosses every intermediate fan edge; the crossings
+    # are ordered by the other end, the innermost at the vertex, and each
+    # chord's chain of links is built as they are made
+    strands = [(u, d.mate[u]) for u in anchors
+               if row[u][1] > row[d.mate[u]][1]]
+    strands.sort(key=lambda chord: -row[chord[1]][1])
+    ends = [anchors[u] for u, _ in strands]
+    links: list[tuple[int, int]] = []
+    for slot_l, slot_r in tips:
+        back = [d.new_point(slot_l[0]) for _ in strands]
+        front = [d.new_point(slot_r[0]) for _ in strands]
+        links += zip(ends, back)
+        ends = front
+        d.order[slot_r] = front + d.order[slot_r]
+        d.order[slot_l] = d.order[slot_l] + back[::-1]
+    links += [(e, anchors[v]) for e, (_, v) in zip(ends, strands)]
 
-    # corridor chains, endpoints possibly at dying stubs
-    proposed: list[tuple[int, int]] = []
-    for idx, (u, v, su, sv) in enumerate(info):
-        if u in parallel:
-            continue
-        chain: list[int] = [anchors[u]]
-        for j in range(max(su + 1, 2), min(sv, n - 1) + 1):
-            pid_l, pid_r = tip_ids[(idx, j)]
-            chain.append(pid_l)
-            chain.append(pid_r)
-        chain.append(anchors[v])
-        for i in range(0, len(chain), 2):
-            proposed.append((chain[i], chain[i + 1]))
-
-    # stitch through the dying stubs' own chords, each once even when it
-    # joins two dying stubs
-    links = proposed + [(s, d.disconnect(s)) for s in dying if s in d.mate]
+    # stitch through the dying points' own chords, each once even when it
+    # joins two dying points
+    links += [(s, d.disconnect(s)) for s in dying if s in d.mate]
     for s in dying:
         del d.square_of[s]
     paths, cycles = _splice(links, set(dying))
     for p, q in paths:
         d.connect(p, q)
-    d.loops[wedge[0][0]] += cycles + d.loops[w]
-    d.loops[w] = 0
-    _consume_square(d, w)
+    d.loops[wedges[0][0]] += cycles + d.loops[w]

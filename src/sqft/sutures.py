@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count
-from typing import Collection, Iterable, Iterator, Optional, Sequence
+from typing import Collection, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .surface import (
     GluingPair, Slot, SquareComplex, ValidationReport, _norm_pair,
@@ -300,21 +300,6 @@ class Diagram:
     def edge_lists(self, edge: GluingPair) -> tuple[Slot, Slot, list[int], list[int]]:
         a, b = edge
         return a, b, self.order[a], self.order[b]
-
-    def remap_squares(self, perm: dict[int, int], new_count: int) -> "Diagram":
-        self.thaw_all()
-        d = Diagram(new_count)
-        d._ids = self._ids
-        dict.update(d.order, (((perm[sq], k), list(lst))
-                              for (sq, k), lst in self.order.items()
-                              if sq in perm))
-        d.mate.update(self.mate)
-        for s, cnt in enumerate(self.loops):
-            if s in perm:
-                d.loops[perm[s]] = cnt
-        d.square_of.update(
-            (pid, perm[sq]) for pid, sq in self.square_of.items())
-        return d
 
 
 # ---------------------------------------------------------------------------
@@ -638,11 +623,13 @@ def _surgery_raw(c: SquareComplex, d: Diagram, edge: GluingPair,
     d.loops[slot_a[0]] += cycles
 
 
-def _splice(links: Sequence[tuple[int, int]],
-            inner: Collection[int]) -> tuple[list[tuple[int, int]], int]:
+def _splice(links: Sequence[tuple[Hashable, Hashable]],
+            inner: Collection[Hashable],
+            ) -> tuple[list[tuple[Hashable, Hashable]], int]:
     """Join the point pairs `links` end to end through the points of `inner`.
 
-    Every move that re-routes sutures does this: sutures in a disc are fixed
+    A point is any hashable name: a diagram's point id, or a slide's
+    (slot, position). Every move that re-routes sutures does this: sutures in a disc are fixed
     up to isotopy by their endpoints, so the arcs that meet at the points a
     move drops join end to end, and the closed curves that leaves are
     counted. Each inner point must end exactly two links (AssertionError
@@ -653,7 +640,7 @@ def _splice(links: Sequence[tuple[int, int]],
     first outer point of the first link that ends at one of its outer
     points, and the paths come in the order of those links.
     """
-    ends: dict[int, list[int]] = {}
+    ends: dict[Hashable, list[int]] = {}
     for i, (u, v) in enumerate(links):
         ends.setdefault(u, []).append(i)
         ends.setdefault(v, []).append(i)
@@ -663,7 +650,7 @@ def _splice(links: Sequence[tuple[int, int]],
                 f"point {p} ends {len(ends.get(p, ()))} links, wants 2")
     used = [False] * len(links)
 
-    def walk(node: int, i: int) -> int:
+    def walk(node: Hashable, i: int) -> Hashable:
         # from node along link i, until an outer point or a used link
         while not used[i]:
             used[i] = True

@@ -6,6 +6,9 @@
   polygon of the fan disc along its arcs with `routing.split_disc`, the
   general disc splitter; `census.matching_system` builds the chords of each
   square directly.
+- `slide_sutures_oracle` re-routes sutures across a diagonal slide by
+  cutting the hexagon along the new diagonal with `routing.split_disc`;
+  `routing.slide_sutures` places the crossings directly.
 - `enumerate_basic` lists the basic systems of a complex, and
   `boundary_hugging_system` builds boundary-parallel arcs and loops.
 - `confining_oracle` decides confinement by a flood fill over faces found
@@ -16,10 +19,11 @@
 from typing import Optional
 
 from sqft.census import _disc_layout
+from sqft.quad import slide_slot_map
 from sqft.routing import DiscSide, split_disc
 from sqft.surface import GluingPair, Slot, SquareComplex, _norm_pair
 from sqft.sutures import (
-    CurveSystem, basic_system, normalize, require_valid_pair,
+    CurveSystem, _splice, basic_system, normalize, require_valid_pair,
     validate_sutures,
 )
 
@@ -64,6 +68,74 @@ def matching_system_oracle(n: int, matching) -> CurveSystem:
                 chords.setdefault(sq, []).append((pos_of[u], pos_of[v]))
     g = CurveSystem.build(c.square_count, chords)
     return normalize(c, g)
+
+
+def slide_sutures_oracle(c: SquareComplex, g: CurveSystem, edge,
+                         direction: str) -> CurveSystem:
+    g = normalize(c, g)
+    pair = _norm_pair(*edge)
+    (p_sq, p), (q_sq, q) = pair
+    mapping = slide_slot_map(c, pair, direction)
+
+    outer = [
+        (p_sq, (p + 1) % 4), (p_sq, (p + 2) % 4), (p_sq, (p + 3) % 4),
+        (q_sq, (q + 1) % 4), (q_sq, (q + 2) % 4), (q_sq, (q + 3) % 4),
+    ]
+    ids: dict[tuple[int, int, int], int] = {}
+    counter = 0
+    sides = []
+    for k, slot in enumerate(outer):
+        pts = []
+        for pos in range(g.side_count(slot)):
+            ids[(slot[0], slot[1], pos)] = counter
+            pts.append(counter)
+            counter += 1
+        sides.append(DiscSide(key=mapping[slot], points=pts, corner=k))
+    for slot in pair:                 # old diagonal points
+        for pos in range(g.side_count(slot)):
+            ids[(slot[0], slot[1], pos)] = counter
+            counter += 1
+
+    # strands: the two squares' chords joined through the old diagonal
+    m = g.side_count(pair[0])
+    diagonal = [(ids[(*pair[0], pos)], ids[(*pair[1], m - 1 - pos)])
+                for pos in range(m)]
+    links = diagonal + [(ids[(sq, *a)], ids[(sq, *b)])
+                        for sq in (p_sq, q_sq) for a, b in g.chords[sq]]
+    paths, loops_extra = _splice(links, {u for ends in diagonal for u in ends})
+    strands: dict[int, int] = {}
+    for u, v in paths:
+        strands[u] = v
+        strands[v] = u
+
+    if direction == "ccw":
+        arc = (1, 4, (p_sq, p), (q_sq, q))
+    else:
+        arc = (2, 5, (q_sq, q), (p_sq, p))
+    cells = split_disc(sides, strands, [arc], counter)
+
+    chords: dict[int, list] = {s: list(g.chords[s]) for s in range(g.square_count)}
+    chords[p_sq] = []
+    chords[q_sq] = []
+    for cell in cells:
+        pos_of: dict[int, tuple[int, int]] = {}
+        sq = cell.sides[0].key[0]
+        for side in cell.sides:
+            if side.key[0] != sq:
+                raise AssertionError("cell mixes squares")
+            for i, pid in enumerate(side.points):
+                pos_of[pid] = (side.key[1], i)
+        done = set()
+        for u, v in cell.strands.items():
+            if u in done:
+                continue
+            done.add(u)
+            done.add(v)
+            chords[sq].append((pos_of[u], pos_of[v]))
+
+    loops = {s: g.loops[s] for s in range(g.square_count)}
+    loops[p_sq] = loops.get(p_sq, 0) + loops_extra
+    return CurveSystem.build(g.square_count, chords, loops)
 
 
 def enumerate_basic(c: SquareComplex) -> list[CurveSystem]:

@@ -262,3 +262,22 @@ def test_degenerate_collapse_with_two_doubled_strands():
     assert base.square_count == 4
     for bits in range(16):
         assert naturality_holds(script, bits)
+
+
+@pytest.mark.parametrize("signs,fold", [
+    ((+1, +1), Fold((0, 0), (0, 1))),
+    ((-1, +1), Fold((0, 1), (0, 2))),
+    ((+1, +1), Fold((1, 0), (1, 1))),
+])
+def test_vacuum_collapse_of_square_0_keeps_its_closed_curve(signs, fold):
+    # folding two adjacent sides of one square of two lone squares makes a
+    # slack vacuum that collapses away; its closed curve must stay on the
+    # other square. When the folded square was square 0 the curve was put
+    # on square 0 itself and dropped with it, so the image element was 1
+    empty = SquareComplex.build(0)
+    script = MorphismScript.build(
+        empty, [CreateSquare(s) for s in signs] + [fold])
+    target, image = apply_script_to_sutures(script, basic_system(empty, 0))
+    assert image.loops == (1,)
+    assert suture_element(target, image).word_strings() == []
+    assert naturality_holds(script, 0)

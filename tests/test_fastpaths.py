@@ -31,6 +31,12 @@ Fast paths and their oracles:
   chi_plus - chi_minus of the region decomposition (`regions`).
 - `require_valid_pair` trusts a system known valid on the same complex
   object; every other pair gets the full check.
+- `transport_collapse` edits the curves in place, thawing only the squares
+  it reads, and slices its square out of the frozen system; the oracle is
+  the same collapse of a twin with no facts, which thaws whole.
+- `slide_sutures` places the crossings of the new diagonal directly; the
+  oracle cuts the hexagon along it with `routing.split_disc`
+  (`slide_sutures_oracle`).
 - `sutures._splice`, the strand join of every re-routing move, is one walk
   over the links; the oracle is a union-find over the same links.
 """
@@ -58,7 +64,7 @@ from sqft.engine import (
     compiled_operator, naturality_holds, suture_element,
 )
 from sqft.regions import closed_components, euler_class, is_trivial, regions
-from sqft.routing import transport_collapse
+from sqft.routing import slide_sutures, transport_collapse
 from sqft.surface import (
     SquareComplex, ValidationReport, VertexClass, canonical_form,
     canonical_permutation, validate_complex,
@@ -69,6 +75,7 @@ from sqft.sutures import (
     finger_push, normalize, require_valid_pair, transport_glue,
     validate_sutures,
 )
+from helpers import slide_sutures_oracle
 from test_triviality import (
     POOL_MATCHINGS, _closed_components_oracle, _surgery_children,
     _with_circle,
@@ -888,6 +895,51 @@ def test_every_pair_a_push_passes_through_is_valid():
         assert (target, image) == apply_script_to_sutures(script, g)
         checked += count
     assert len(cases) > 750 and checked > 7000
+
+
+# ---------------------------------------------------------------------------
+# a collapse thaws only the squares it reads and slices its square out; a
+# slide places the crossings of the new diagonal directly
+
+
+def test_collapse_against_thaw_all(monkeypatch):
+    # every collapse of a push through the extension scripts, at every word
+    # of their sources: the input as the push passes it on, and a twin with
+    # no facts, which thaws whole, give the same system, in frozen form
+    inputs = []
+
+    def checked(c, g, rec):
+        inputs.append(g.facts.frozen)
+        out = transport_collapse(c, g, rec)
+        assert out == transport_collapse(c, CurveSystem(g.chords, g.loops), rec)
+        assert out.facts.frozen
+        d = Diagram.from_system(out)
+        d.thaw_all()
+        assert d.freeze() == out
+        return out
+
+    monkeypatch.setattr(engine, "transport_collapse", checked)
+    for script in _extension_scripts(range(80)):
+        for bits in range(1 << script.source.square_count):
+            apply_script_to_sutures(script, basic_system(script.source, bits))
+    assert (len(inputs), sum(inputs)) == (880, 326)
+
+
+def test_slide_against_split_disc(random_pairs):
+    # every edge of the random pairs and of the census discs n = 3..6, both
+    # ways, against the hexagon cut along the new diagonal by split_disc
+    cases = list(random_pairs)
+    for n in range(3, 7):
+        c = disc_complex(n)
+        cases += [(c, g) for g in enumerate_disc_sutures(n)]
+    slides = 0
+    for c, g in cases:
+        for edge in c.sorted_gluings():
+            for direction in ("ccw", "cw"):
+                assert slide_sutures(c, g, edge, direction) == \
+                    slide_sutures_oracle(c, g, edge, direction)
+                slides += 1
+    assert slides == 2436
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,20 @@ def test_cli_apply_prints_the_empty_word(tmp_path, square, capsys):
     assert out.splitlines()[-1] == "image element 1 (empty word)"
 
 
+def test_cli_apply_vacuum_fold_keeps_the_loop(tmp_path, capsys):
+    # the fixture folds square 0 of two lone squares into a slack vacuum
+    # that collapses away; its closed curve must stay, on the square left
+    # (it used to be dropped with the folded square)
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps({"chords": {}}))
+    script = FIXTURES / "vacuum_fold.script.json"
+    assert main(["apply", str(script), str(gpath)]) == 0
+    out = capsys.readouterr().out
+    image, element = out.split("image sutures:\n")[1].split("image element ")
+    assert json.loads(image)["loops"] == {"0": 1}
+    assert element == "0\n"
+
+
 @pytest.mark.parametrize("n", ["1", "8", "x"])
 def test_census_rejects_n_out_of_range(n, capsys):
     # n = 1 used to fail with "error: need n >= 2" and n = 8 built a disc

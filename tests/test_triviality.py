@@ -68,8 +68,10 @@ def trivial_oracle(c, g) -> bool:
             for a, b in g.chords[s]:
                 if (s, a) not in comp:
                     continue
-                for r in an.chord_regions(s, a, b):
-                    reg = dec.regions[r]
+                sf = an.sqf[s]
+                i, j = sf.idx[a], sf.idx[b]
+                for half in ((i, j), (j, i)):
+                    reg = dec.regions[an.region(s, sf.face_of_half[half])]
                     if reg.chi == 1 and not reg.touches_boundary:
                         return True
     return False
