@@ -217,6 +217,26 @@ def check_naturality(seed: int, cases: int) -> list[str]:
     return fails
 
 
+def _dominated(u: int, v: int, arity: int) -> bool:
+    """Whether every prefix of word u, factor 0 first, holds no more 1s than
+    the same prefix of word v."""
+    ones_u = ones_v = 0
+    for i in range(arity):
+        ones_u += (u >> i) & 1
+        ones_v += (v >> i) & 1
+        if ones_u > ones_v:
+            return False
+    return True
+
+
+def _has_dominance_extremes(words: frozenset[int], arity: int) -> bool:
+    """Whether the words have exactly one least and one greatest member in
+    the prefix-count order."""
+    least = sum(all(_dominated(u, v, arity) for v in words) for u in words)
+    greatest = sum(all(_dominated(v, u, arity) for v in words) for u in words)
+    return least == greatest == 1
+
+
 def check_census(seed: int, cases: int) -> list[str]:
     fails = []
     top = min(6, max(3, 2 + cases // 40))
@@ -227,8 +247,11 @@ def check_census(seed: int, cases: int) -> list[str]:
             fails.append(f"disc n={n}: class count != catalan")
             continue
         by_grade: dict[int, list[int]] = {}
-        for s in systems:
+        for i, s in enumerate(systems):
             el = suture_element(c, s)
+            if not _has_dominance_extremes(el.words, el.arity):
+                fails.append(f"disc n={n}: class {i} has no single least "
+                             f"and greatest word")
             by_grade.setdefault(euler_class(c, s), []).append(
                 sum(1 << w for w in el.words))
         for e, rows in by_grade.items():

@@ -340,11 +340,7 @@ def compiled_operator(compiled: CompiledScript) -> tuple[LinearMap, Factorizatio
     arity_in = compiled.script.source.square_count
     arity_out = compiled.target.square_count
     fact = Factorization(ops, arity_in, arity_out)
-
-    def fn(x: Z2Tensor) -> Z2Tensor:
-        return fact.evaluate(x)
-
-    return LinearMap(arity_in, arity_out, fn), fact
+    return LinearMap(arity_in, arity_out, fact.evaluate), fact
 
 
 def apply_script_to_sutures(script: MorphismScript,

@@ -1,12 +1,25 @@
 """Complement regions of a curve system: signs, Euler characteristics,
 triviality and confinement.
 
-Each square's chord diagram cuts it into faces (traced via a half-edge walk);
-faces merge into regions across gluings. Signs come from the checkerboard
-coloring anchored at corner 0 (negative). Region Euler characteristics are
-computed from the honest cell structure of the region's completion: sutures
-are counted once per adjacent region side, and a crossing point contributes
-one 0-cell per sector, so pinched completions come out right.
+A square's points, sorted, run anticlockwise around it, and gap i runs from
+its i-th point to the next. Every side meets an odd number of points, so a
+gap turns at most one corner, and the gap after point (k, p) is positive
+exactly when k + p is even: the coloring anchored at corner 0, which is
+negative. A face is a cycle of gaps (the gap ending at one end of a chord
+goes on after the other end), and faces join into regions across the glued
+segments of the sides.
+
+A region's Euler characteristic is that of its completion, each cell
+shared out among the gaps at it. A gap has one chord side, the one after
+it, and a face is one 2-cell. A crossing of a gluing has one 0-cell of
+each sign, half to each of its two gaps of that sign (so pinched
+completions come out right); a boundary point gives a 0-cell to each gap
+at it. A segment is one 1-cell, halved between the gaps on the two sides
+of a gluing. A gap that turns a corner pays for each end point with the
+segment beside it; a gap between two points of a glued side keeps
+1/2 + 1/2 - 1/2. So chi of a region is its vertex classes, plus the sum
+over its faces of (1 - gaps), plus the segments of a glued side that lie
+between two of its points, counted once per gluing.
 
 The Euler class e = chi(R+) - chi(R-) needs none of that structure: it is
 the signed count of the same cells, and every cell but the vertices and
@@ -45,208 +58,91 @@ class RegionDecomposition:
         return sum(r.chi for r in self.regions if r.sign < 0)
 
 
-class _SquareFaces:
-    """Half-edge face trace of one square's chord diagram."""
+def _decompose(c: SquareComplex, g: CurveSystem) -> RegionDecomposition:
+    """Regions of a pair its caller has already validated.
 
-    def __init__(self, chords: tuple[tuple[EP, EP], ...]):
-        self.points: list[EP] = sorted(ep for ch in chords for ep in ch)
-        index = {ep: i for i, ep in enumerate(self.points)}
-        m = len(self.points)
-        self.pair = {}
-        for a, b in chords:
-            self.pair[index[a]] = index[b]
-            self.pair[index[b]] = index[a]
-        # gap g runs from points[g] to points[(g+1) % m]
-        self.face_of_gap: dict[int, int] = {}
-        self.face_of_half: dict[tuple[int, int], int] = {}
-        face = 0
-        for g0 in range(m):
-            if g0 in self.face_of_gap:
-                continue
-            g = g0
-            while g not in self.face_of_gap:
-                self.face_of_gap[g] = face
-                u = (g + 1) % m
-                v = self.pair[u]
-                self.face_of_half[(u, v)] = face
-                g = v
-            face += 1
-        self.face_count = face
+    Gaps are numbered square after square. Each square has an even number
+    of them, so gap x is positive exactly when x is even. A union-find whose
+    root is the least gap of its set joins the gaps of each face, then the
+    two gaps at each glued segment; regions come in the order of their
+    least gaps. Each gap carries the cells the local count credits to it.
+    """
+    counts = g._side_counts
+    parent: list[int] = []
+    credit: list[int] = []               # cells each gap gives its region
+    squares: list[tuple[int, int, tuple[int, int, int, int]]] = []
 
-        self.idx = index
-        self.last_of_side = {}
-        for i, (side, _) in enumerate(self.points):
-            self.last_of_side[side] = i
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    def corner_gap(self, k: int) -> int:
-        # corner k lies between the last point of side k-1 and the first of k
-        return self.last_of_side[(k - 1) % 4]
+    def union(a: int, b: int) -> None:
+        a, b = find(a), find(b)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
 
-    def gap_sign(self, g: int) -> int:
-        g0 = self.corner_gap(0)
-        m = len(self.points)
-        return -1 if (g - g0) % m % 2 == 0 else +1
+    def gap(sq: int, k: int, j: int) -> int:
+        """The gap over segment j (0..points) of side k of square sq."""
+        base, m, at = squares[sq]
+        return base + (at[k] + j - 1) % m
 
-    def gaps_at(self, i: int) -> tuple[int, int]:
-        """The two gaps adjacent to point i (ending at it, starting at it)."""
-        m = len(self.points)
-        return ((i - 1) % m, i)
+    for chords, (n0, n1, n2, n3) in zip(g.chords, counts):
+        at = (0, n0, n0 + n1, n0 + n1 + n2)
+        m = at[3] + n3
+        base = len(parent)
+        squares.append((base, m, at))
+        parent.extend(range(base, base + m))
+        credit.extend([-1] * m)          # the chord side after each gap
+        credit[base + m - 1] += 1        # the corner-0 face
+        for (ka, pa), (kb, pb) in chords:
+            i, j = at[ka] + pa, at[kb] + pb
+            # the gap ending at one end of a chord goes on after the other
+            union(base + (i - 1) % m, base + j)
+            union(base + (j - 1) % m, base + i)
+            credit[base + min(i, j)] += 1    # the face just inside it
 
-    def segment_gap(self, side: int, j: int, m_side: int) -> int:
-        """Gap covering segment j of `side` (j in 0..m_side)."""
-        if j < m_side:
-            return (self.idx[(side, j)] - 1) % len(self.points)
-        return self.idx[(side, m_side - 1)]
+    for (sa, ka), (sb, kb) in c.gluings:
+        m = counts[sa][ka]
+        for j in range(m + 1):
+            union(gap(sa, ka, j), gap(sb, kb, m - j))
+        for j in range(1, m):
+            credit[gap(sa, ka, j)] += 1      # a segment between two points
+    on_boundary = [False] * len(parent)
+    for sq, k in c.boundary_slots:
+        on_boundary[gap(sq, k, 0)] = on_boundary[gap(sq, k, 1)] = True
+    for v in c.vertex_classes:
+        credit[gap(*v.key, 0)] += 1
 
-    def gap_touches_boundary(self, g: int, c: SquareComplex, sq: int) -> bool:
-        u = self.points[g]
-        v = self.points[(g + 1) % len(self.points)]
-        return (not c.is_glued((sq, u[0]))) or (not c.is_glued((sq, v[0])))
+    region_of = [0] * len(parent)
+    least: list[int] = []
+    chi: list[int] = []
+    touches: list[bool] = []
+    for x in range(len(parent)):
+        root = find(x)
+        if root == x:
+            region_of[x] = len(least)
+            least.append(x)
+            chi.append(0)
+            touches.append(False)
+        elif (root - x) % 2:
+            raise AssertionError("region with mixed signs")
+        r = region_of[x] = region_of[root]
+        chi[r] += credit[x]
+        touches[r] = touches[r] or on_boundary[x]
 
-
-class _Analysis:
-    """Regions of a pair its caller has already validated."""
-
-    def __init__(self, c: SquareComplex, g: CurveSystem):
-        self.c, self.g = c, g
-        self.sqf = [_SquareFaces(g.chords[s]) for s in range(c.square_count)]
-
-        # union-find over (square, face)
-        nodes = [(s, f) for s in range(c.square_count)
-                 for f in range(self.sqf[s].face_count)]
-        self.parent = {n: n for n in nodes}
-
-        for edge in c.sorted_gluings():
-            (sa, ka), (sb, kb) = edge
-            m = g.side_count((sa, ka))
-            for j in range(m + 1):
-                fa = self.sqf[sa].segment_gap(ka, j, m)
-                fb = self.sqf[sb].segment_gap(kb, m - j, m)
-                na = (sa, self.sqf[sa].face_of_gap[fa])
-                nb = (sb, self.sqf[sb].face_of_gap[fb])
-                if self.sqf[sa].gap_sign(fa) != self.sqf[sb].gap_sign(fb):
-                    raise AssertionError("sign coloring mismatch across gluing")
-                self._union(na, nb)
-
-        self.region_of: dict[tuple[int, int], int] = {}
-        for n in nodes:
-            r = self._find(n)
-            if r not in self.region_of:
-                self.region_of[r] = len(self.region_of)
-        self.region_count = len(self.region_of)
-        self._build()
-
-    def _find(self, n):
-        p = self.parent
-        while p[n] != n:
-            p[n] = p[p[n]]
-            n = p[n]
-        return n
-
-    def _union(self, a, b):
-        ra, rb = self._find(a), self._find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-    def region(self, sq: int, face: int) -> int:
-        return self.region_of[self._find((sq, face))]
-
-    def region_of_gap(self, sq: int, gap: int) -> int:
-        return self.region(sq, self.sqf[sq].face_of_gap[gap])
-
-    def _build(self) -> None:
-        c, g = self.c, self.g
-        nr = self.region_count
-        V = [0] * nr
-        E = [0] * nr
-        F = [0] * nr
-        sign = [0] * nr
-        touches = [False] * nr
-
-        for s in range(c.square_count):
-            sf = self.sqf[s]
-            for f in range(sf.face_count):
-                F[self.region(s, f)] += 1
-            for gp in range(len(sf.points)):
-                r = self.region_of_gap(s, gp)
-                gs = sf.gap_sign(gp)
-                if sign[r] and sign[r] != gs:
-                    raise AssertionError("region with mixed signs")
-                sign[r] = gs
-                if sf.gap_touches_boundary(gp, c, s):
-                    touches[r] = True
-            for k in range(4):
-                corner_sign = +1 if k % 2 else -1
-                if sf.gap_sign(sf.corner_gap(k)) != corner_sign:
-                    raise AssertionError("corner color mismatch")
-
-        # 0-cells at quadrangulation vertices
-        for vc in c.vertex_classes:
-            regs = {
-                self.region_of_gap(sq, self.sqf[sq].corner_gap(k))
-                for sq, k in vc.corners
-            }
-            if len(regs) != 1:
-                raise AssertionError("vertex wedges land in several regions")
-            V[regs.pop()] += 1
-
-        # 0-cells at suture crossings: the two same-sign sectors at an interior
-        # crossing meet along a glued segment, so each sign contributes one
-        for edge in c.sorted_gluings():
-            (sa, ka), (sb, kb) = edge
-            m = g.side_count((sa, ka))
-            for j in range(m):
-                per_sign: dict[int, set[int]] = {}
-                for sq, side, pos in ((sa, ka, j), (sb, kb, m - 1 - j)):
-                    sf = self.sqf[sq]
-                    for gp in sf.gaps_at(sf.idx[(side, pos)]):
-                        per_sign.setdefault(sf.gap_sign(gp), set()).add(
-                            self.region_of_gap(sq, gp))
-                for regs in per_sign.values():
-                    if len(regs) != 1:
-                        raise AssertionError("crossing sectors disagree")
-                    V[regs.pop()] += 1
-        for slot in c.boundary_slots:
-            sq, side = slot
-            sf = self.sqf[sq]
-            for gp in sf.gaps_at(sf.idx[(side, 0)]):
-                V[self.region_of_gap(sq, gp)] += 1
-
-        # 1-cells: edge segments (one per class) and chord sides
-        for edge in c.sorted_gluings():
-            (sa, ka), _ = edge
-            m = g.side_count((sa, ka))
-            for j in range(m + 1):
-                gp = self.sqf[sa].segment_gap(ka, j, m)
-                E[self.region_of_gap(sa, gp)] += 1
-        for slot in c.boundary_slots:
-            sq, side = slot
-            for j in range(2):
-                gp = self.sqf[sq].segment_gap(side, j, 1)
-                E[self.region_of_gap(sq, gp)] += 1
-        for s in range(c.square_count):
-            for half, f in self.sqf[s].face_of_half.items():
-                E[self.region(s, f)] += 1
-
-        chis = [V[r] - E[r] + F[r] for r in range(nr)]
-
-        # loose loops: concentric inside the corner-0 face of their square
-        extra: list[Region] = []
-        for s in range(c.square_count):
-            count = g.loops[s]
-            if not count:
-                continue
-            host_gap = self.sqf[s].corner_gap(0)
-            host = self.region_of_gap(s, host_gap)
-            chis[host] -= 1
-            cur = -sign[host]
-            for depth in range(count - 1):
-                extra.append(Region(cur, 0, False))
-                cur = -cur
-            extra.append(Region(cur, 1, False))
-
-        base = [Region(sign[r], chis[r], touches[r]) for r in range(nr)]
-        self.decomposition = RegionDecomposition(tuple(base + extra))
+    # loose loops: concentric inside the negative corner-0 face of their
+    # square, the outermost positive, the innermost a disc
+    extra: list[Region] = []
+    for (base, m, _), count in zip(squares, g.loops):
+        if count:
+            chi[region_of[base + m - 1]] -= 1
+            extra.extend(Region(-1 if d % 2 else 1, int(d == count - 1), False)
+                         for d in range(count))
+    return RegionDecomposition(tuple(
+        [Region(-1 if x % 2 else 1, e, t)
+         for x, e, t in zip(least, chi, touches)] + extra))
 
 
 def closed_components(c: SquareComplex,
@@ -311,15 +207,15 @@ def closed_components(c: SquareComplex,
 
 def regions(c: SquareComplex, g: CurveSystem) -> RegionDecomposition:
     require_valid_pair(c, g)
-    return _Analysis(c, g).decomposition
+    return _decompose(c, g)
 
 
 def euler_class(c: SquareComplex, g: CurveSystem) -> int:
     """e = chi(R+) - chi(R-) of a valid pair, by a signed count of local
     cells; ValueError, as from regions(), for an invalid one.
 
-    e is the sum over regions of sign * chi, the signed count of the cells
-    _Analysis builds, with each cell's sign that of its region:
+    e is the sum over regions of sign * chi, the signed count of the
+    regions' cells, with each cell's sign that of its region:
     - crossing points and boundary-side points (one 0-cell in each sign),
       the two boundary segments of a boundary side and the two sides of a
       chord come in opposite-sign pairs and cancel;
@@ -338,7 +234,8 @@ def euler_class(c: SquareComplex, g: CurveSystem) -> int:
     So e = sum of vertex signs + sum over squares of
     (-1 + sum of sigma(min(a, b)) over its chords + 2 if its loops are odd).
     Validation glues even sides to odd sides only, so matched corners have
-    equal signs and the coloring _Analysis asserts holds. min(a, b), not
+    equal signs and the coloring holds that _decompose checks when it
+    refuses a region with mixed signs. min(a, b), not
     the first endpoint, because a hand-built system need not be canonical.
     """
     require_valid_pair(c, g)
@@ -357,10 +254,11 @@ def is_trivial(c: SquareComplex, g: CurveSystem) -> bool:
 
     The checks run in this order: loose loops (trivial); validation of the
     pair, which raises ValueError; no closed component (nontrivial, decided
-    without any region data); otherwise the full region analysis, trivial
-    when some disc region lies away from the boundary. Such a region
-    borders closed components only: each side of an arc lies in the region
-    that holds the boundary segment beside the arc's end.
+    without any region data); otherwise the regions' local count
+    (_decompose), trivial when some disc region lies away from the
+    boundary. Such a region borders closed components only: each side of
+    an arc lies in the region that holds the boundary segment beside the
+    arc's end.
     """
     if g.total_loops() > 0:
         return True
@@ -368,7 +266,7 @@ def is_trivial(c: SquareComplex, g: CurveSystem) -> bool:
     if not closed_components(c, g):
         return False
     return any(r.chi == 1 and not r.touches_boundary
-               for r in _Analysis(c, g).decomposition.regions)
+               for r in _decompose(c, g).regions)
 
 
 def is_confining(c: SquareComplex, g: CurveSystem) -> bool:

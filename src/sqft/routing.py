@@ -149,8 +149,10 @@ def slide_sutures(c: SquareComplex, g: CurveSystem, edge: GluingPair | tuple,
     census.matching_system: crossing k is point len - 1 - k on the new
     diagonal of the square those sides go to and point k on the other's.
     """
-    g = normalize(c, g)
     pair = _norm_pair(*edge)
+    if pair not in c.gluings:
+        raise ValueError(f"no internal edge {edge}")
+    g = normalize(c, g)
     (p_sq, p), (q_sq, q) = pair
     mapping = slide_slot_map(c, pair, direction)
     hexagon = list(mapping)             # the outer sides, in order

@@ -144,7 +144,7 @@ class _Slots(dict):
     """A Diagram's point lists by (square, side), filled square by square
     from the source system as the slots are first used."""
 
-    def __init__(self, base: Optional[CurveSystem], mate: dict[int, int],
+    def __init__(self, base: CurveSystem, mate: dict[int, int],
                  square_of: dict[int, int], ids: Iterator[int]):
         self.base = base
         self.mate = mate
@@ -163,7 +163,7 @@ class _Slots(dict):
 
     def thaw(self, sq: int) -> None:
         base = self.base
-        if sq in self.thawed or base is None or not 0 <= sq < len(base.chords):
+        if sq in self.thawed or not 0 <= sq < len(base.chords):
             return
         self.thawed.add(sq)
         chords = base.chords[sq]
@@ -189,18 +189,13 @@ class _Slots(dict):
 
 
 class Diagram:
-    def __init__(self, square_count: int, base: Optional[CurveSystem] = None):
-        # without a base every square starts thawed and empty
-        self.square_count = square_count
+    def __init__(self, base: CurveSystem):
+        self.square_count = base.square_count
         self.mate: dict[int, int] = {}
         self.square_of: dict[int, int] = {}
-        self.loops: list[int] = list(base.loops) if base else [0] * square_count
+        self.loops: list[int] = list(base.loops)
         self._ids = count()
         self.order = _Slots(base, self.mate, self.square_of, self._ids)
-        if base is None:
-            self.order.thawed.update(range(square_count))
-            dict.update(self.order, {
-                (s, k): [] for s in range(square_count) for k in range(4)})
 
     # -- construction ------------------------------------------------------
 
@@ -208,7 +203,7 @@ class Diagram:
     def from_system(g: CurveSystem) -> "Diagram":
         """A diagram of g. A system known to be in frozen form thaws square
         by square as the squares are first used, any other one whole."""
-        d = Diagram(g.square_count, g)
+        d = Diagram(g)
         if not g.facts.frozen:
             d.thaw_all()
         return d
@@ -251,7 +246,7 @@ class Diagram:
                 raise AssertionError("chord spans squares")
             rebuilt[sq].append(_norm_chord(pos[pid], pos[qid]))
         base = order.base
-        chords = list(base.chords) if base else [()] * self.square_count
+        chords = list(base.chords)
         for sq, found in rebuilt.items():
             chords[sq] = tuple(sorted(found))
         out = CurveSystem(tuple(chords), tuple(self.loops))
@@ -260,7 +255,7 @@ class Diagram:
             # 0, 1, ... and its point count is the length of its list
             facts = out.facts
             facts.frozen = True
-            table = base.facts.side_counts if base else None
+            table = base.facts.side_counts
             if table is not None:
                 table = list(table)
                 for sq in rebuilt:
@@ -292,8 +287,8 @@ class Diagram:
         self.order[slot].remove(pid)
         del self.square_of[pid]
 
-    def insert(self, slot: Slot, index: int, square_hint: Optional[int] = None) -> int:
-        pid = self.new_point(square_hint if square_hint is not None else slot[0])
+    def insert(self, slot: Slot, index: int) -> int:
+        pid = self.new_point(slot[0])
         self.order[slot].insert(index, pid)
         return pid
 

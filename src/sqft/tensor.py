@@ -146,10 +146,8 @@ class DigitalOp:
         return self.arity_in - 1
 
 
-def create_op(bit: int, arity_in: int, factor: int | None = None) -> DigitalOp:
-    if factor is None:
-        factor = arity_in
-    return DigitalOp(CREATE1 if bit else CREATE0, factor, arity_in)
+def create_op(bit: int, arity_in: int) -> DigitalOp:
+    return DigitalOp(CREATE1 if bit else CREATE0, arity_in, arity_in)
 
 
 def annihilate_op(bit: int, arity_in: int, factor: int,

@@ -12,7 +12,12 @@
 - `enumerate_basic` lists the basic systems of a complex, and
   `boundary_hugging_system` builds boundary-parallel arcs and loops.
 - `confining_oracle` decides confinement by a flood fill over faces found
-  by bracket nesting, apart from the half-edge trace of `regions`.
+  by bracket nesting, apart from the half-edge trace of `_Analysis` and
+  the union-find of `regions`.
+- `_SquareFaces` and `_Analysis` find the regions of a pair by a
+  half-edge face trace and a cell-by-cell count of each region's
+  completion; `regions._decompose` counts the same cells locally, gap by
+  gap.
 - `block_power` is the n-th power of a 2x2 block over GF(2).
 """
 
@@ -20,10 +25,11 @@ from typing import Optional
 
 from sqft.census import _disc_layout
 from sqft.quad import slide_slot_map
+from sqft.regions import Region, RegionDecomposition
 from sqft.routing import DiscSide, split_disc
 from sqft.surface import GluingPair, Slot, SquareComplex, _norm_pair
 from sqft.sutures import (
-    CurveSystem, _splice, basic_system, normalize, require_valid_pair,
+    EP, CurveSystem, _splice, basic_system, normalize, require_valid_pair,
     validate_sutures,
 )
 
@@ -322,6 +328,215 @@ def confining_oracle(c: SquareComplex, g: CurveSystem) -> bool:
                 reached.add(nb)
                 frontier.append(nb)
     return reached != all_nodes
+
+
+# ---------------------------------------------------------------------------
+# the half-edge region analysis: faces traced per square, merged across
+# gluings, then each region's completion counted cell by cell
+
+
+class _SquareFaces:
+    """Half-edge face trace of one square's chord diagram."""
+
+    def __init__(self, chords: tuple[tuple[EP, EP], ...]):
+        self.points: list[EP] = sorted(ep for ch in chords for ep in ch)
+        index = {ep: i for i, ep in enumerate(self.points)}
+        m = len(self.points)
+        self.pair = {}
+        for a, b in chords:
+            self.pair[index[a]] = index[b]
+            self.pair[index[b]] = index[a]
+        # gap g runs from points[g] to points[(g+1) % m]
+        self.face_of_gap: dict[int, int] = {}
+        self.face_of_half: dict[tuple[int, int], int] = {}
+        face = 0
+        for g0 in range(m):
+            if g0 in self.face_of_gap:
+                continue
+            g = g0
+            while g not in self.face_of_gap:
+                self.face_of_gap[g] = face
+                u = (g + 1) % m
+                v = self.pair[u]
+                self.face_of_half[(u, v)] = face
+                g = v
+            face += 1
+        self.face_count = face
+
+        self.idx = index
+        self.last_of_side = {}
+        for i, (side, _) in enumerate(self.points):
+            self.last_of_side[side] = i
+
+    def corner_gap(self, k: int) -> int:
+        # corner k lies between the last point of side k-1 and the first of k
+        return self.last_of_side[(k - 1) % 4]
+
+    def gap_sign(self, g: int) -> int:
+        g0 = self.corner_gap(0)
+        m = len(self.points)
+        return -1 if (g - g0) % m % 2 == 0 else +1
+
+    def gaps_at(self, i: int) -> tuple[int, int]:
+        """The two gaps adjacent to point i (ending at it, starting at it)."""
+        m = len(self.points)
+        return ((i - 1) % m, i)
+
+    def segment_gap(self, side: int, j: int, m_side: int) -> int:
+        """Gap covering segment j of `side` (j in 0..m_side)."""
+        if j < m_side:
+            return (self.idx[(side, j)] - 1) % len(self.points)
+        return self.idx[(side, m_side - 1)]
+
+    def gap_touches_boundary(self, g: int, c: SquareComplex, sq: int) -> bool:
+        u = self.points[g]
+        v = self.points[(g + 1) % len(self.points)]
+        return (not c.is_glued((sq, u[0]))) or (not c.is_glued((sq, v[0])))
+
+
+class _Analysis:
+    """Regions of a pair its caller has already validated."""
+
+    def __init__(self, c: SquareComplex, g: CurveSystem):
+        self.c, self.g = c, g
+        self.sqf = [_SquareFaces(g.chords[s]) for s in range(c.square_count)]
+
+        # union-find over (square, face)
+        nodes = [(s, f) for s in range(c.square_count)
+                 for f in range(self.sqf[s].face_count)]
+        self.parent = {n: n for n in nodes}
+
+        for edge in c.sorted_gluings():
+            (sa, ka), (sb, kb) = edge
+            m = g.side_count((sa, ka))
+            for j in range(m + 1):
+                fa = self.sqf[sa].segment_gap(ka, j, m)
+                fb = self.sqf[sb].segment_gap(kb, m - j, m)
+                na = (sa, self.sqf[sa].face_of_gap[fa])
+                nb = (sb, self.sqf[sb].face_of_gap[fb])
+                if self.sqf[sa].gap_sign(fa) != self.sqf[sb].gap_sign(fb):
+                    raise AssertionError("sign coloring mismatch across gluing")
+                self._union(na, nb)
+
+        self.region_of: dict[tuple[int, int], int] = {}
+        for n in nodes:
+            r = self._find(n)
+            if r not in self.region_of:
+                self.region_of[r] = len(self.region_of)
+        self.region_count = len(self.region_of)
+        self._build()
+
+    def _find(self, n):
+        p = self.parent
+        while p[n] != n:
+            p[n] = p[p[n]]
+            n = p[n]
+        return n
+
+    def _union(self, a, b):
+        ra, rb = self._find(a), self._find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
+
+    def region(self, sq: int, face: int) -> int:
+        return self.region_of[self._find((sq, face))]
+
+    def region_of_gap(self, sq: int, gap: int) -> int:
+        return self.region(sq, self.sqf[sq].face_of_gap[gap])
+
+    def _build(self) -> None:
+        c, g = self.c, self.g
+        nr = self.region_count
+        V = [0] * nr
+        E = [0] * nr
+        F = [0] * nr
+        sign = [0] * nr
+        touches = [False] * nr
+
+        for s in range(c.square_count):
+            sf = self.sqf[s]
+            for f in range(sf.face_count):
+                F[self.region(s, f)] += 1
+            for gp in range(len(sf.points)):
+                r = self.region_of_gap(s, gp)
+                gs = sf.gap_sign(gp)
+                if sign[r] and sign[r] != gs:
+                    raise AssertionError("region with mixed signs")
+                sign[r] = gs
+                if sf.gap_touches_boundary(gp, c, s):
+                    touches[r] = True
+            for k in range(4):
+                corner_sign = +1 if k % 2 else -1
+                if sf.gap_sign(sf.corner_gap(k)) != corner_sign:
+                    raise AssertionError("corner color mismatch")
+
+        # 0-cells at quadrangulation vertices
+        for vc in c.vertex_classes:
+            regs = {
+                self.region_of_gap(sq, self.sqf[sq].corner_gap(k))
+                for sq, k in vc.corners
+            }
+            if len(regs) != 1:
+                raise AssertionError("vertex wedges land in several regions")
+            V[regs.pop()] += 1
+
+        # 0-cells at suture crossings: the two same-sign sectors at an interior
+        # crossing meet along a glued segment, so each sign contributes one
+        for edge in c.sorted_gluings():
+            (sa, ka), (sb, kb) = edge
+            m = g.side_count((sa, ka))
+            for j in range(m):
+                per_sign: dict[int, set[int]] = {}
+                for sq, side, pos in ((sa, ka, j), (sb, kb, m - 1 - j)):
+                    sf = self.sqf[sq]
+                    for gp in sf.gaps_at(sf.idx[(side, pos)]):
+                        per_sign.setdefault(sf.gap_sign(gp), set()).add(
+                            self.region_of_gap(sq, gp))
+                for regs in per_sign.values():
+                    if len(regs) != 1:
+                        raise AssertionError("crossing sectors disagree")
+                    V[regs.pop()] += 1
+        for slot in c.boundary_slots:
+            sq, side = slot
+            sf = self.sqf[sq]
+            for gp in sf.gaps_at(sf.idx[(side, 0)]):
+                V[self.region_of_gap(sq, gp)] += 1
+
+        # 1-cells: edge segments (one per class) and chord sides
+        for edge in c.sorted_gluings():
+            (sa, ka), _ = edge
+            m = g.side_count((sa, ka))
+            for j in range(m + 1):
+                gp = self.sqf[sa].segment_gap(ka, j, m)
+                E[self.region_of_gap(sa, gp)] += 1
+        for slot in c.boundary_slots:
+            sq, side = slot
+            for j in range(2):
+                gp = self.sqf[sq].segment_gap(side, j, 1)
+                E[self.region_of_gap(sq, gp)] += 1
+        for s in range(c.square_count):
+            for half, f in self.sqf[s].face_of_half.items():
+                E[self.region(s, f)] += 1
+
+        chis = [V[r] - E[r] + F[r] for r in range(nr)]
+
+        # loose loops: concentric inside the corner-0 face of their square
+        extra: list[Region] = []
+        for s in range(c.square_count):
+            count = g.loops[s]
+            if not count:
+                continue
+            host_gap = self.sqf[s].corner_gap(0)
+            host = self.region_of_gap(s, host_gap)
+            chis[host] -= 1
+            cur = -sign[host]
+            for depth in range(count - 1):
+                extra.append(Region(cur, 0, False))
+                cur = -cur
+            extra.append(Region(cur, 1, False))
+
+        base = [Region(sign[r], chis[r], touches[r]) for r in range(nr)]
+        self.decomposition = RegionDecomposition(tuple(base + extra))
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,27 @@ def test_check_euler_compares_the_fast_euler_class(monkeypatch, capsys):
     assert "    case 0: euler class disagrees with regions" in out
 
 
+def test_check_census_finds_an_element_without_dominance_extremes(
+        monkeypatch, capsys):
+    from sqft import cli
+    from sqft.tensor import Z2Tensor
+    assert main(["check", "--suite", "census", "--cases", "120"]) == 0
+    assert capsys.readouterr().out == "census       pass\n"
+    element = cli.suture_element
+
+    def wrong(c, g):
+        # in arity 4, factors 0 and 3 set (9) and factors 1 and 2 set (6)
+        # are incomparable, so neither is least or greatest
+        el = element(c, g)
+        return Z2Tensor(4, frozenset({9, 6})) if el.arity == 4 else el
+
+    monkeypatch.setattr(cli, "suture_element", wrong)
+    assert main(["check", "--suite", "census", "--cases", "120"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "census       FAIL"
+    assert "    disc n=5: class 0 has no single least and greatest word" in out
+
+
 def test_check_naturality_runs_every_source_word(monkeypatch):
     from sqft import cli, engine
     from sqft.tensor import annihilate_op

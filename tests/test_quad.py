@@ -6,9 +6,11 @@ from sqft.quad import (
     collapse_steps, diagonal_slide, dual_graph, find_collapsible_square,
     make_collapse_record, collapse_slack_square, tighten,
 )
+from sqft.routing import slide_sutures
 from sqft.surface import (
     SquareComplex, canonical_form, glue, invariants, validate_complex,
 )
+from sqft.sutures import basic_system
 
 
 def folded_hexagon(hexagon):
@@ -123,6 +125,16 @@ def test_slide_rejects_slack_and_same_square(hexagon):
     slack = SquareComplex.build(1, [((0, 0), (0, 1))], slack=True)
     with pytest.raises(Exception):
         diagonal_slide(slack, ((0, 0), (0, 1)), "ccw")
+
+
+def test_slide_of_sutures_rejects_an_edge_that_is_not_glued(hexagon):
+    # sides (0, 1) and (1, 2) are both boundary sides of the hexagon
+    edge = ((0, 1), (1, 2))
+    g = basic_system(hexagon, 1)
+    for slide in (lambda: diagonal_slide(hexagon, edge, "ccw"),
+                  lambda: slide_sutures(hexagon, g, edge, "ccw")):
+        with pytest.raises(ValueError, match="no internal edge"):
+            slide()
 
 
 def test_dual_graph_counts(square, hexagon, punctured_torus):

@@ -1,15 +1,19 @@
 """The triviality test of the bypass recursion against an independent copy of
 the full predicate, and the exact work the recursion does per node."""
 
+import random
+
 import pytest
 
 from sqft import engine
 from sqft.census import disc_complex, enumerate_disc_sutures, matching_system
-from sqft.regions import _Analysis, is_trivial
+from sqft.regions import is_trivial, regions
 from sqft.sutures import (
     CurveSystem, EP, bypass_surgery, bypass_triples, normalize,
     require_valid_pair,
 )
+
+from helpers import _Analysis
 
 # two diagrams of the benchmark's disc_chords pool (bench/disc_chords_pool.json):
 # their elements have 36 words, so the recursion has 71 nodes and no memo hit
@@ -162,6 +166,38 @@ def test_invalid_pair_raises_before_short_circuit(hexagon):
     assert not _closed_components_oracle(hexagon, g)
     with pytest.raises(ValueError, match="meets 3 points"):
         is_trivial(hexagon, g)
+
+
+# ---------------------------------------------------------------------------
+# the local count of regions against the half-edge analysis
+
+
+def _with_loops(g, seed) -> CurveSystem:
+    """g with a seeded number of loose loops, 0 to 2, in each square."""
+    rng = random.Random(seed)
+    return CurveSystem(g.chords, tuple(rng.choice((0, 0, 1, 2)) for _ in g.loops))
+
+
+def test_regions_match_half_edge_analysis(random_pairs):
+    pairs = []
+    for n in range(2, 8):
+        c = disc_complex(n)
+        pairs.extend((c, g) for g in enumerate_disc_sutures(n))
+    for c, g in random_pairs:
+        pairs.append((c, g))
+        pairs.extend((c, child) for child in _surgery_children(c, g))
+    for n in range(3, 7):
+        c = disc_complex(n)
+        pairs.extend((c, _with_circle(c, g, edge))
+                     for g in enumerate_disc_sutures(n)
+                     for edge in c.sorted_gluings())
+    looped = 0
+    for i, (c, g) in enumerate(pairs):
+        for h in (g, _with_loops(g, i)):
+            assert regions(c, h).regions == _Analysis(c, h).decomposition.regions
+        looped += h.total_loops() > 0
+    assert len(pairs) == 1637
+    assert looped > 1000
 
 
 # ---------------------------------------------------------------------------
