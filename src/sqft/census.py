@@ -17,6 +17,7 @@ import random
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
+from .disc import _disc_layout, disc_complex
 from .engine import (
     CreateSquare, Fold, Glue, MorphismScript, Move, Zip, apply_move,
 )
@@ -29,15 +30,6 @@ from .regions import is_trivial
 
 # ---------------------------------------------------------------------------
 # the disc family
-
-
-def disc_complex(n: int) -> SquareComplex:
-    """Fan quadrangulation of the disc with 2n boundary vertices."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return SquareComplex.build(
-        n - 1, [((i, 2), (i + 1, 1)) for i in range(n - 2)]
-    )
 
 
 @lru_cache(maxsize=None)
@@ -65,29 +57,6 @@ def noncrossing_matchings(m: int) -> Iterator[tuple[tuple[int, int], ...]]:
                     yield ((a, b),) + left + right
 
     return rec(tuple(range(m)))
-
-
-def _disc_polygon(c: SquareComplex) -> tuple[list[Slot], dict]:
-    """Boundary sides in cyclic order and corner positions by vertex class."""
-    cycle = list(c.boundary_cycles[0])
-    corner_pos = {}
-    for gidx, slot in enumerate(cycle):
-        start, _ = c.edge_endpoints(slot)
-        corner_pos[start.key] = gidx
-    return cycle, corner_pos
-
-
-@lru_cache(maxsize=None)
-def _disc_layout(n: int) -> tuple[SquareComplex, tuple[Slot, ...], tuple]:
-    """The disc, its boundary sides in cyclic order and, per arc i between
-    squares i and i + 1, the positions in that order of the arc's inner
-    and outer corners, shared by every matching of the same n."""
-    c = disc_complex(n)
-    cycle, corner_pos = _disc_polygon(c)
-    arcs = tuple((corner_pos[c.corner_class[(i, 2)].key],
-                  corner_pos[c.corner_class[(i, 3)].key])
-                 for i in range(n - 2))
-    return c, tuple(cycle), arcs
 
 
 def matching_system(n: int, matching: Iterable[tuple[int, int]]) -> CurveSystem:

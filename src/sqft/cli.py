@@ -14,6 +14,7 @@ from math import comb
 from pathlib import Path
 
 from . import census, formats
+from .disc import bypass_relations, disc_element
 from .engine import (
     apply_script_to_sutures, compile_script, compiled_operator, element_trace,
     naturality_holds, suture_element,
@@ -23,7 +24,7 @@ from .regions import euler_class, regions
 from .surface import invariants, validate_complex
 from .sutures import bypass_surgery, bypass_triples, validate_sutures
 from .svg import render_svg
-from .tensor import gf2_rank, is_homogeneous
+from .tensor import Z2Tensor, gf2_rank, is_homogeneous
 
 
 def _read(path: str) -> str:
@@ -247,11 +248,17 @@ def check_census(seed: int, cases: int) -> list[str]:
             fails.append(f"disc n={n}: class count != catalan")
             continue
         by_grade: dict[int, list[int]] = {}
-        for i, s in enumerate(systems):
+        matchings = census.noncrossing_matchings(2 * n)
+        for i, (m, s) in enumerate(zip(matchings, systems)):
             el = suture_element(c, s)
             if not _has_dominance_extremes(el.words, el.arity):
                 fails.append(f"disc n={n}: class {i} has no single least "
                              f"and greatest word")
+            for terms in bypass_relations(n, m):
+                if sum((disc_element(n, t) for t in terms),
+                       Z2Tensor.zero(n - 1)).words:
+                    fails.append(f"disc n={n}: a bypass relation at class "
+                                 f"{i} does not cancel")
             by_grade.setdefault(euler_class(c, s), []).append(
                 sum(1 << w for w in el.words))
         for e, rows in by_grade.items():

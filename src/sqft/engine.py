@@ -7,6 +7,22 @@ curves once the system is basic and contributes a single basis word (bit 1
 for a positively sutured square). On slack complexes the reduction runs on
 the slack quadrangulation and the collapse operators finish the job.
 
+A fan disc (`disc_complex(n)` up to a relabelling of its squares) is
+evaluated digitally instead, with no curves, when the normalized system is
+nontrivial and has a bypass triple: its strands are read as a non-crossing
+matching of the 2n boundary points, and `disc.disc_element` peels an
+outermost chord at a time (Mathews, arXiv:1006.3063, on the
+Honda-Kazez-Matic TQFT, arXiv:0807.2431). A chord at (0, 1) is dropped with
+the other points renumbered p -> p mod (2n - 2), and bit 1 is inserted at
+factor 0 (w -> 2w + 1); a chord at (2n - 1, 0) inserts bit 0 (w -> 2w). Any
+other outermost chord is brought to one of these by the rotation
+p -> p + 2, whose operator R is the ccw diagonal slides at factors (i, i+1)
+for i = 0, ..., n - 3, and R^-1 the cw slides in reverse order. A basic
+system stays on the recursion, where it is one node. A call with a chooser
+and `element_trace` always recurse, as does every other complex, among
+them a fan whose squares are rotated as well as relabelled (the two-square
+hexagon glued (0, 0)-(1, 1), for one): recognising those is out of scope.
+
 Every surface morphism is presented as a script of elementary moves. Each
 move contributes an explicit operator: creations append a tensor factor,
 standard gluings are the identity, folds contribute one general annihilation
@@ -19,6 +35,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
+from .disc import clear_memo, fan_element
 from .quad import CollapseRecord, collapse_steps, tighten
 from .regions import is_trivial
 from .routing import transport_collapse
@@ -46,10 +63,11 @@ _LAST_COMPILED: Optional[CompiledScript] = None
 
 
 def clear_cache() -> None:
-    """Empty the element memo and forget the last compiled script."""
+    """Empty the element memos and forget the last compiled script."""
     global _LAST_COMPILED
     with _CACHE_LOCK:
         _CACHE.clear()
+    clear_memo()
     _LAST_COMPILED = None
 
 
@@ -66,7 +84,7 @@ def suture_element(c: SquareComplex, g: CurveSystem,
 
     A non-default `chooser` picks which bypass triple to resolve first; the
     result is independent of the choice (tested, not assumed), but only the
-    default deterministic order is memoized.
+    default deterministic order is memoized, and only it peels fan discs.
     """
     return _element(c, g, chooser, None)
 
@@ -85,6 +103,9 @@ def _element(c: SquareComplex, g: CurveSystem, chooser: Optional[Chooser],
         if lines is not None:
             lines.append("trivial -> 0")
         elem = Z2Tensor.zero(c.square_count)
+    elif chooser is None and lines is None and \
+            (fan := fan_element(c, g)) is not None:
+        elem = fan
     else:
         elem = _reduce(c, g, chooser, lines)
     if c.internal_vertices():

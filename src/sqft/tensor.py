@@ -278,21 +278,33 @@ def slide_map(x: Z2Tensor, i: int, j: int, block: tuple[tuple[int, int], ...]) -
 
     Basis order of the block is (01, 10), meaning (bit_i, bit_j) = (0,1) then
     (1,0). Column k of `block` is the image of basis vector k.
+
+    The words that differ only at i and j share one span (01, 10), so the
+    block acts on each such pair's coefficients at once; the images of
+    distinct pairs and the equal-bit words never meet.
     """
     if i == j:
         raise ValueError("factors must differ")
-    out: set[int] = set()
+    bit_i, bit_j = 1 << i, 1 << j
+    both = bit_i | bit_j
+    out: list[int] = []
+    pairs: dict[int, int] = {}       # word with bits i, j clear -> coefficients
     for w in x.words:
-        bi, bj = (w >> i) & 1, (w >> j) & 1
-        if bi == bj:
-            out ^= {w}
-            continue
-        col = 0 if (bi, bj) == (0, 1) else 1
-        base = w & ~(1 << i) & ~(1 << j)
-        if block[0][col]:
-            out ^= {base | (1 << j)}          # 01: bit_j set
-        if block[1][col]:
-            out ^= {base | (1 << i)}          # 10: bit_i set
+        b = w & both
+        if b == 0 or b == both:
+            out.append(w)
+        else:
+            base = w ^ b
+            pairs[base] = pairs.get(base, 0) ^ (1 if b == bit_j else 2)
+    # image of each coefficient vector: bit 0 for 01, bit 1 for 10
+    cols = [block[0][k] | block[1][k] << 1 for k in (0, 1)]
+    image = (0, cols[0], cols[1], cols[0] ^ cols[1])
+    for base, v in pairs.items():
+        v = image[v]
+        if v & 1:
+            out.append(base | bit_j)
+        if v & 2:
+            out.append(base | bit_i)
     return Z2Tensor(x.arity, frozenset(out))
 
 

@@ -553,3 +553,40 @@ def block_power(block: tuple[tuple[int, int], ...], n: int) -> tuple[tuple[int, 
     for _ in range(n):
         out = mul(out, block)
     return out
+
+
+def with_circle(c, g, edge) -> CurveSystem:
+    """g plus a small closed curve crossing the glued edge twice.
+
+    The circle takes the two points after the last one on the edge's first
+    side, which are the two points before the first one on its second side.
+    """
+    (sa, ka), (sb, kb) = edge
+    m = g.side_count((sa, ka))
+
+    def shift(ep):
+        return (ep[0], ep[1] + 2) if ep[0] == kb else ep
+
+    chords = {s: list(g.chords[s]) for s in range(c.square_count)}
+    chords[sb] = [(shift(a), shift(b)) for a, b in chords[sb]]
+    chords[sa].append(((ka, m), (ka, m + 1)))
+    chords[sb].append(((kb, 0), (kb, 1)))
+    return CurveSystem.build(c.square_count, chords)
+
+
+def slide_map_oracle(words: frozenset[int], i: int, j: int,
+                     block: tuple[tuple[int, int], ...]) -> frozenset[int]:
+    """tensor.slide_map word by word: each word's image, added mod 2."""
+    out: set[int] = set()
+    for w in words:
+        bi, bj = (w >> i) & 1, (w >> j) & 1
+        if bi == bj:
+            out ^= {w}
+            continue
+        col = 0 if (bi, bj) == (0, 1) else 1
+        base = w & ~(1 << i) & ~(1 << j)
+        if block[0][col]:
+            out ^= {base | (1 << j)}          # 01: bit_j set
+        if block[1][col]:
+            out ^= {base | (1 << i)}          # 10: bit_i set
+    return frozenset(out)

@@ -1,6 +1,6 @@
 """Smoke runs of the benchmark: its per-layer table agrees with the exact
-work of the recursion (one normalization and one triviality test per node,
-one validation per root) and of a script (one compile per op, the pushed
+work of a peeled fan disc (one validation, normalization and triviality
+test, no surgery) and of a script (one compile per op, the pushed
 pair validated at entry and at the target); and the names the bench
 reaches in the engine still exist."""
 
@@ -24,13 +24,15 @@ def test_traced_disc_chords_counts():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["attempted"] > 0 and result["failed"] == 0
-    metrics = result["metrics"]
-    # every diagram of the pool has a 71-node recursion
-    assert metrics["regions.is_trivial.calls"]["value"] == 71
-    assert metrics["sutures.normalize.calls"]["value"] == 71
-    # the root is validated; every node below it is a surgery child of a
-    # valid pair
-    assert metrics["sutures.validate_sutures.calls"]["value"] == 1
+    calls = {k: m["value"] for k, m in result["metrics"].items()}
+    # every diagram of the pool is a fan disc, peeled digitally: its root
+    # is validated, normalized and tested for triviality once, and no
+    # surgery runs and no memo entry is made
+    assert calls["sutures.validate_sutures.calls"] == 1
+    assert calls["sutures.normalize.calls"] == 1
+    assert calls["regions.is_trivial.calls"] == 1
+    assert calls["sutures.bypass_surgery.calls"] == 0
+    assert calls["engine.memo_entries"] == 0
 
 
 def test_traced_script_naturality_counts():

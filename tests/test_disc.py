@@ -1,0 +1,199 @@
+"""The digital disc evaluator against the bypass recursion, and the disc
+identities it makes cheap to check: the bypass relation on matchings and
+the census past n = 7.
+
+The recursion is reached with an explicit first-triple chooser, which
+takes neither the element memo nor the digital path.
+"""
+
+import json
+import random
+from math import comb
+from pathlib import Path
+
+import pytest
+
+from sqft import disc, engine
+from sqft.census import (
+    catalan, disc_complex, matching_system, noncrossing_matchings,
+    random_sutures,
+)
+from sqft.cli import _has_dominance_extremes
+from sqft.disc import bypass_relations, disc_element, fan_element, rotate
+from sqft.regions import euler_class, is_trivial
+from sqft.surface import relabel
+from sqft.sutures import CurveSystem, basic_system, bypass_triples, normalize
+from sqft.tensor import gf2_rank, is_homogeneous
+
+from helpers import with_circle
+
+POOL_FILE = Path(__file__).resolve().parent.parent / "bench" / \
+    "disc_chords_pool.json"
+
+
+def _first(triples):
+    return triples[0]
+
+
+def _recursion(c, g):
+    return engine.suture_element(c, g, chooser=_first)
+
+
+def _census(lo=2, hi=7):
+    for n in range(lo, hi + 1):
+        for m in noncrossing_matchings(2 * n):
+            yield n, m
+
+
+def _pool():
+    doc = json.loads(POOL_FILE.read_text())
+    for n, matchings in sorted(doc["pool"].items(), key=lambda kv: int(kv[0])):
+        for m in matchings:
+            yield int(n), tuple(map(tuple, m))
+
+
+def _random_matching(rng, n):
+    """A seeded non-crossing matching of 2n points."""
+    stack, chords = [], []
+    for p in range(2 * n):
+        opened = p - len(chords)        # points opened so far
+        if stack and (opened >= n or rng.random() < 0.5):
+            chords.append((stack.pop(), p))
+        else:
+            stack.append(p)
+    return tuple(chords)
+
+
+# ---------------------------------------------------------------------------
+# the oracle: the bypass recursion
+
+
+def test_census_and_pool_equal_the_recursion():
+    engine.clear_cache()
+    cases = list(_census()) + list(_pool())
+    assert len(cases) == 624 + 70
+    for n, m in cases:
+        c = disc_complex(n)
+        g = matching_system(n, m)
+        want = _recursion(c, g)
+        assert disc_element(n, m) == want
+        assert engine.suture_element(c, g) == want
+        # a basic system is left to the recursion, a one-node case
+        assert fan_element(c, g) == (want if bypass_triples(c, g) else None)
+
+
+def test_relabelled_fans_with_churned_sutures():
+    rng = random.Random(20261019)
+    peeled = 0
+    for i in range(200):
+        n = rng.randint(3, 8)
+        order = list(range(n - 1))
+        rng.shuffle(order)
+        c = relabel(disc_complex(n), dict(enumerate(order)))
+        g = random_sutures(i, c, rounds=rng.randint(1, 4))
+        want = _recursion(c, g)
+        assert engine.suture_element(c, g) == want
+        h = normalize(c, g)
+        if not is_trivial(c, h):
+            fast = fan_element(c, h)
+            assert fast == (want if bypass_triples(c, h) else None)
+            peeled += fast is not None
+    assert peeled > 50
+
+
+def test_zero_and_basic_fan_systems():
+    for n in range(3, 7):
+        c = disc_complex(n)
+        for m in list(noncrossing_matchings(2 * n))[:5]:
+            g = matching_system(n, m)
+            loose = CurveSystem(g.chords, (0,) * (n - 2) + (1,))
+            assert engine.suture_element(c, loose).is_zero()
+            assert _recursion(c, loose).is_zero()
+            for edge in c.sorted_gluings():
+                closed = with_circle(c, g, edge)
+                assert engine.suture_element(c, closed).is_zero()
+                assert _recursion(c, closed).is_zero()
+        for bits in range(1 << (n - 1)):
+            g = basic_system(c, bits)
+            assert fan_element(c, g) is None
+            assert engine.suture_element(c, g).words == {bits}
+            assert _recursion(c, g).words == {bits}
+
+
+def test_rotation_has_order_n():
+    for n, m in _census(3, 7):
+        x = disc_element(n, m)
+        assert rotate(x, n) == x
+        assert rotate(rotate(x, 1), -1) == x
+        shifted = tuple(((a + 2) % (2 * n), (b + 2) % (2 * n)) for a, b in m)
+        assert rotate(x, 1) == disc_element(n, shifted)
+
+
+def test_disc_element_rejects_what_is_not_a_matching():
+    assert disc_element(1, [(0, 1)]).words == {0}
+    for n, m in ((2, [(0, 1)]), (2, [(0, 1), (1, 2)]), (2, [(0, 2), (1, 3)]),
+                 (2, [(0, 1), (2, 4)]), (2, [(0, 0), (1, 2)]), (0, [])):
+        with pytest.raises(ValueError):
+            disc_element(n, m)
+
+
+def test_clear_cache_empties_the_digital_memo():
+    disc_element(4, [(0, 1), (2, 3), (4, 5), (6, 7)])
+    assert disc._peel.cache_info().currsize > 0
+    engine.clear_cache()
+    assert disc._peel.cache_info().currsize == 0
+
+
+# ---------------------------------------------------------------------------
+# the bypass relation on matchings
+
+
+def _relation_holds(n, terms):
+    words = set()
+    for m in terms:
+        words ^= disc_element(n, m).words
+    return not words
+
+
+def test_bypass_relation_on_the_census():
+    triples = 0
+    for n, m in _census(3, 7):
+        for terms in bypass_relations(n, m):
+            assert tuple(sorted(m)) in (tuple(sorted(t)) for t in terms)
+            assert _relation_holds(n, terms)
+            triples += 1
+    assert triples == 3825
+
+
+def test_bypass_relation_on_random_matchings():
+    rng = random.Random(20261020)
+    checked = 0
+    for _ in range(6):
+        n = rng.randint(20, 30)
+        relations = list(bypass_relations(n, _random_matching(rng, n)))
+        for terms in rng.sample(relations, min(4, len(relations))):
+            assert _relation_holds(n, terms)
+            checked += 1
+    assert checked >= 12
+
+
+# ---------------------------------------------------------------------------
+# the census past n = 7
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_census_identities_past_seven(n):
+    c = disc_complex(n)
+    seen = set()
+    by_grade: dict[int, list[int]] = {}
+    for m in noncrossing_matchings(2 * n):
+        x = disc_element(n, m)
+        assert x.words and x.words not in seen
+        seen.add(x.words)
+        e = euler_class(c, matching_system(n, m))
+        assert is_homogeneous(x, e)
+        assert _has_dominance_extremes(x.words, x.arity)
+        by_grade.setdefault(e, []).append(sum(1 << w for w in x.words))
+    assert len(seen) == catalan(n)
+    for e, rows in by_grade.items():
+        assert gf2_rank(rows) == comb(n - 1, (n - 1 + e) // 2)

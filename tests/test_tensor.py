@@ -10,7 +10,7 @@ from sqft.tensor import (
     slide_map,
 )
 from sqft._derived import SLIDE_BLOCK
-from helpers import block_power
+from helpers import block_power, slide_map_oracle
 
 
 def words(arity, max_terms=4):
@@ -126,6 +126,17 @@ def test_slide_map_cube_identity_on_words():
                 for _ in range(3):
                     y = slide_map(y, 0, n - 1, block)
                 assert y.words == x.words
+
+
+@settings(max_examples=200, deadline=None)
+@given(words(5, max_terms=16), st.integers(0, 4), st.integers(0, 4),
+       st.sampled_from(sorted(SLIDE_BLOCK)))
+def test_slide_map_equals_word_by_word_images(ws, i, j, direction):
+    if i == j:
+        return
+    block = SLIDE_BLOCK[direction]
+    got = slide_map(Z2Tensor(5, ws), i, j, block)
+    assert got.words == slide_map_oracle(ws, i, j, block)
 
 
 def test_matrix_cap():

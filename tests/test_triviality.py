@@ -13,7 +13,7 @@ from sqft.sutures import (
     require_valid_pair,
 )
 
-from helpers import _Analysis
+from helpers import _Analysis, with_circle
 
 # two diagrams of the benchmark's disc_chords pool (bench/disc_chords_pool.json):
 # their elements have 36 words, so the recursion has 71 nodes and no memo hit
@@ -81,25 +81,6 @@ def trivial_oracle(c, g) -> bool:
     return False
 
 
-def _with_circle(c, g, edge) -> CurveSystem:
-    """g plus a small closed curve crossing the glued edge twice.
-
-    The circle takes the two points after the last one on the edge's first
-    side, which are the two points before the first one on its second side.
-    """
-    (sa, ka), (sb, kb) = edge
-    m = g.side_count((sa, ka))
-
-    def shift(ep):
-        return (ep[0], ep[1] + 2) if ep[0] == kb else ep
-
-    chords = {s: list(g.chords[s]) for s in range(c.square_count)}
-    chords[sb] = [(shift(a), shift(b)) for a, b in chords[sb]]
-    chords[sa].append(((ka, m), (ka, m + 1)))
-    chords[sb].append(((kb, 0), (kb, 1)))
-    return CurveSystem.build(c.square_count, chords)
-
-
 def _surgery_children(c, g):
     """Every surgery child of the default bypass recursion from g, as the
     surgery leaves it, before normalization."""
@@ -152,7 +133,7 @@ def test_oracle_on_contractible_circles():
         c = disc_complex(n)
         for g in enumerate_disc_sutures(n):
             for edge in c.sorted_gluings():
-                h = _with_circle(c, g, edge)
+                h = with_circle(c, g, edge)
                 assert is_trivial(c, h) == trivial_oracle(c, h) == True
                 assert is_trivial(c, normalize(c, h))
 
@@ -188,7 +169,7 @@ def test_regions_match_half_edge_analysis(random_pairs):
         pairs.extend((c, child) for child in _surgery_children(c, g))
     for n in range(3, 7):
         c = disc_complex(n)
-        pairs.extend((c, _with_circle(c, g, edge))
+        pairs.extend((c, with_circle(c, g, edge))
                      for g in enumerate_disc_sutures(n)
                      for edge in c.sorted_gluings())
     looped = 0
@@ -223,10 +204,14 @@ def test_one_normalize_and_one_triviality_test_per_node(monkeypatch, n):
     engine.clear_cache()
     trivial = _counted(monkeypatch, "is_trivial")
     normal = _counted(monkeypatch, "normalize")
+    # the default path peels this fan disc with no recursion; a chooser
+    # takes the recursion, which keeps no memo
     k = len(engine.suture_element(c, g).words)
     assert k == 36
-    assert trivial[0] == normal[0] == 2 * k - 1
-    assert len(engine._CACHE) == 2 * k - 1
+    assert trivial[0] == normal[0] == 1
+    assert len(engine.suture_element(c, g, chooser=lambda ts: ts[0]).words) == k
+    assert trivial[0] == normal[0] == 1 + (2 * k - 1)
+    assert not engine._CACHE
 
 
 def test_fixture_counts_per_node(monkeypatch, disc12, disc12_sutures,
