@@ -23,8 +23,8 @@ fan's square i.
   outermost chords, the one needing the fewest rotation steps is peeled.
 
 `engine.suture_element` takes this path for a normalized, nontrivial
-system with a bypass triple on a complex whose canonical form is the fan's
-(`fan_element`). The tests compare it with the bypass recursion.
+system, basic ones among them, on the fan disc up to a relabelling of its
+squares (`fan_element`). The tests compare it with the bypass recursion.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Optional
 
 from ._derived import SLIDE_BLOCK
 from .surface import Slot, SquareComplex
-from .sutures import CurveSystem, bypass_triples
+from .sutures import CurveSystem
 from .tensor import Z2Tensor, slide_map
 
 # ---------------------------------------------------------------------------
@@ -215,8 +215,7 @@ def _fan_order(c: SquareComplex) -> Optional[list[int]]:
 
 def fan_element(c: SquareComplex, g: CurveSystem) -> Optional[Z2Tensor]:
     """The element of a normalized, nontrivial g on c by peeling, or None
-    unless g has a bypass triple and c is the fan disc up to a relabelling
-    of its squares.
+    unless c is the fan disc up to a relabelling of its squares.
 
     The matching is read in one walk from each boundary point along its
     strand: the strand leaves each square by the other end of its chord
@@ -224,8 +223,6 @@ def fan_element(c: SquareComplex, g: CurveSystem) -> Optional[Z2Tensor]:
     partner. Boundary sides are numbered as the fan's, and the words are
     relabelled from the fan's squares to c's.
     """
-    if not bypass_triples(c, g):
-        return None
     order = _fan_order(c)
     if order is None:
         return None

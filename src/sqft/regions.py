@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .surface import SquareComplex
-from .sutures import EP, CurveSystem, _unchecked, require_valid_pair
+from .sutures import EP, CurveSystem, require_valid_pair
 
 
 @dataclass(frozen=True)
@@ -157,13 +157,12 @@ def closed_components(c: SquareComplex,
     to its start (a closed strand). A chord's mates are built when a walk
     first enters its square.
 
-    Walks start at the endpoints of the squares the system's `open` fact
-    leaves unchecked on c: every square, unless the fact names this very
-    complex object. A surgery child of a parent found with no closed
-    component on c names the squares the surgery rewrote: its other squares
-    are the parent's, so each of its closed strands passes through one of
-    them. Finding none sets the fact to (c, ()).
+    A system whose `open` fact is this very complex object has none and is
+    not read; any other is walked from every square. Finding none sets the
+    fact to c.
     """
+    if g.facts.open is c:
+        return []
     partner = c.partner_map
     chords, counts = g.chords, g._side_counts
     mate: dict[tuple[int, EP], tuple[int, EP]] = {}
@@ -195,13 +194,13 @@ def closed_components(c: SquareComplex,
                 break
         reached.update(points)
 
-    for s in _unchecked(g.facts.open, c, c.square_count):
+    for s in range(c.square_count):
         for a, _ in chords[s]:
             # a walk reaches both ends of each chord it takes
             if (s, a) not in reached:
                 walk((s, a))
     if not out:
-        g.facts.open = (c, ())
+        g.facts.open = c
     return out
 
 

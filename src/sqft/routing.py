@@ -9,8 +9,8 @@ new cut are forced, including their order along the cut, and each move
 places them directly, as census.matching_system does on the fan disc. Both,
 like the bypass in sutures.py, join the arcs that meet at the points they
 drop end to end with one helper, sutures._splice, and keep the closed curves
-it counts as loops. A collapse edits the curves in place and drops its
-square by slicing the frozen system.
+it counts as loops. A collapse edits the curves of a whole diagram in
+place and drops its square by slicing the frozen system.
 
 split_disc, the general splitter of a disc along arcs between corners, is
 not used by either move; the tests keep it as their disc-splitting oracle.
@@ -200,22 +200,19 @@ def transport_collapse(c: SquareComplex, g: CurveSystem,
     pair fuse into single crossings of the merged edge; everything else wraps
     around the surviving vertex, picking up one innermost crossing on each
     intermediate edge of the fan. The strands and loops are moved off the
-    square, whose own chords are left as they are, and the square is then
-    sliced out of the frozen system, shifting the later squares down by one
-    as remove_square does. The result keeps the frozen form, so a system in
-    frozen form is thawed only in the squares the collapse reads.
+    square, whose own chords are left as they are, on a whole diagram of g;
+    the square is then sliced out of the frozen result, shifting the later
+    squares down by one as remove_square does.
     """
-    d = Diagram.from_system(g)
+    d = Diagram(g)
     w = rec.square
     if rec.n == 1:
         _collapse_degenerate(c, d, rec)
     else:
         _collapse_generic(c, d, rec)
     full = d.freeze()
-    out = CurveSystem(full.chords[:w] + full.chords[w + 1:],
-                      full.loops[:w] + full.loops[w + 1:])
-    out.facts.frozen = full.facts.frozen
-    return out
+    return CurveSystem(full.chords[:w] + full.chords[w + 1:],
+                       full.loops[:w] + full.loops[w + 1:])
 
 
 def _collapse_degenerate(c: SquareComplex, d: Diagram, rec: CollapseRecord) -> None:

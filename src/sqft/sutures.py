@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count
-from typing import Collection, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Collection, Hashable, Iterable, Optional, Sequence
 
 from .surface import (
     GluingPair, Slot, SquareComplex, ValidationReport, _norm_pair,
@@ -31,34 +31,17 @@ def _norm_chord(a: EP, b: EP) -> Chord:
     return (a, b) if a <= b else (b, a)
 
 
-Fact = Optional[tuple[SquareComplex, Sequence[int]]]
-
-
 class PairFacts:
     """What a curve system is known to satisfy, out of its fields, which
-    alone define ==, hash and repr. `valid` is None or the complex object
-    the system is known to be valid on (validate_sutures found no problem,
-    or the system is a bypass child of one valid there). Each of `normal`
-    (_is_normal) and `open` (regions.closed_components) is None or
-    (complex, squares): on that complex object the check need read only
-    those squares, and () means it holds. `frozen` is the frozen form (see
-    Diagram), `side_counts` the points per (square, side)."""
+    alone define ==, hash and repr. Each fact is None or the complex object
+    its check holds on: `valid` (validate_sutures found no problem, or the
+    system is a bypass child of one valid there), `normal` (_is_normal) and
+    `open` (regions.closed_components found no closed component)."""
 
-    __slots__ = ("normal", "valid", "open", "frozen", "side_counts")
+    __slots__ = ("valid", "normal", "open")
 
     def __init__(self) -> None:
-        self.normal = self.valid = self.open = None
-        self.frozen, self.side_counts = False, None
-
-
-def _unchecked(fact: Fact, c: SquareComplex, n: int) -> Sequence[int]:
-    """The squares a check must read on c: those the fact names when it is
-    about this very complex object, otherwise all n."""
-    return fact[1] if fact is not None and fact[0] is c else range(n)
-
-
-def _holds(fact: Fact, c: SquareComplex) -> bool:
-    return fact is not None and fact[0] is c and not fact[1]
+        self.valid = self.normal = self.open = None
 
 
 @dataclass(frozen=True)
@@ -93,20 +76,16 @@ class CurveSystem:
 
     @cached_property
     def _side_counts(self) -> tuple[tuple[int, int, int, int], ...]:
-        # the table freeze seeded, or one built on the first side_count.
-        # Every endpoint side must be in 0..3: validate_sutures checks that
-        # before it reads a count
-        facts = self.facts
-        if facts.side_counts is None:
-            table = []
-            for chords in self.chords:
-                counts = [0, 0, 0, 0]
-                for a, b in chords:
-                    counts[a[0]] += 1
-                    counts[b[0]] += 1
-                table.append(tuple(counts))
-            facts.side_counts = tuple(table)
-        return facts.side_counts
+        # points per (square, side). Every endpoint side must be in 0..3:
+        # validate_sutures checks that before it reads a count
+        table = []
+        for chords in self.chords:
+            counts = [0, 0, 0, 0]
+            for a, b in chords:
+                counts[a[0]] += 1
+                counts[b[0]] += 1
+            table.append(tuple(counts))
+        return tuple(table)
 
     def total_loops(self) -> int:
         return sum(self.loops)
@@ -129,63 +108,9 @@ class CurveSystem:
 # squares. Gluing matching is positional: list[i] on one side corresponds to
 # list[m-1-i] on the partner side.
 #
-# A diagram made from a curve system in frozen form thaws a square (makes
-# its points and connects its chords) only when one of the square's slots is
-# first read or replaced, or a point is made in it. `freeze` rebuilds the
-# thawed squares and takes every other square's chords, loop count and
-# side-count row from the system as they were. Frozen form means that each
-# square is as freeze rebuilds it: chords canonical and sorted, each side's
-# positions 0, 1, 2, ... on sides 0..3. It is known, as the system's
-# `frozen` fact, for what freeze returns and for a system found valid and
-# normalized on a complex; any other system thaws whole.
-
-
-class _Slots(dict):
-    """A Diagram's point lists by (square, side), filled square by square
-    from the source system as the slots are first used."""
-
-    def __init__(self, base: CurveSystem, mate: dict[int, int],
-                 square_of: dict[int, int], ids: Iterator[int]):
-        self.base = base
-        self.mate = mate
-        self.square_of = square_of
-        self.ids = ids
-        self.thawed: set[int] = set()
-
-    def __missing__(self, slot: Slot) -> list[int]:
-        self.thaw(slot[0])
-        return dict.__getitem__(self, slot)
-
-    def __setitem__(self, slot: Slot, points: list[int]) -> None:
-        if slot[0] not in self.thawed:
-            self.thaw(slot[0])
-        dict.__setitem__(self, slot, points)
-
-    def thaw(self, sq: int) -> None:
-        base = self.base
-        if sq in self.thawed or not 0 <= sq < len(base.chords):
-            return
-        self.thawed.add(sq)
-        chords = base.chords[sq]
-        lists: tuple[list[int], ...] = ([], [], [], [])
-        ids: dict[EP, int] = {}
-        square_of, new_id = self.square_of, self.ids
-        eps = sorted(chain.from_iterable(chords))
-        if eps and not (eps[0][0] >= 0 and eps[-1][0] < 4):
-            raise KeyError(next((sq, k) for k, _ in eps if not 0 <= k < 4))
-        for ep in eps:
-            pid = next(new_id)
-            ids[ep] = pid
-            square_of[pid] = sq
-            lists[ep[0]].append(pid)
-        mate = self.mate
-        for a, b in chords:
-            pa, pb = ids[a], ids[b]
-            if pa == pb:
-                raise AssertionError("degenerate chord")
-            mate[pa] = pb
-            mate[pb] = pa
-        dict.update(self, zip(((sq, 0), (sq, 1), (sq, 2), (sq, 3)), lists))
+# A diagram is made whole from a curve system, and `freeze` rebuilds every
+# square in the canonical form that CurveSystem.build gives: chords
+# canonical and sorted, each side's positions 0, 1, 2, ... in list order.
 
 
 class Diagram:
@@ -194,80 +119,41 @@ class Diagram:
         self.mate: dict[int, int] = {}
         self.square_of: dict[int, int] = {}
         self.loops: list[int] = list(base.loops)
+        self.order: dict[Slot, list[int]] = {}
         self._ids = count()
-        self.order = _Slots(base, self.mate, self.square_of, self._ids)
-
-    # -- construction ------------------------------------------------------
-
-    @staticmethod
-    def from_system(g: CurveSystem) -> "Diagram":
-        """A diagram of g. A system known to be in frozen form thaws square
-        by square as the squares are first used, any other one whole."""
-        d = Diagram(g)
-        if not g.facts.frozen:
-            d.thaw_all()
-        return d
-
-    @property
-    def thawed(self) -> set[int]:
-        return self.order.thawed
-
-    def thaw_all(self) -> None:
-        order = self.order
-        for sq in range(self.square_count):
-            if sq not in order.thawed:
-                order.thaw(sq)
-
-    def rewritten(self) -> tuple[int, ...]:
-        """The squares where the frozen system can differ from the system
-        the diagram was made from: the thawed ones and any whose loop count
-        changed, sorted."""
-        was = self.order.base.loops
-        changed = (sq for sq, n in enumerate(self.loops) if n != was[sq])
-        return tuple(sorted(self.order.thawed.union(changed)))
+        order, square_of = self.order, self.square_of
+        for sq, chords in enumerate(base.chords):
+            for k in range(4):
+                order[(sq, k)] = []
+            # sorted, so each side's points come in position order; an
+            # endpoint on no side 0..3 is a KeyError naming its slot
+            ids: dict[EP, int] = {}
+            for ep in sorted(chain.from_iterable(chords)):
+                pid = ids[ep] = next(self._ids)
+                square_of[pid] = sq
+                order[(sq, ep[0])].append(pid)
+            for a, b in chords:
+                self.connect(ids[a], ids[b])
 
     def freeze(self) -> CurveSystem:
-        order = self.order
         pos: dict[int, EP] = {}
-        for sq in order.thawed:
-            for k in range(4):
-                for i, pid in enumerate(order[(sq, k)]):
-                    pos[pid] = (k, i)
-        rebuilt: dict[int, list[Chord]] = {sq: [] for sq in order.thawed}
-        done: set[int] = set()
+        for (_, k), points in self.order.items():
+            for i, pid in enumerate(points):
+                pos[pid] = (k, i)
+        chords: list[list[Chord]] = [[] for _ in range(self.square_count)]
         square_of = self.square_of
         for pid, qid in self.mate.items():
-            if pid in done:
-                continue
-            done.add(pid)
-            done.add(qid)
-            sq = square_of[pid]
-            if square_of[qid] != sq:
-                raise AssertionError("chord spans squares")
-            rebuilt[sq].append(_norm_chord(pos[pid], pos[qid]))
-        base = order.base
-        chords = list(base.chords)
-        for sq, found in rebuilt.items():
-            chords[sq] = tuple(sorted(found))
-        out = CurveSystem(tuple(chords), tuple(self.loops))
-        if len(self.mate) == len(square_of):
-            # every point is a chord end, so each side's positions run
-            # 0, 1, ... and its point count is the length of its list
-            facts = out.facts
-            facts.frozen = True
-            table = base.facts.side_counts
-            if table is not None:
-                table = list(table)
-                for sq in rebuilt:
-                    table[sq] = tuple(len(order[(sq, k)]) for k in range(4))
-                facts.side_counts = tuple(table)
-        return out
+            if pid < qid:
+                sq = square_of[pid]
+                if square_of[qid] != sq:
+                    raise AssertionError("chord spans squares")
+                chords[sq].append(_norm_chord(pos[pid], pos[qid]))
+        return CurveSystem(tuple(tuple(sorted(found)) for found in chords),
+                           tuple(self.loops))
 
     # -- primitives ----------------------------------------------------------
 
     def new_point(self, square: int) -> int:
-        if square not in self.order.thawed:
-            self.order.thaw(square)
         pid = next(self._ids)
         self.square_of[pid] = square
         return pid
@@ -461,54 +347,45 @@ def normalize(c: SquareComplex, g: CurveSystem) -> CurveSystem:
     An innermost bigon is a chord joining two neighbouring points of one
     glued side. So a valid g that is already in canonical form (each chord
     (a, b) with a <= b, each square's chords sorted) and has no chord with
-    both endpoints on one glued side is returned as it is, with the side
-    counts it has cached. To see that, only the squares its `normal` fact
-    leaves unchecked on c are read: the rewritten squares of a surgery
-    child, none of a system already found normal on c.
+    both endpoints on one glued side is returned as it is. A system whose
+    `normal` fact is c, as every surgery child on c is, is returned
+    unread; any other system is read whole.
     """
     if _is_normal(c, g):
         return g
-    d = Diagram.from_system(g)
+    d = Diagram(g)
     _normalize_diagram(c, d)
     return d.freeze()
 
 
 def _is_normal(c: SquareComplex, g: CurveSystem) -> bool:
     facts = g.facts
-    for sq in _unchecked(facts.normal, c, g.square_count):
+    if facts.normal is c:
+        return True
+    for sq, chords in enumerate(g.chords):
         prev = None
-        for chord in g.chords[sq]:
+        for chord in chords:
             a, b = chord
             if b < a or (prev is not None and chord < prev):
                 return False
             if a[0] == b[0] and c.is_glued((sq, a[0])):
                 return False
             prev = chord
-    facts.normal = (c, ())
+    facts.normal = c
     return True
 
 
-def _normalize_diagram(c: SquareComplex, d: Diagram,
-                       thawed_only: bool = False) -> None:
-    """Remove innermost bigons from d until none is left; with thawed_only
-    the search reads only the squares d has thawed, for a source system
-    known to be normalized, whose untouched squares hold no bigon."""
+def _normalize_diagram(c: SquareComplex, d: Diagram) -> None:
+    """Remove innermost bigons from d until none is left."""
     edges = c.sorted_gluings()
-    squares = d.thawed if thawed_only else None
-    while True:
-        hit = _find_bigon(d, edges, squares)
-        if hit is None:
-            return
+    while (hit := _find_bigon(d, edges)) is not None:
         _remove_bigon(c, d, *hit)
 
 
-def _find_bigon(d: Diagram, edges: list[GluingPair],
-                squares: Optional[set[int]]):
+def _find_bigon(d: Diagram, edges: list[GluingPair]):
     order, mate = d.order, d.mate
     for edge in edges:
         for slot in edge:
-            if squares is not None and slot[0] not in squares:
-                continue
             lst = order[slot]
             for i in range(len(lst) - 1):
                 if mate.get(lst[i]) == lst[i + 1]:
@@ -553,31 +430,20 @@ def bypass_surgery(c: SquareComplex, g: CurveSystem, edge: GluingPair,
     """The child of g by the bypass at crossings t, t+1, t+2 of edge, with
     every innermost bigon it leaves removed.
 
-    When g is valid and normalized on c (as every node of the bypass
-    recursion is), only the squares the surgery and the bigon removals read
-    are thawed, and since an untouched square of a normalized system holds
-    no bigon, the search reads only thawed squares; otherwise the search
-    reads every glued side. A bypass re-routes sutures inside a disc, so
-    the child of a system valid on c is valid on c: its `valid` fact is c
-    when g's is. Its `normal` fact is (c, R), for the squares R that differ
-    from g's, and so is its `open` fact when g's holds on c, so that
-    normalize and closed_components read only those squares. It keeps no
+    The surgery rewires a whole diagram of g, and the bigon search reads
+    every glued side. The child is normalized, so its `normal` fact is c.
+    A bypass re-routes sutures inside a disc, so the child of a system
+    valid on c is valid on c: its `valid` fact is c when g's is. It keeps no
     reference to g.
     """
-    known, normal = g.facts, _is_normal(c, g)
-    valid = known.valid is c
-    if normal and valid:
-        known.frozen = True
-    d = Diagram.from_system(g)
+    d = Diagram(g)
     _surgery_raw(c, d, _norm_pair(*edge), triple_start, direction)
-    _normalize_diagram(c, d, thawed_only=normal)
+    _normalize_diagram(c, d)
     child = d.freeze()
     facts = child.facts
-    facts.normal = local = (c, d.rewritten())
-    if valid:
+    facts.normal = c
+    if g.facts.valid is c:
         facts.valid = c
-    if _holds(known.open, c):
-        facts.open = local
     return child
 
 
@@ -701,7 +567,7 @@ def finger_push(c: SquareComplex, g: CurveSystem, slot: Slot, gap: int,
     pair = c.partner(slot)
     if pair is None:
         raise ValueError("can only push across an internal edge")
-    d = Diagram.from_system(g)
+    d = Diagram(g)
     lst = d.order[slot]
     m = len(lst)
     if not 0 <= gap <= m:

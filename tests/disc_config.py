@@ -1,4 +1,4 @@
-"""Iterated bypass surgery at one disc, on a thawed Diagram.
+"""Iterated bypass surgery at one disc, on a Diagram.
 
 The disc straddles a glued edge at crossings gap, gap+1, gap+2. Its three
 strands can be set to any of the configurations C0, C1, C2 among six fixed

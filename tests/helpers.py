@@ -177,12 +177,16 @@ def boundary_hugging_system(c: SquareComplex, arc_sign: int = +1,
 
     The arcs realize the extremal boundary-parallel sutures; each extra loop
     follows a whole boundary cycle just inside them. Crossing positions place
-    shallower tracks nearer the boundary.
+    shallower tracks nearer the boundary. An arc round a vertex that meets
+    no gluing is one chord of its square, and a loop round a cycle that
+    crosses no gluing (a lone square's) is a loose loop of that square.
     """
     loops_per_cycle = loops_per_cycle or {}
     cycles = c.boundary_cycles
-    # tracks: list of (depth, [crossing events], closed?, cycle idx, arc data)
+    # tracks: (depth, crossing events, first and last boundary side of an
+    # arc or None, None for a loop)
     tracks = []
+    loops: dict[int, int] = {}
     for ci, cycle in enumerate(cycles):
         hops = _cycle_hops(c, cycle)
         for ei, slot in enumerate(cycle):
@@ -191,6 +195,10 @@ def boundary_hugging_system(c: SquareComplex, arc_sign: int = +1,
                 nxt = cycle[(ei + 1) % len(cycle)]
                 tracks.append((0, hops[ei], slot, nxt))
         lap = [ev for h in hops for ev in h]
+        if not lap:
+            # a cycle that crosses no gluing runs round one square
+            loops[cycle[0][0]] = loops_per_cycle.get(ci, 0)
+            continue
         for depth in range(1, loops_per_cycle.get(ci, 0) + 1):
             tracks.append((depth, lap, None, None))
 
@@ -223,20 +231,22 @@ def boundary_hugging_system(c: SquareComplex, arc_sign: int = +1,
         depth, events, prev_edge, next_edge = track
         if prev_edge is not None:
             # arc: boundary point of prev_edge .. hops .. point of next_edge
-            first_out = events[0][0]
-            add(prev_edge[0], (prev_edge[1], counts[prev_edge] - 1),
-                pos[(ti, 0)])
+            start = (prev_edge[1], counts[prev_edge] - 1)
+            end = (next_edge[1], counts[next_edge] - 1)
+            if not events:
+                add(prev_edge[0], start, end)
+                continue
+            add(prev_edge[0], start, pos[(ti, 0)])
             for ei in range(len(events) - 1):
                 add(events[ei][1][0], pos[(ti, 2 * ei + 1)],
                     pos[(ti, 2 * ei + 2)])
-            add(next_edge[0], pos[(ti, 2 * len(events) - 1)],
-                (next_edge[1], counts[next_edge] - 1))
+            add(next_edge[0], pos[(ti, 2 * len(events) - 1)], end)
         else:
             for ei in range(len(events)):
                 nxt = (ei + 1) % len(events)
                 add(events[ei][1][0], pos[(ti, 2 * ei + 1)],
                     pos[(ti, 2 * nxt)])
-    g = CurveSystem.build(c.square_count, chords)
+    g = CurveSystem.build(c.square_count, chords, loops)
     report = validate_sutures(c, g)
     if not report.ok:
         raise AssertionError("hugging system invalid: " + "; ".join(report.problems))

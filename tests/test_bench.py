@@ -1,8 +1,8 @@
 """Smoke runs of the benchmark: its per-layer table agrees with the exact
 work of a peeled fan disc (one validation, normalization and triviality
-test, no surgery) and of a script (one compile per op, the pushed
-pair validated at entry and at the target); and the names the bench
-reaches in the engine still exist."""
+test, no surgery), of the peeled n = 7 census and of a script (one compile
+per op, the pushed pair validated at entry and at the target); and the
+names the bench reaches in the engine still exist."""
 
 import ast
 import importlib
@@ -32,6 +32,26 @@ def test_traced_disc_chords_counts():
     assert calls["sutures.normalize.calls"] == 1
     assert calls["regions.is_trivial.calls"] == 1
     assert calls["sutures.bypass_surgery.calls"] == 0
+    assert calls["engine.memo_entries"] == 0
+
+
+def test_traced_disc_census_counts():
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "disc_census",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["attempted"] > 0 and result["failed"] == 0
+    calls = {k: m["value"] for k, m in result["metrics"].items()}
+    # each of the 429 matchings of the n = 7 census is a fan disc, basic
+    # ones too, so each is validated and tested for triviality once and
+    # peeled: no surgery, no triple listing and no memo entry
+    assert calls["sutures.validate_sutures.calls"] == 429
+    assert calls["regions.is_trivial.calls"] == 429
+    assert calls["sutures.bypass_surgery.calls"] == 0
+    assert calls["sutures.bypass_triples.calls"] == 0
     assert calls["engine.memo_entries"] == 0
 
 

@@ -22,10 +22,10 @@ from sqft.cli import _has_dominance_extremes
 from sqft.disc import bypass_relations, disc_element, fan_element, rotate
 from sqft.regions import euler_class, is_trivial
 from sqft.surface import relabel
-from sqft.sutures import CurveSystem, basic_system, bypass_triples, normalize
+from sqft.sutures import CurveSystem, basic_system, normalize
 from sqft.tensor import gf2_rank, is_homogeneous
 
-from helpers import with_circle
+from helpers import boundary_hugging_system, with_circle
 
 POOL_FILE = Path(__file__).resolve().parent.parent / "bench" / \
     "disc_chords_pool.json"
@@ -78,8 +78,8 @@ def test_census_and_pool_equal_the_recursion():
         want = _recursion(c, g)
         assert disc_element(n, m) == want
         assert engine.suture_element(c, g) == want
-        # a basic system is left to the recursion, a one-node case
-        assert fan_element(c, g) == (want if bypass_triples(c, g) else None)
+        # a basic system is peeled too
+        assert fan_element(c, g) == want
 
 
 def test_relabelled_fans_with_churned_sutures():
@@ -95,13 +95,20 @@ def test_relabelled_fans_with_churned_sutures():
         assert engine.suture_element(c, g) == want
         h = normalize(c, g)
         if not is_trivial(c, h):
-            fast = fan_element(c, h)
-            assert fast == (want if bypass_triples(c, h) else None)
-            peeled += fast is not None
+            assert fan_element(c, h) == want
+            peeled += 1
     assert peeled > 50
 
 
 def test_zero_and_basic_fan_systems():
+    # a closed curve parallel to the boundary, inside the arcs that cut off
+    # the vertices of either sign: on n = 2 it is a loose loop
+    for n in range(2, 8):
+        c = disc_complex(n)
+        for sign in (+1, -1):
+            g = boundary_hugging_system(c, sign, {0: 1})
+            assert engine.suture_element(c, g).is_zero()
+            assert _recursion(c, g).is_zero()
     for n in range(3, 7):
         c = disc_complex(n)
         for m in list(noncrossing_matchings(2 * n))[:5]:
@@ -115,7 +122,7 @@ def test_zero_and_basic_fan_systems():
                 assert _recursion(c, closed).is_zero()
         for bits in range(1 << (n - 1)):
             g = basic_system(c, bits)
-            assert fan_element(c, g) is None
+            assert fan_element(c, g).words == {bits}
             assert engine.suture_element(c, g).words == {bits}
             assert _recursion(c, g).words == {bits}
 

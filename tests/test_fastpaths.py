@@ -3,12 +3,12 @@ the exact work of one element, and the safety of the cached values.
 
 Fast paths and their oracles:
 - `normalize` returns a system in canonical form with no chord on one
-  glued side as it is; the oracle thaws, runs `_normalize_diagram` and
-  freezes every time.
-- `closed_components` is one walk, from every endpoint not yet reached; a
-  surgery child of a parent found with no closed component on the same
-  complex is walked only from the endpoints of its rewritten squares. The
-  oracle is the full component search (`_closed_components_oracle`).
+  glued side as it is; the oracle makes a diagram, runs
+  `_normalize_diagram` and freezes every time.
+- `closed_components` is one walk, from every endpoint not yet reached, and
+  reads nothing of a system already found with no closed component on the
+  same complex object. The oracle is the full component search
+  (`_closed_components_oracle`).
 - `validate_sutures` checks a square with one sort of its endpoints; the
   oracle is the per-problem loop below, which must give byte-identical
   problem lists.
@@ -16,13 +16,10 @@ Fast paths and their oracles:
   the union-find over corners (`vertex_classes_oracle`).
 - `compile_script` returns the last script it compiled as it is; the
   oracle is a fresh compile of an equal script.
-- `bypass_surgery` thaws, rebuilds and marks only the squares the surgery
-  and its bigon removals touch; the oracle thaws every square, rewires,
-  normalizes and freezes them all (`surgery_oracle`). `normalize` reads
-  only the rewritten squares of a child, as its `facts` name them; its
-  oracle is the same call on a twin of the child that carries no facts. A
-  check that passes completes its fact, so the tests read a child's facts
-  from the surgery made again, before any check has run on it.
+- `bypass_surgery` normalizes its child and marks it so; the oracle
+  freezes the rewired diagram and normalizes that from scratch
+  (`surgery_oracle`). `normalize` reads nothing of a child; its oracle is
+  the same call on a twin of the child that carries no facts.
 - A surgery child of a pair valid on a complex object is trusted valid
   there, and a push through a script checks only its entry pair; the
   oracles check every surgery child of the corpora, and every pair a push
@@ -31,9 +28,11 @@ Fast paths and their oracles:
   chi_plus - chi_minus of the region decomposition (`regions`).
 - `require_valid_pair` trusts a system known valid on the same complex
   object; every other pair gets the full check.
-- `transport_collapse` edits the curves in place, thawing only the squares
-  it reads, and slices its square out of the frozen system; the oracle is
-  the same collapse of a twin with no facts, which thaws whole.
+- `transport_collapse` edits the curves in place and slices its square out
+  of the frozen system; the oracle is the same collapse of a twin with no
+  facts.
+- A diagram freezes back to the system it was made from, and a hand-built
+  system to the canonical form that `CurveSystem.build` gives.
 - `slide_sutures` places the crossings of the new diagonal directly; the
   oracle cuts the hexagon along it with `routing.split_disc`
   (`slide_sutures_oracle`).
@@ -70,7 +69,7 @@ from sqft.surface import (
     canonical_permutation, validate_complex,
 )
 from sqft.sutures import (
-    CurveSystem, Diagram, _holds, _normalize_diagram, _surgery_raw,
+    CurveSystem, Diagram, _normalize_diagram, _surgery_raw,
     basic_square_chords, basic_system, bypass_surgery, bypass_triples,
     finger_push, normalize, require_valid_pair, transport_glue,
     validate_sutures,
@@ -86,27 +85,17 @@ from test_triviality import (
 
 
 def normalize_oracle(c, g):
-    d = Diagram.from_system(g)
+    d = Diagram(g)
     _normalize_diagram(c, d)
     return d.freeze()
-
-
-def _thaw_every_square(g):
-    d = Diagram.from_system(g)
-    for sq in range(g.square_count):
-        for k in range(4):
-            d.order[(sq, k)]
-    assert d.thawed == set(range(g.square_count))
-    return d
 
 
 def surgery_oracle(c, g, edge, t, direction):
-    """The surgery on a whole diagram: thaw every square, rewire, remove
-    bigons on every glued side, freeze every square."""
-    d = _thaw_every_square(g)
+    """The surgery frozen straight after the rewiring, with its bigons, and
+    then normalized by a diagram of that system."""
+    d = Diagram(g)
     _surgery_raw(c, d, surface._norm_pair(*edge), t, direction)
-    _normalize_diagram(c, d)
-    return d.freeze()
+    return normalize_oracle(c, d.freeze())
 
 
 def _noncrossing_oracle(chords):
@@ -289,14 +278,14 @@ def test_normalize_against_full_normalization(corpus):
 
 
 def test_normalize_fast_path_skips_the_diagram(monkeypatch):
-    # surgery children are normalized by bypass_surgery: no thaw, no freeze
+    # surgery children are normalized by bypass_surgery: no diagram, no
+    # freeze
     children = list(_pool_children())
-    calls = []
-    monkeypatch.setattr(Diagram, "from_system",
-                        staticmethod(lambda g: calls.append(g)))
+    made = _count_calls(monkeypatch, Diagram, "__init__")
+    freeze = _count_calls(monkeypatch, Diagram, "freeze")
     for c, child in children:
         assert normalize(c, child) is child
-    assert calls == []
+    assert made[0] == freeze[0] == 0
 
 
 def _hand_built(g, flip=True, reverse=True):
@@ -501,27 +490,27 @@ def _work_cases(disc12, disc12_sutures):
 def test_exact_work_per_element(monkeypatch, disc12, disc12_sutures):
     for c, g, k in _work_cases(disc12, disc12_sutures):
         engine.clear_cache()
-        thaw = _count_calls(monkeypatch, Diagram, "from_system", staticmethod)
+        made = _count_calls(monkeypatch, Diagram, "__init__")
         freeze = _count_calls(monkeypatch, Diagram, "freeze")
         canon = _count_calls(monkeypatch, surface, "canonical_permutation")
         valid = _count_calls(monkeypatch, sutures, "validate_sutures")
         # the recursion, which the default path leaves for the digital one
         # on the pool's fan discs, is reached through a chooser
         assert len(suture_element(c, g, chooser=lambda ts: ts[0]).words) == k
-        # one thaw and one freeze per surgery child, none in normalize
-        assert thaw[0] == freeze[0] == 2 * (k - 1)
+        # one diagram and one freeze per surgery child, none in normalize
+        assert made[0] == freeze[0] == 2 * (k - 1)
         # the root validated once: every node below is a surgery child of a
         # valid pair, so it is valid
         assert valid[0] == 1
         # c is fresh: the default path computes its canonical form at most
         # once, for the memo key of disc12's recursion; the fan discs are
         # peeled, with no canonical form and no surgery
-        thaw[0] = freeze[0] = 0
+        made[0] = freeze[0] = 0
         for _ in range(2):
             engine.clear_cache()
             assert len(suture_element(c, g).words) == k
         assert canon[0] == (1 if c is disc12 else 0)
-        assert thaw[0] == freeze[0] == 0
+        assert made[0] == freeze[0] == 0
         assert valid[0] == 1
         monkeypatch.undo()
 
@@ -904,31 +893,28 @@ def test_every_pair_a_push_passes_through_is_valid():
 
 
 # ---------------------------------------------------------------------------
-# a collapse thaws only the squares it reads and slices its square out; a
-# slide places the crossings of the new diagonal directly
+# a collapse edits the curves in place and slices its square out; a slide
+# places the crossings of the new diagonal directly
 
 
 def test_collapse_against_thaw_all(monkeypatch):
     # every collapse of a push through the extension scripts, at every word
     # of their sources: the input as the push passes it on, and a twin with
-    # no facts, which thaws whole, give the same system, in frozen form
-    inputs = []
+    # no facts, give the same system, which a diagram freezes back to itself
+    collapses = [0]
 
     def checked(c, g, rec):
-        inputs.append(g.facts.frozen)
+        collapses[0] += 1
         out = transport_collapse(c, g, rec)
         assert out == transport_collapse(c, CurveSystem(g.chords, g.loops), rec)
-        assert out.facts.frozen
-        d = Diagram.from_system(out)
-        d.thaw_all()
-        assert d.freeze() == out
+        assert Diagram(out).freeze() == out
         return out
 
     monkeypatch.setattr(engine, "transport_collapse", checked)
     for script in _extension_scripts(range(80)):
         for bits in range(1 << script.source.square_count):
             apply_script_to_sutures(script, basic_system(script.source, bits))
-    assert (len(inputs), sum(inputs)) == (880, 326)
+    assert collapses[0] == 880
 
 
 def test_slide_against_split_disc(random_pairs):
@@ -949,7 +935,7 @@ def test_slide_against_split_disc(random_pairs):
 
 
 # ---------------------------------------------------------------------------
-# square-local surgery against the thaw-all surgery
+# the surgery against the surgery normalized from scratch
 
 
 POOL_FILE = Path(__file__).resolve().parent.parent / "bench" / \
@@ -1059,18 +1045,10 @@ def test_surgery_corpus_reaches_every_case(surgery_corpus):
 def test_surgery_against_thaw_all(surgery_corpus, part):
     for c, (node, edge, t, direction, child) in surgery_corpus[part]:
         assert child == surgery_oracle(c, node, edge, t, direction)
-        # the surgery made again: the corpus child's facts are complete
-        facts = bypass_surgery(c, node, edge, t, direction).facts
-        rewritten = facts.normal[1]
-        assert facts.normal[0] is c and facts.valid is c
-        assert rewritten == tuple(sorted(set(rewritten)))
-        assert {edge[0][0], edge[1][0]} <= set(rewritten)
-        for sq in set(range(c.square_count)) - set(rewritten):
-            assert child.chords[sq] is node.chords[sq]
-            assert child.loops[sq] == node.loops[sq]
+        # the child is known normalized on c, and a twin with no facts is
+        # found so
+        assert child.facts.normal is c
         twin = CurveSystem(child.chords, child.loops)
-        # the side-count table freeze assembles is the one the chords give
-        assert child._side_counts == twin._side_counts
         assert normalize(c, child) is child and normalize(c, twin) is twin
 
 
@@ -1096,14 +1074,14 @@ def _damaged_square(g, sq):
 
 
 def test_damage_to_a_rewritten_square_is_reported(surgery_corpus):
+    # the squares of the surgery's edge, which the surgery rewires
     kinds = ("used by two chords", "not dense", "negative loop",
              "chords cross", "meets", "point counts", "even intersection")
     seen = set()
     damaged = 0
     for part in ("census", "random", "annulus and torus", "self-glued"):
-        for c, surgery in surgery_corpus[part][::7]:
-            child = bypass_surgery(c, *surgery[:4])
-            for sq in child.facts.normal[1]:
+        for c, (_, edge, *_, child) in surgery_corpus[part][::7]:
+            for sq in {edge[0][0], edge[1][0]}:
                 for bad in _damaged_square(child, sq):
                     # a surgery that broke square sq would leave this child
                     whole = validate_oracle(c, bad)
@@ -1122,37 +1100,30 @@ def test_surgery_child_keeps_no_parent():
     require_valid_pair(c, parent)
     edge, t = bypass_triples(c, parent)[0]
     child = bypass_surgery(c, parent, edge, t, "up")
-    assert child.facts.valid is c and child.facts.normal[1]
+    assert child.facts.valid is c and child.facts.normal is c
     ref = weakref.ref(parent)
     del parent
     assert ref() is None
     assert validate_sutures(c, child).ok
     assert normalize(c, child) is child
-    assert child.facts.valid is c and _holds(child.facts.normal, c)
+    assert child.facts.valid is c and child.facts.normal is c
 
 
-def test_from_system_thaws_as_squares_are_read(hexagon,
-                                               hexagon_superposition):
-    # a system not known to be in frozen form thaws whole
-    g = hexagon_superposition
-    assert Diagram.from_system(g).thawed == {0, 1}
-    assert Diagram.from_system(_hand_built(g)).freeze() == g
-    # what freeze returns thaws square by square
-    frozen = Diagram.from_system(g).freeze()
-    assert frozen == g
-    d = Diagram.from_system(frozen)
-    assert d.thawed == set()
-    d.order[(1, 2)]
-    assert d.thawed == {1}
-    assert d.freeze() == g
-    # a loop count changed without a thaw still counts as rewritten
-    d.loops[0] += 1
-    assert d.rewritten() == (0, 1)
-    assert d.freeze().loops == (1, 0)
-    # so does a parent found valid and normalized on the surgery's complex
-    require_valid_pair(hexagon, g)
-    bypass_surgery(hexagon, g, ((0, 0), (1, 1)), 0, "up")
-    assert Diagram.from_system(g).thawed == set()
+def test_freeze_round_trips_whole_diagrams(corpus_parts, random_pairs):
+    # a diagram freezes back to the system it was made from; a hand-built
+    # twin freezes to the canonical form that CurveSystem.build gives
+    pool = [(c, g) for c, g in _pool_pairs()]
+    pairs = corpus_parts["census"] + pool + list(random_pairs)
+    assert len(pairs) == 624 + 70 + 200
+    reordered = 0
+    for c, g in pairs:
+        assert Diagram(g).freeze() == g
+        h = _hand_built(g)
+        built = CurveSystem.build(h.square_count, dict(enumerate(h.chords)),
+                                  dict(enumerate(h.loops)))
+        assert Diagram(h).freeze() == built == g
+        reordered += h != g
+    assert reordered == len(pairs)
 
 
 def test_surgery_on_unnormalized_parents():
@@ -1181,13 +1152,11 @@ def test_fault_outside_the_surgery_of_an_unchecked_parent_is_reported():
     good = matching_system(n, POOL_MATCHINGS[n])
     edge, t = bypass_triples(c, good)[0]
     far = max(set(range(c.square_count)) - {edge[0][0], edge[1][0]})
-    # frozen, so that the surgery thaws only what it reads
-    bad = Diagram.from_system(CurveSystem.build(
-        c.square_count, dict(enumerate(good.chords)), {far: -1})).freeze()
+    bad = CurveSystem.build(c.square_count, dict(enumerate(good.chords)),
+                            {far: -1})
     fault = f"square {far}: negative loop count"
     assert validate_sutures(c, bad).problems == (fault,)
     child = bypass_surgery(c, bad, edge, t, "up")
-    assert far not in child.facts.normal[1]
     assert child.facts.valid is None
     assert validate_sutures(c, child).problems == (fault,)
     # a valid parent on an equal complex that is another object: the child
@@ -1195,7 +1164,7 @@ def test_fault_outside_the_surgery_of_an_unchecked_parent_is_reported():
     twin = SquareComplex(c.square_count, c.gluings, c.slack)
     require_valid_pair(twin, good)
     child = bypass_surgery(twin, good, edge, t, "up")
-    assert child.facts.valid is twin and child.facts.normal[0] is twin
+    assert child.facts.valid is twin and child.facts.normal is twin
     assert validate_sutures(c, child).ok
 
 
@@ -1308,21 +1277,17 @@ def test_invalid_system_is_checked_every_time(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# closed strands of a surgery child, walked from its rewritten squares
+# closed strands of surgery children
 
 
 def _walked_surgeries(pairs):
     """(complex, parent, edge, t, direction, child) for the surgery children
-    at every triple of every node of the default recursion from each pair.
-    Each parent is walked by closed_components before it is cut, as
-    is_trivial walks each node of the recursion, so a parent with no
-    closed component carries its mark."""
+    at every triple of every node of the default recursion from each pair."""
     for c, g in pairs:
         stack = [normalize(c, g)]
         while stack:
             node = stack.pop()
             require_valid_pair(c, node)
-            closed_components(c, node)
             for i, (edge, t) in enumerate(bypass_triples(c, node)):
                 for direction in ("up", "down"):
                     child = bypass_surgery(c, node, edge, t, direction)
@@ -1337,108 +1302,26 @@ def walked_surgeries(random_pairs):
             + list(_walked_surgeries(random_pairs)))
 
 
-def _walked_from_rewritten(c, g):
-    fact = g.facts.open
-    return fact is not None and fact[0] is c and bool(fact[1])
-
-
 def test_closed_strands_of_children_against_full_search(surgery_corpus,
                                                         walked_surgeries):
-    pool = {}
+    # a child carries no `open` fact of its parent: each is walked whole
     for c, surgery in surgery_corpus["pool"]:
         child = bypass_surgery(c, *surgery[:4])
-        local = _walked_from_rewritten(c, child)
+        assert child.facts.open is None
         full = _closed_components_oracle(c, child)
         assert closed_components(c, child) == full == []
-        pool[local] = pool.get(local, 0) + 1
-    # all but the two children of each of the 70 roots, which no is_trivial
-    # has walked before they are cut
-    assert pool == {True: 70 * 70 - 2 * 70, False: 2 * 70}
+        assert child.facts.open is c
 
-    answers = {}
+    answers = {True: 0, False: 0}
     for c, *surgery, _ in walked_surgeries:
         child = bypass_surgery(c, *surgery)
         if child.total_loops():
             continue
-        local = _walked_from_rewritten(c, child)
-        rewritten = set(child.facts.normal[1])
         fast = closed_components(c, child)
         full = _closed_components_oracle(c, child)
         assert _canonical_components(fast) == _canonical_components(full)
-        if local:
-            assert all(any(sq in rewritten for sq, _ in comp)
-                       for comp in full)
-        answers[local, bool(full)] = answers.get((local, bool(full)), 0) + 1
-    # both answers of each walk: about half of the children of parents with
-    # no closed component get one
-    assert answers[True, True] >= 30 and answers[True, False] >= 30
-    assert answers[False, True] > 0 and answers[False, False] > 0
-
-
-def _record_without_squares(child):
-    """A twin of child whose open fact, if it has one, names no square: a
-    walk that trusts the fact starts at no endpoint."""
-    twin = CurveSystem(child.chords, child.loops)
-    if child.facts.open is not None:
-        twin.facts.open = (child.facts.open[0], ())
-    return twin
-
-
-def _comps(c, g):
-    return _canonical_components(closed_components(c, g))
-
-
-def test_closed_walk_trusts_only_a_parent_found_open_on_that_complex(
-        walked_surgeries):
-    c, parent, edge, t, direction, child = next(
-        case for case in walked_surgeries
-        if _walked_from_rewritten(case[0], bypass_surgery(*case[:5]))
-        and _closed_components_oracle(case[0], case[-1]))
-    child = bypass_surgery(c, parent, edge, t, direction)
-    full = _canonical_components(_closed_components_oracle(c, child))
-    assert _comps(c, child) == full
-    # the walk starts only at the squares the record names
-    assert closed_components(c, _record_without_squares(child)) == []
-
-    def cut(g):
-        again = bypass_surgery(c, g, edge, t, direction)
-        assert again == child
-        return again
-
-    # a parent never walked: the child gets the full walk
-    fresh = CurveSystem(parent.chords, parent.loops)
-    require_valid_pair(c, fresh)
-    again = cut(fresh)
-    assert not _walked_from_rewritten(c, again)
-    assert _comps(c, _record_without_squares(again)) == full
-    # a parent walked on an equal complex that is another object: the same
-    twin = SquareComplex(c.square_count, c.gluings, c.slack)
-    assert twin == c and twin is not c
-    assert closed_components(twin, fresh) == []
-    assert _holds(fresh.facts.open, twin)
-    again = cut(fresh)
-    assert not _walked_from_rewritten(c, again)
-    assert _comps(c, _record_without_squares(again)) == full
-    # walked on c itself, it is trusted
-    assert closed_components(c, fresh) == []
-    again = cut(fresh)
-    assert _walked_from_rewritten(c, again)
-    assert closed_components(c, _record_without_squares(again)) == []
-
-
-def test_closed_walk_of_a_parent_with_closed_strands_is_full(
-        walked_surgeries):
-    c, parent, *surgery, child = next(
-        case for case in walked_surgeries
-        if not case[-1].total_loops()
-        and _closed_components_oracle(case[0], case[1])
-        and _closed_components_oracle(case[0], case[-1]))
-    assert closed_components(c, parent)
-    assert not _holds(parent.facts.open, c)
-    child = bypass_surgery(c, parent, *surgery)
-    assert not _walked_from_rewritten(c, child)
-    full = _canonical_components(_closed_components_oracle(c, child))
-    assert _comps(c, _record_without_squares(child)) == full
+        answers[bool(full)] += 1
+    assert answers[True] >= 30 and answers[False] >= 30
 
 
 def test_closed_walk_keeps_no_parent():
@@ -1447,20 +1330,20 @@ def test_closed_walk_keeps_no_parent():
     parent = CurveSystem.build(c.square_count, dict(enumerate(
         matching_system(n, POOL_MATCHINGS[n]).chords)))
     require_valid_pair(c, parent)
-    assert closed_components(c, parent) == []
+    assert closed_components(c, parent) == [] and parent.facts.open is c
     edge, t = bypass_triples(c, parent)[0]
     child = bypass_surgery(c, parent, edge, t, "up")
-    assert _walked_from_rewritten(c, child)
+    assert child.facts.open is None
     ref = weakref.ref(parent)
     del parent
     assert ref() is None
     assert closed_components(c, child) == _closed_components_oracle(c, child)
-    assert _holds(child.facts.open, c)
+    assert child.facts.open is c
 
 
 # ---------------------------------------------------------------------------
-# one record of facts, one path per check: the `normal` and `open` facts
-# name the squares their checks still read
+# one record of facts, one path per check: a check reads every square
+# unless its fact names the very complex object it is asked about
 
 
 class _Watched(tuple):
@@ -1474,6 +1357,9 @@ class _Watched(tuple):
     def __getitem__(self, sq):
         self.read.add(sq)
         return tuple.__getitem__(self, sq)
+
+    def __iter__(self):
+        return (self[sq] for sq in range(len(self)))
 
 
 def _watched(g):
@@ -1497,46 +1383,15 @@ def test_each_check_reads_what_its_fact_leaves(name):
     assert getattr(g.facts, name) is None
     # no fact: every square, then the fact holds on c
     assert check(c, g) and g.chords.read == every
-    assert _holds(getattr(g.facts, name), c)
-    # a complete fact on c: no square
+    assert getattr(g.facts, name) is c
+    # the fact on c: no square
     g.chords.read.clear()
     assert check(c, g) and g.chords.read == set()
     # a fact naming an equal complex that is another object: every square
     g = _watched(g)
-    setattr(g.facts, name, (twin, ()))
+    setattr(g.facts, name, twin)
     assert check(c, g) and g.chords.read == every
-    assert _holds(getattr(g.facts, name), c)
-    # a fact naming squares on c: those squares (a walk may go on into
-    # others)
-    g = _watched(g)
-    setattr(g.facts, name, (c, (3, 7)))
-    assert check(c, g)
-    if name == "open":
-        assert {3, 7} <= g.chords.read
-    else:
-        assert g.chords.read == {3, 7}
-
-
-def test_forged_fact_still_finds_what_its_squares_hold(hexagon):
-    # normalize: a bigon in a square the fact names is removed; one in a
-    # square it leaves is trusted away
-    for c, g in itertools.islice(_finger_pairs(), 40):
-        want = normalize_oracle(c, g)
-        bigons = {sq for sq in range(c.square_count)
-                  if g.chords[sq] != want.chords[sq]}
-        for squares in (tuple(sorted(bigons)), ()):
-            forged = CurveSystem(g.chords, g.loops)
-            forged.facts.normal = (c, squares)
-            assert (normalize(c, forged) == want) is bool(squares)
-    # closed_components: a circle through a square the fact names is found
-    edge = ((0, 0), (1, 1))
-    g = with_circle(hexagon, basic_system(hexagon, 1), edge)
-    full = _closed_components_oracle(hexagon, g)
-    assert len(full) == 1
-    for squares, found in (((0,), full), ((1,), full), ((), [])):
-        forged = CurveSystem(g.chords, g.loops)
-        forged.facts.open = (hexagon, squares)
-        assert closed_components(hexagon, forged) == found
+    assert getattr(g.facts, name) is c
 
 
 def test_facts_leave_equality_and_output_alone(hexagon,

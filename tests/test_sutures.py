@@ -139,7 +139,7 @@ def test_surgery_nontrivial_preserved(hexagon, hexagon_superposition):
 
 
 def test_disc_rotation_order_three(hexagon, hexagon_superposition):
-    d = Diagram.from_system(hexagon_superposition)
+    d = Diagram(hexagon_superposition)
     ext = disc_externals(d, EDGE, 0)
     orig = d.freeze()
     for k in (2, 0, 1):
@@ -148,7 +148,7 @@ def test_disc_rotation_order_three(hexagon, hexagon_superposition):
 
 
 def test_disc_up_then_down_identity(hexagon, hexagon_superposition):
-    d = Diagram.from_system(hexagon_superposition)
+    d = Diagram(hexagon_superposition)
     ext = disc_externals(d, EDGE, 0)
     orig = d.freeze()
     set_disc_config(d, EDGE, 0, ext, 2)
