@@ -17,14 +17,12 @@ import random
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
-from .disc import _disc_layout, disc_complex
+from .disc import _disc_layout, disc_complex, matching_mates
 from .engine import (
     CreateSquare, Fold, Glue, MorphismScript, Move, Zip, apply_move,
 )
 from .surface import Slot, SquareComplex, invariants
-from .sutures import (
-    CurveSystem, basic_system, bypass_surgery, finger_push, normalize,
-)
+from .sutures import CurveSystem, basic_system, bypass_surgery, finger_push
 from .regions import is_trivial
 
 
@@ -69,10 +67,19 @@ def matching_system(n: int, matching: Iterable[tuple[int, int]]) -> CurveSystem:
     holds one endpoint of each chord that crosses the arc, and the
     crossings are ordered by those endpoints, counted from the inner
     corner: crossing k is point k on (i, 2) and point m-1-k on (i + 1, 1).
+
+    The matching is the only data checked: ValueError unless it is a
+    non-crossing perfect matching of points 0..2n-1. The system built from
+    one is valid on the shared `disc_complex(n)`, already in
+    CurveSystem.build's canonical form with no chord ending twice on one
+    glued side (so `normalize` returns it as it is), and made of arcs from
+    boundary to boundary (no loop, no closed component), so its `valid`,
+    `normal` and `open` facts are that complex.
     """
-    c, cycle, arcs = _disc_layout(n)
+    c, cycle, arcs, _ = _disc_layout(n)
     size = 2 * n
-    chords = list(matching)
+    mate = matching_mates(n, matching)
+    chords = [(a, b) for a, b in enumerate(mate) if a < b]
     crossing: list[list[tuple[int, int]]] = [[] for _ in arcs]
     for idx, (a, b) in enumerate(chords):
         lo, hi = sorted((cycle[a][0], cycle[b][0]))
@@ -97,13 +104,15 @@ def matching_system(n: int, matching: Iterable[tuple[int, int]]) -> CurveSystem:
         sq, side = cycle[b]
         per_square.setdefault(sq, []).append((start, (side, 0)))
     g = CurveSystem.build(c.square_count, per_square)
-    return normalize(c, g)
+    facts = g.facts
+    facts.valid = facts.normal = facts.open = c
+    return g
 
 
 def enumerate_disc_sutures(n: int) -> list[CurveSystem]:
     """One normalized representative per nontrivial suture class on the disc."""
-    if not 2 <= n <= 7:
-        raise ValueError("census supports 2 <= n <= 7")
+    if not 2 <= n <= 9:
+        raise ValueError("census supports 2 <= n <= 9")
     out = []
     for matching in noncrossing_matchings(2 * n):
         out.append(matching_system(n, matching))

@@ -291,9 +291,9 @@ def _census_size(text: str) -> int:
         value = int(text)
     except ValueError:
         value = 0
-    if not 2 <= value <= 7:
+    if not 2 <= value <= 9:
         raise argparse.ArgumentTypeError(
-            f"expected an integer from 2 to 7, got {text!r}")
+            f"expected an integer from 2 to 9, got {text!r}")
     return value
 
 
@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="enumerate suture classes")
     p.add_argument("family", choices=("disc",))
     p.add_argument("--n", type=_census_size, required=True,
-                   help="half the boundary vertex count, 2 to 7")
+                   help="half the boundary vertex count, 2 to 9")
     p.set_defaults(fn=cmd_census)
 
     p = sub.add_parser("check", help="run property suites")

@@ -43,8 +43,12 @@ from .tensor import Z2Tensor, slide_map
 # the fan disc
 
 
+@lru_cache(maxsize=None)
 def disc_complex(n: int) -> SquareComplex:
-    """Fan quadrangulation of the disc with 2n boundary vertices."""
+    """Fan quadrangulation of the disc with 2n boundary vertices.
+
+    One object per n, the one `_disc_layout(n)` holds: the facts of the
+    census systems name it, so pairs made with it are trusted."""
     if n < 2:
         raise ValueError("need n >= 2")
     return SquareComplex.build(
@@ -63,16 +67,18 @@ def _disc_polygon(c: SquareComplex) -> tuple[list[Slot], dict]:
 
 
 @lru_cache(maxsize=None)
-def _disc_layout(n: int) -> tuple[SquareComplex, tuple[Slot, ...], tuple]:
-    """The disc, its boundary sides in cyclic order and, per arc i between
-    squares i and i + 1, the positions in that order of the arc's inner
-    and outer corners, shared by every matching of the same n."""
+def _disc_layout(n: int) -> tuple[SquareComplex, tuple[Slot, ...], tuple,
+                                  dict[Slot, int]]:
+    """The disc, its boundary sides in cyclic order, per arc i between
+    squares i and i + 1 the positions in that order of the arc's inner
+    and outer corners, and the point on each boundary side, shared by
+    every matching of the same n."""
     c = disc_complex(n)
     cycle, corner_pos = _disc_polygon(c)
     arcs = tuple((corner_pos[c.corner_class[(i, 2)].key],
                   corner_pos[c.corner_class[(i, 3)].key])
                  for i in range(n - 2))
-    return c, tuple(cycle), arcs
+    return c, tuple(cycle), arcs, {slot: p for p, slot in enumerate(cycle)}
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +93,13 @@ MEMO_SIZE = 1 << 13
 def disc_element(n: int, matching: Iterable[tuple[int, int]]) -> Z2Tensor:
     """The element of a non-crossing perfect matching of points 0..2n-1,
     of arity n - 1; ValueError if `matching` is not one."""
+    return Z2Tensor(n - 1, _peel(matching_mates(n, matching)))
+
+
+def matching_mates(n: int, matching: Iterable[tuple[int, int]]
+                   ) -> tuple[int, ...]:
+    """The mate of each point of a non-crossing perfect matching of points
+    0..2n-1; ValueError if `matching` is not one, n < 1 included."""
     if n < 1:
         raise ValueError("need n >= 1")
     size = 2 * n
@@ -106,7 +119,7 @@ def disc_element(n: int, matching: Iterable[tuple[int, int]]) -> Z2Tensor:
             stack.append(p)
         elif stack.pop() != mate[p]:
             raise ValueError("chords cross")
-    return Z2Tensor(n - 1, _peel(tuple(mate)))
+    return tuple(mate)
 
 
 def rotate(x: Z2Tensor, steps: int) -> Z2Tensor:
@@ -227,14 +240,16 @@ def fan_element(c: SquareComplex, g: CurveSystem) -> Optional[Z2Tensor]:
     if order is None:
         return None
     n = len(order) + 1
-    point = {(order[sq], side): p
-             for p, (sq, side) in enumerate(_disc_layout(n)[1])}
+    _, cycle, _, point = _disc_layout(n)
+    fan_square = [0] * len(order)
+    for i, sq in enumerate(order):
+        fan_square[sq] = i
     ends: dict[int, dict] = {}
     mate = [-1] * (2 * n)
-    for (sq, side), p in point.items():
+    for p, (sq, side) in enumerate(cycle):
         if mate[p] != -1:
             continue
-        pos = 0
+        sq, pos = order[sq], 0
         while True:
             if sq not in ends:
                 ends[sq] = {}
@@ -246,7 +261,7 @@ def fan_element(c: SquareComplex, g: CurveSystem) -> Optional[Z2Tensor]:
                 break
             pos = g.side_count((sq, side)) - 1 - pos
             sq, side = across
-        q = point[(sq, side)]
+        q = point[(fan_square[sq], side)]
         mate[p], mate[q] = q, p
     x = Z2Tensor(n - 1, _peel(tuple(mate)))
     return x if order == sorted(order) else x.permute(order)

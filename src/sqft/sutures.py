@@ -36,7 +36,9 @@ class PairFacts:
     alone define ==, hash and repr. Each fact is None or the complex object
     its check holds on: `valid` (validate_sutures found no problem, or the
     system is a bypass child of one valid there), `normal` (_is_normal) and
-    `open` (regions.closed_components found no closed component)."""
+    `open` (regions.closed_components found no closed component). A census
+    root, `census.matching_system`'s system of a checked matching, holds
+    all three on the shared `disc.disc_complex(n)` by construction."""
 
     __slots__ = ("valid", "normal", "open")
 

@@ -46,7 +46,7 @@ def transport_unglue(c: SquareComplex, g: CurveSystem,
 
 
 def matching_system_oracle(n: int, matching) -> CurveSystem:
-    c, cycle, arcs = _disc_layout(n)
+    c, cycle, arcs, _ = _disc_layout(n)
     sides = [DiscSide(key=slot, points=[g], corner=g)
              for g, slot in enumerate(cycle)]
     strands: dict[int, int] = {}

@@ -8,10 +8,16 @@ from sqft.census import (
     catalan, disc_complex, enumerate_disc_sutures, matching_system,
     noncrossing_matchings, random_surface, random_sutures,
 )
+from sqft.disc import disc_element
 from sqft.engine import compile_script, suture_element
-from sqft.regions import euler_class, is_confining, is_trivial
-from sqft.surface import invariants, validate_complex
-from sqft.sutures import bypass_triples, normalize, validate_sutures
+from sqft.regions import (
+    closed_components, euler_class, is_confining, is_trivial,
+)
+from sqft.surface import SquareComplex, invariants, validate_complex
+from sqft.sutures import (
+    CurveSystem, _is_normal, bypass_triples, normalize, require_valid_pair,
+    validate_sutures,
+)
 from helpers import (
     boundary_hugging_system, confining_oracle, enumerate_basic,
     matching_system_oracle,
@@ -51,8 +57,9 @@ def test_census_classes(n):
 
 
 def test_census_out_of_range():
-    with pytest.raises(ValueError):
-        enumerate_disc_sutures(8)
+    for n in (1, 10):
+        with pytest.raises(ValueError):
+            enumerate_disc_sutures(n)
 
 
 def test_enumerate_basic(square, hexagon, punctured_torus):
@@ -187,8 +194,10 @@ def test_matching_system_against_split_disc():
     for part, n, m in _oracle_cases():
         g = matching_system(n, m)
         assert g == matching_system_oracle(n, m)
+        # g is trusted as built, so its fact-free twin is checked in full
+        twin = CurveSystem(g.chords, g.loops)
         c = disc_complex(n)
-        assert validate_sutures(c, g).ok and normalize(c, g) is g
+        assert validate_sutures(c, twin).ok and normalize(c, twin) is twin
         sizes[part] = sizes.get(part, 0) + 1
     assert sizes == {"census": sum(catalan(n) for n in range(2, 8)),
                      "pool": 70, "random": 19 * 20}
@@ -203,3 +212,79 @@ def test_random_matchings_cover_every_chord_length():
         lengths.update((b - a) % 18 for a, b in m)
     # every odd gap between the ends of a chord occurs
     assert lengths == set(range(1, 18, 2))
+
+
+# ---------------------------------------------------------------------------
+# census roots: the matching is checked once, the system built is trusted
+
+
+@pytest.mark.parametrize("matching", [
+    ((0, 2), (1, 3), (4, 5)),     # crossing chords
+    ((0, 1), (2, 3)),             # points 4 and 5 unmatched
+    ((0, 1), (1, 2), (3, 4)),     # point 1 used twice
+    ((0, 1), (2, 3), (4, 9)),     # point 9 out of range
+])
+def test_matching_system_rejects_what_is_not_a_matching(matching):
+    with pytest.raises(ValueError) as want:
+        disc_element(3, matching)
+    with pytest.raises(ValueError) as got:
+        matching_system(3, matching)
+    assert str(got.value) == str(want.value)
+
+
+def _trusted_fact_cases():
+    for n in range(2, 8):
+        for m in noncrossing_matchings(2 * n):
+            yield "census", n, m
+    pool = json.loads(POOL_FILE.read_text())["pool"]
+    for n, matchings in sorted(pool.items()):
+        for m in matchings:
+            yield "pool", int(n), [tuple(p) for p in m]
+    rng = random.Random(20261020)
+    for n in range(8, 31):
+        for _ in range(20):
+            yield "random", n, _random_matching(rng, n)
+
+
+def test_trusted_census_facts_against_full_checks():
+    sizes = {}
+    for part, n, m in _trusted_fact_cases():
+        c = disc_complex(n)
+        assert disc_complex(n) is c
+        g = matching_system(n, m)
+        assert g.facts.valid is g.facts.normal is g.facts.open is c
+        # a fact-free twin on a fresh, equal complex is checked in full
+        fresh = SquareComplex.build(c.square_count, c.gluings)
+        twin = CurveSystem(g.chords, g.loops)
+        assert fresh == c and fresh is not c
+        assert validate_sutures(fresh, twin).ok
+        assert _is_normal(fresh, twin)
+        assert closed_components(fresh, twin) == []
+        assert normalize(fresh, twin) == g
+        sizes[part] = sizes.get(part, 0) + 1
+    assert sizes == {"census": sum(catalan(n) for n in range(2, 8)),
+                     "pool": 70, "random": 23 * 20}
+
+
+def test_trusted_census_root_is_checked_on_another_complex():
+    c = disc_complex(4)
+    # a class with three crossings on some arc
+    g = max(enumerate_disc_sutures(4),
+            key=lambda s: sum(len(ch) for ch in s.chords))
+    assert validate_sutures(c, g).ok
+    # three unglued squares: the fact names the fan, so g is read in full
+    loose = SquareComplex.build(c.square_count)
+    assert not validate_sutures(loose, g).ok
+    with pytest.raises(ValueError, match="invalid curve system"):
+        require_valid_pair(loose, g)
+    # a pair damaged from a census root carries no fact and is rejected in
+    # full, on the fan itself and on a fresh, equal complex
+    chords = list(g.chords)
+    chords[0] = chords[0][1:]
+    damaged = CurveSystem(tuple(chords), g.loops)
+    fresh = SquareComplex.build(c.square_count, c.gluings)
+    for on in (c, fresh):
+        assert not validate_sutures(on, damaged).ok
+        with pytest.raises(ValueError, match="invalid curve system"):
+            suture_element(on, damaged)
+

@@ -15,8 +15,8 @@ import pytest
 
 from sqft import disc, engine
 from sqft.census import (
-    catalan, disc_complex, matching_system, noncrossing_matchings,
-    random_sutures,
+    catalan, disc_complex, enumerate_disc_sutures, matching_system,
+    noncrossing_matchings, random_sutures,
 )
 from sqft.cli import _has_dominance_extremes
 from sqft.disc import bypass_relations, disc_element, fan_element, rotate
@@ -188,16 +188,40 @@ def test_bypass_relation_on_random_matchings():
 # the census past n = 7
 
 
+def _matching_grade(n, matching):
+    """e = #positive - #negative regions of a disc chord diagram, read off
+    the matching: the boundary arc from point i to point i + 1 lies in a
+    positive region exactly when i is even, and its region goes on, past
+    point i + 1, along the arc that starts at the partner of i + 1."""
+    mate = {}
+    for a, b in matching:
+        mate[a], mate[b] = b, a
+    seen, e = set(), 0
+    for start in range(2 * n):
+        if start in seen:
+            continue
+        i = start
+        while i not in seen:
+            seen.add(i)
+            i = mate[(i + 1) % (2 * n)]
+        e += 1 if start % 2 == 0 else -1
+    return e
+
+
 @pytest.mark.parametrize("n", [8, 9])
 def test_census_identities_past_seven(n):
     c = disc_complex(n)
+    systems = enumerate_disc_sutures(n)
+    assert len(set(systems)) == catalan(n)
     seen = set()
     by_grade: dict[int, list[int]] = {}
-    for m in noncrossing_matchings(2 * n):
+    for g, m in zip(systems, noncrossing_matchings(2 * n)):
         x = disc_element(n, m)
         assert x.words and x.words not in seen
+        assert engine.suture_element(c, g) == x
         seen.add(x.words)
-        e = euler_class(c, matching_system(n, m))
+        e = euler_class(c, g)
+        assert e == _matching_grade(n, m)
         assert is_homogeneous(x, e)
         assert _has_dominance_extremes(x.words, x.arity)
         by_grade.setdefault(e, []).append(sum(1 << w for w in x.words))

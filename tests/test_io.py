@@ -266,16 +266,16 @@ def test_cli_apply_vacuum_fold_keeps_the_loop(tmp_path, capsys):
     assert element == "0\n"
 
 
-@pytest.mark.parametrize("n", ["1", "8", "x"])
+@pytest.mark.parametrize("n", ["1", "10", "x"])
 def test_census_rejects_n_out_of_range(n, capsys):
-    # n = 1 used to fail with "error: need n >= 2" and n = 8 built a disc
-    # before failing; neither message named the flag
+    # n = 1 used to fail with "error: need n >= 2" and n past the census
+    # range built a disc before failing; neither message named the flag
     with pytest.raises(SystemExit) as exc:
         main(["census", "disc", "--n", n])
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert f"--n: expected an integer from 2 to 7, got '{n}'" in err
+    assert f"--n: expected an integer from 2 to 9, got '{n}'" in err
 
 
 def test_census_largest_n(capsys):
@@ -419,7 +419,7 @@ def test_python_dash_m_sqft_is_the_cli(capsys):
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout == expected
     bad = subprocess.run([sys.executable, "-m", "sqft", "census", "disc",
-                          "--n", "8"], capture_output=True, text=True)
+                          "--n", "10"], capture_output=True, text=True)
     assert bad.returncode == 2 and "Traceback" not in bad.stderr
 
 
