@@ -8,23 +8,31 @@ Points are numbered as `census.matching_system` numbers them, along the
 boundary cycle of the fan disc `disc_complex(n)`; factor i is the
 fan's square i.
 
-* **Rotation.** R (p -> p + 2 mod 2n on points) acts on elements as the
-  diagonal slides `slide_map(x, i, i + 1, SLIDE_BLOCK["ccw"])` for
-  i = 0, ..., n - 3 in that order; R^-1 applies the "cw" block for
-  i = n - 3, ..., 0. R^n is the identity.
-* **Peeling.** The element of a matching with chord (0, 1) is that of the
-  matching left when the chord is dropped and each other point p is
-  renumbered p mod (2n - 2), with bit 1 inserted at factor 0 (w -> 2w + 1);
-  with chord (2n - 1, 0) instead, bit 0 is inserted (w -> 2w). At n = 1 the
-  element is the scalar one.
-* **Any outermost chord (p, p + 1).** With k = ceil(p / 2), the matching
-  shifted by -2k has its chord at (0, 1) (p even) or (2n - 1, 0) (p odd):
-  peel that, then apply R^k, or R^-(n-k) when that is shorter. Of the
-  outermost chords, the one needing the fewest rotation steps is peeled.
+* **Creation.** Inserting bit b at factor i maps each word w to
+  (w & (2^i - 1)) | b << i | (w >> i) << (i + 1). The element of a
+  matching with an outermost chord (p, p + 1 mod 2n) is that of the
+  matching left when the chord is dropped, with a bit inserted:
+
+  - p = 0: the other points renumbered q -> q mod (2n - 2), bit 1 at
+    factor 0 (w -> 2w + 1);
+  - p = 2n - 1: renumbered the same way, bit 0 at factor 0 (w -> 2w);
+  - p = 2: the points q > p + 1 renumbered q -> q - 2, bit 1 at factor
+    n - 2;
+  - odd p, 3 <= p <= 2n - 3: renumbered as for p = 2, bit 0 at factor
+    n - 1 - (p - 1) / 2;
+  - even p, 4 <= p <= 2n - 2: renumbered as for p = 2, bit 1 at factor
+    i = n - p / 2, then the ccw diagonal slide
+    `slide_map(x, i - 1, i, SLIDE_BLOCK["ccw"])`.
+
+  At n = 1 the element is the scalar one. For n >= 2 a matching has two
+  outermost chords, so one is not at p = 1, which has no rule: the first
+  outermost chord with p != 1 is peeled, each level costing one pass over
+  the words and at most one slide.
 
 `engine.suture_element` takes this path for a normalized, nontrivial
 system, basic ones among them, on the fan disc up to a relabelling of its
-squares (`fan_element`). The tests compare it with the bypass recursion.
+squares (`fan_element`). The tests compare it with the bypass recursion
+and with a peel that rotates each chord to (0, 1) or (2n - 1, 0) first.
 """
 
 from __future__ import annotations
@@ -85,7 +93,7 @@ def _disc_layout(n: int) -> tuple[SquareComplex, tuple[Slot, ...], tuple,
 # the digital evaluator
 
 # sub-matchings kept by the memo: the n = 7 census through the engine
-# makes 545 entries and every matching of n = 9 makes 6,917, while an
+# makes 625 entries, one per sub-matching, and every matching of n = 9 makes 6,917, while an
 # unbounded memo over the 2.7 million matchings of n = 14 never finished
 MEMO_SIZE = 1 << 13
 
@@ -122,44 +130,36 @@ def matching_mates(n: int, matching: Iterable[tuple[int, int]]
     return tuple(mate)
 
 
-def rotate(x: Z2Tensor, steps: int) -> Z2Tensor:
-    """R^steps of an element of arity n - 1: `steps` rotations by R, or
-    -steps by R^-1 when steps is negative."""
-    if steps >= 0:
-        block, order = SLIDE_BLOCK["ccw"], range(x.arity - 1)
-    else:
-        block, order = SLIDE_BLOCK["cw"], range(x.arity - 2, -1, -1)
-    for _ in range(abs(steps)):
-        for i in order:
-            x = slide_map(x, i, i + 1, block)
-    return x
-
-
 @lru_cache(maxsize=MEMO_SIZE)
 def _peel(mate: tuple[int, ...]) -> frozenset[int]:
     size = len(mate)
     n = size // 2
     if n == 1:
         return frozenset({0})
-    best = None
-    for p in range(size):
-        if mate[p] == (p + 1) % size:
-            k = (p + 1) // 2
-            steps = k if k <= n - k else k - n
-            if best is None or abs(steps) < abs(best[0]):
-                best = steps, p, k
-                if not steps:
-                    break
-    steps, p, k = best
-    shift, small = 2 * k, size - 2
-    sub = [0] * small
-    for q in range(size):
-        if q != p and q != mate[p]:
-            sub[(q - shift) % size % small] = \
-                (mate[q] - shift) % size % small
-    low = 1 - p % 2          # the bit that chord (0, 1) or (2n - 1, 0) adds
-    x = Z2Tensor(n - 1, frozenset(2 * w + low for w in _peel(tuple(sub))))
-    return rotate(x, steps).words
+    # a matching of n >= 2 chords has two outermost ones, not both at 1
+    p = next(p for p in range(size) if p != 1 and mate[p] == (p + 1) % size)
+    slide = False
+    if p == 0 or p == size - 1:
+        # the other points, in the order q -> q mod (2n - 2) numbers them
+        rest = mate[-2:] + mate[2:-2] if p == 0 else mate[-2:-1] + mate[1:-2]
+        sub = tuple(q % (size - 2) for q in rest)
+        i, bit = 0, 1 - p % 2
+    else:
+        sub = tuple(q - 2 if q > p + 1 else q
+                    for q in mate[:p] + mate[p + 2:])
+        if p == 2:
+            i, bit = n - 2, 1
+        elif p % 2:
+            i, bit = n - 1 - (p - 1) // 2, 0
+        else:
+            i, bit, slide = n - p // 2, 1, True
+    low = (1 << i) - 1
+    words = frozenset((w & low) | bit << i | (w >> i) << (i + 1)
+                      for w in _peel(sub))
+    if slide:
+        words = slide_map(Z2Tensor(n - 1, words), i - 1, i,
+                          SLIDE_BLOCK["ccw"]).words
+    return words
 
 
 def bypass_relations(n: int, matching: Iterable[tuple[int, int]]
@@ -172,12 +172,11 @@ def bypass_relations(n: int, matching: Iterable[tuple[int, int]]
     (e1 e2)(e3 e6)(e4 e5) or (e2 e3)(e4 e1)(e5 e6). Those three matchings,
     each with the other chords unchanged, are yielded: their elements sum
     to zero, by the bypass relation of arXiv:0807.2431 and
-    arXiv:1006.3063.
+    arXiv:1006.3063. ValueError if `matching` is not a non-crossing
+    perfect matching of points 0..2n-1.
     """
     chords = [tuple(sorted(ch)) for ch in matching]
-    mate = [0] * (2 * n)
-    for a, b in chords:
-        mate[a], mate[b] = b, a
+    mate = matching_mates(n, chords)
     for three in combinations(range(len(chords)), 3):
         ends = sorted(p for i in three for p in chords[i])
         # bisect numbers the arc between ends[j - 1] and ends[j] by j, and

@@ -12,16 +12,13 @@ evaluated digitally instead, with no curves, when the normalized system is
 nontrivial, a basic one too: its strands are read as a non-crossing
 matching of the 2n boundary points, and `disc.disc_element` peels an
 outermost chord at a time (Mathews, arXiv:1006.3063, on the
-Honda-Kazez-Matic TQFT, arXiv:0807.2431). A chord at (0, 1) is dropped with
-the other points renumbered p -> p mod (2n - 2), and bit 1 is inserted at
-factor 0 (w -> 2w + 1); a chord at (2n - 1, 0) inserts bit 0 (w -> 2w). Any
-other outermost chord is brought to one of these by the rotation
-p -> p + 2, whose operator R is the ccw diagonal slides at factors (i, i+1)
-for i = 0, ..., n - 3, and R^-1 the cw slides in reverse order. A call with
-a chooser and `element_trace` always recurse, as does every other complex,
-among them a fan whose squares are rotated as well as relabelled (the
-two-square hexagon glued (0, 0)-(1, 1), for one): recognising those is out
-of scope.
+Honda-Kazez-Matic TQFT, arXiv:0807.2431): the chord (p, p + 1) is dropped,
+the other points are renumbered, and one bit is inserted at the factor
+that p names, then one diagonal slide when p is even and at least 4 (the
+table is in `disc`). A call with a chooser and `element_trace` always
+recurse, as does every other complex, among them a fan whose squares are
+rotated as well as relabelled (the two-square hexagon glued (0, 0)-(1, 1),
+for one): recognising those is out of scope.
 
 Every surface morphism is presented as a script of elementary moves. Each
 move contributes an explicit operator: creations append a tensor factor,

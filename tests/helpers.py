@@ -19,10 +19,16 @@
   completion; `regions._decompose` counts the same cells locally, gap by
   gap.
 - `block_power` is the n-th power of a 2x2 block over GF(2).
+- `rotate` is the rotation p -> p + 2 of a disc matching acting on its
+  element, and `rotation_peel_oracle` evaluates a matching by rotating
+  each outermost chord to (0, 1) or (2n - 1, 0); `disc._peel` inserts a
+  bit at the chord's own factor instead.
 """
 
+from functools import lru_cache
 from typing import Optional
 
+from sqft._derived import SLIDE_BLOCK
 from sqft.census import _disc_layout
 from sqft.quad import slide_slot_map
 from sqft.regions import Region, RegionDecomposition
@@ -32,6 +38,7 @@ from sqft.sutures import (
     EP, CurveSystem, _splice, basic_system, normalize, require_valid_pair,
     validate_sutures,
 )
+from sqft.tensor import Z2Tensor, slide_map
 
 
 def transport_unglue(c: SquareComplex, g: CurveSystem,
@@ -600,3 +607,56 @@ def slide_map_oracle(words: frozenset[int], i: int, j: int,
         if block[1][col]:
             out ^= {base | (1 << i)}          # 10: bit_i set
     return frozenset(out)
+
+
+# ---------------------------------------------------------------------------
+# disc elements by rotation
+
+
+def rotate(x: Z2Tensor, steps: int) -> Z2Tensor:
+    """R^steps of an element of arity n - 1, where R (p -> p + 2 mod 2n on
+    points) is the ccw diagonal slides at factors (i, i + 1) for
+    i = 0, ..., n - 3 in that order and R^-1 the cw slides in reverse
+    order; negative steps apply R^-1."""
+    if steps >= 0:
+        block, order = SLIDE_BLOCK["ccw"], range(x.arity - 1)
+    else:
+        block, order = SLIDE_BLOCK["cw"], range(x.arity - 2, -1, -1)
+    for _ in range(abs(steps)):
+        for i in order:
+            x = slide_map(x, i, i + 1, block)
+    return x
+
+
+@lru_cache(maxsize=None)
+def rotation_peel_oracle(mate: tuple[int, ...]) -> frozenset[int]:
+    """The words of the matching with these mates, peeling an outermost
+    chord (p, p + 1): with k = ceil(p / 2), the matching shifted by -2k has
+    its chord at (0, 1) (p even) or (2n - 1, 0) (p odd); drop it, renumber
+    the rest q -> q mod (2n - 2), insert bit 1 or 0 at factor 0, then apply
+    R^k, or R^-(n - k) when that is shorter. Of the outermost chords, the
+    one needing the fewest rotation steps is peeled."""
+    size = len(mate)
+    n = size // 2
+    if n == 1:
+        return frozenset({0})
+    best = None
+    for p in range(size):
+        if mate[p] == (p + 1) % size:
+            k = (p + 1) // 2
+            steps = k if k <= n - k else k - n
+            if best is None or abs(steps) < abs(best[0]):
+                best = steps, p, k
+                if not steps:
+                    break
+    steps, p, k = best
+    shift, small = 2 * k, size - 2
+    sub = [0] * small
+    for q in range(size):
+        if q != p and q != mate[p]:
+            sub[(q - shift) % size % small] = \
+                (mate[q] - shift) % size % small
+    low = 1 - p % 2          # the bit that chord (0, 1) or (2n - 1, 0) adds
+    x = Z2Tensor(n - 1, frozenset(
+        2 * w + low for w in rotation_peel_oracle(tuple(sub))))
+    return rotate(x, steps).words

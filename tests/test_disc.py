@@ -1,6 +1,8 @@
-"""The digital disc evaluator against the bypass recursion, and the disc
-identities it makes cheap to check: the bypass relation on matchings and
-the census past n = 7.
+"""The digital disc evaluator against the bypass recursion and against
+the rotation-form peel of `helpers`, each of its creation rules on its
+own, and the disc identities it makes cheap to check: the bypass relation
+on matchings, the dominance extremes at n = 20..30 and the census past
+n = 7.
 
 The recursion is reached with an explicit first-triple chooser, which
 takes neither the element memo nor the digital path.
@@ -14,18 +16,23 @@ from pathlib import Path
 import pytest
 
 from sqft import disc, engine
+from sqft._derived import SLIDE_BLOCK
 from sqft.census import (
     catalan, disc_complex, enumerate_disc_sutures, matching_system,
     noncrossing_matchings, random_sutures,
 )
 from sqft.cli import _has_dominance_extremes
-from sqft.disc import bypass_relations, disc_element, fan_element, rotate
+from sqft.disc import (
+    bypass_relations, disc_element, fan_element, matching_mates,
+)
 from sqft.regions import euler_class, is_trivial
 from sqft.surface import relabel
 from sqft.sutures import CurveSystem, basic_system, normalize
-from sqft.tensor import gf2_rank, is_homogeneous
+from sqft.tensor import Z2Tensor, gf2_rank, is_homogeneous, slide_map
 
-from helpers import boundary_hugging_system, with_circle
+from helpers import (
+    boundary_hugging_system, rotate, rotation_peel_oracle, with_circle,
+)
 
 POOL_FILE = Path(__file__).resolve().parent.parent / "bench" / \
     "disc_chords_pool.json"
@@ -136,6 +143,61 @@ def test_rotation_has_order_n():
         assert rotate(x, 1) == disc_element(n, shifted)
 
 
+def test_peel_equals_the_rotation_oracle():
+    rng = random.Random(20261022)
+    cases = list(_census(2, 9))
+    cases += [(n, _random_matching(rng, n))
+              for n in (rng.randint(20, 30) for _ in range(40))]
+    assert len(cases) == 6916 + 40
+    for n, m in cases:
+        assert disc_element(n, m).words == \
+            rotation_peel_oracle(matching_mates(n, m))
+
+
+def _with_chord(n, small, p):
+    """`small`, a matching of n - 1 chords, with the chord (p, p + 1) of
+    2n points added and the other points renumbered around it, as the
+    peel drops it."""
+    size = 2 * n
+
+    def up(s):
+        if p == 0:
+            return s if s >= 2 else s + size - 2
+        if p == size - 1:
+            return s or size - 2
+        return s + 2 if s >= p else s
+    return tuple((up(a), up(b)) for a, b in small) + ((p, (p + 1) % size),)
+
+
+def test_each_creation_rule():
+    # the peel takes only the first outermost chord not at 1, so each row
+    # of the creation table is checked here on its own
+    rng = random.Random(20261024)
+    checked = 0
+    for n in range(3, 31):
+        for p in range(2 * n):
+            if p == 1:
+                continue
+            small = _random_matching(rng, n - 1)
+            if p in (0, 2 * n - 1):
+                i, bit = 0, 1 - p % 2
+            elif p == 2:
+                i, bit = n - 2, 1
+            elif p % 2:
+                i, bit = n - 1 - (p - 1) // 2, 0
+            else:
+                i, bit = n - p // 2, 1
+            low = (1 << i) - 1
+            want = Z2Tensor(n - 1, frozenset(
+                (w & low) | bit << i | (w >> i) << (i + 1)
+                for w in disc_element(n - 1, small).words))
+            if p % 2 == 0 and p >= 4:
+                want = slide_map(want, i - 1, i, SLIDE_BLOCK["ccw"])
+            assert disc_element(n, _with_chord(n, small, p)) == want, (n, p)
+            checked += 1
+    assert checked == sum(2 * n - 1 for n in range(3, 31))
+
+
 def test_disc_element_rejects_what_is_not_a_matching():
     assert disc_element(1, [(0, 1)]).words == {0}
     for n, m in ((2, [(0, 1)]), (2, [(0, 1), (1, 2)]), (2, [(0, 2), (1, 3)]),
@@ -182,6 +244,21 @@ def test_bypass_relation_on_random_matchings():
             assert _relation_holds(n, terms)
             checked += 1
     assert checked >= 12
+
+
+def test_bypass_relations_rejects_what_is_not_a_matching():
+    for n, m in ((3, [(0, 3), (1, 4), (2, 5)]), (3, [(0, 1), (2, 3)]),
+                 (3, [(0, 1), (2, 3), (4, 9)])):
+        with pytest.raises(ValueError):
+            list(bypass_relations(n, m))
+
+
+def test_dominance_extremes_on_random_matchings():
+    rng = random.Random(20261023)
+    for _ in range(40):
+        n = rng.randint(20, 30)
+        x = disc_element(n, _random_matching(rng, n))
+        assert _has_dominance_extremes(x.words, x.arity)
 
 
 # ---------------------------------------------------------------------------
