@@ -67,6 +67,10 @@ def matching_system(n: int, matching: Iterable[tuple[int, int]]) -> CurveSystem:
     holds one endpoint of each chord that crosses the arc, and the
     crossings are ordered by those endpoints, counted from the inner
     corner: crossing k is point k on (i, 2) and point m-1-k on (i + 1, 1).
+    That stretch is the run of points 2..2n-2-2i, the points of squares
+    above i, so one pass over the points in order numbers the crossings of
+    every arc. Each chord is emitted in canonical form and each square is
+    sorted once.
 
     The matching is the only data checked: ValueError unless it is a
     non-crossing perfect matching of points 0..2n-1. The system built from
@@ -74,38 +78,39 @@ def matching_system(n: int, matching: Iterable[tuple[int, int]]) -> CurveSystem:
     CurveSystem.build's canonical form with no chord ending twice on one
     glued side (so `normalize` returns it as it is), and made of arcs from
     boundary to boundary (no loop, no closed component), so its `valid`,
-    `normal` and `open` facts are that complex.
+    `normal` and `open` facts are that complex. Its `mates` fact is the
+    checked matching, which `disc.fan_element` peels on that complex: the
+    root's strands are never walked.
     """
-    c, cycle, arcs, _ = _disc_layout(n)
-    size = 2 * n
+    c, cycle, _ = _disc_layout(n)
     mate = matching_mates(n, matching)
-    chords = [(a, b) for a, b in enumerate(mate) if a < b]
-    crossing: list[list[tuple[int, int]]] = [[] for _ in arcs]
-    for idx, (a, b) in enumerate(chords):
-        lo, hi = sorted((cycle[a][0], cycle[b][0]))
-        for i in range(lo, hi):
-            inner, outer = arcs[i]
-            span = (outer - inner) % size
-            ahead = a if (a - inner) % size < span else b
-            crossing[i].append(((ahead - inner) % size, idx))
-    position: list[dict[int, int]] = [
-        {idx: k for k, (_, idx) in enumerate(sorted(row))} for row in crossing]
+    # per chord, by its end in the lower square, its crossing on each arc
+    # it crosses: the number of crossings already counted there
+    counts = [0] * (n - 2)
+    crossings: dict[int, list[int]] = {}
+    for p, q in enumerate(mate):
+        lo, hi = cycle[q][0], cycle[p][0]
+        if lo < hi:
+            crossings[q] = counts[lo:hi]
+            for i in range(lo, hi):
+                counts[i] += 1
 
-    per_square: dict[int, list] = {}
-    for idx, (a, b) in enumerate(chords):
-        if cycle[a][0] > cycle[b][0]:
-            a, b = b, a
-        sq, side = cycle[a]
-        start = (side, 0)
-        for i in range(sq, cycle[b][0]):
-            k = position[i][idx]
-            per_square.setdefault(i, []).append((start, (2, k)))
-            start = (1, len(position[i]) - 1 - k)
-        sq, side = cycle[b]
-        per_square.setdefault(sq, []).append((start, (side, 0)))
-    g = CurveSystem.build(c.square_count, per_square)
+    per_square: list[list] = [[] for _ in range(n - 1)]
+    for a, b in enumerate(mate):
+        (sa, side_a), (sb, side_b) = cycle[a], cycle[b]
+        if sa > sb or sa == sb and b < a:
+            continue      # each chord once, from its end in the lower square
+        start = (side_a, 0)
+        for i, k in enumerate(crossings.get(a, ()), sa):
+            end = (2, k)
+            per_square[i].append((start, end) if start < end else (end, start))
+            start = (1, counts[i] - 1 - k)
+        end = (side_b, 0)
+        per_square[sb].append((start, end) if start < end else (end, start))
+    g = CurveSystem(tuple(map(tuple, map(sorted, per_square))), (0,) * (n - 1))
     facts = g.facts
     facts.valid = facts.normal = facts.open = c
+    facts.mates = mate
     return g
 
 

@@ -31,8 +31,11 @@ fan's square i.
 
 `engine.suture_element` takes this path for a normalized, nontrivial
 system, basic ones among them, on the fan disc up to a relabelling of its
-squares (`fan_element`). The tests compare it with the bypass recursion
-and with a peel that rotates each chord to (0, 1) or (2n - 1, 0) first.
+squares (`fan_element`). A census root on the shared `disc_complex(n)`
+carries its checked matching (its `mates` fact), which is peeled with no
+walk; any other system's matching is read by walking its strands. The
+tests compare it with the bypass recursion and with a peel that rotates
+each chord to (0, 1) or (2n - 1, 0) first.
 """
 
 from __future__ import annotations
@@ -64,29 +67,15 @@ def disc_complex(n: int) -> SquareComplex:
     )
 
 
-def _disc_polygon(c: SquareComplex) -> tuple[list[Slot], dict]:
-    """Boundary sides in cyclic order and corner positions by vertex class."""
-    cycle = list(c.boundary_cycles[0])
-    corner_pos = {}
-    for gidx, slot in enumerate(cycle):
-        start, _ = c.edge_endpoints(slot)
-        corner_pos[start.key] = gidx
-    return cycle, corner_pos
-
-
 @lru_cache(maxsize=None)
-def _disc_layout(n: int) -> tuple[SquareComplex, tuple[Slot, ...], tuple,
+def _disc_layout(n: int) -> tuple[SquareComplex, tuple[Slot, ...],
                                   dict[Slot, int]]:
-    """The disc, its boundary sides in cyclic order, per arc i between
-    squares i and i + 1 the positions in that order of the arc's inner
-    and outer corners, and the point on each boundary side, shared by
-    every matching of the same n."""
+    """The disc, its boundary sides in cyclic order (point p lies on side
+    p), and the point on each boundary side, shared by every matching of
+    the same n."""
     c = disc_complex(n)
-    cycle, corner_pos = _disc_polygon(c)
-    arcs = tuple((corner_pos[c.corner_class[(i, 2)].key],
-                  corner_pos[c.corner_class[(i, 3)].key])
-                 for i in range(n - 2))
-    return c, tuple(cycle), arcs, {slot: p for p, slot in enumerate(cycle)}
+    cycle = tuple(c.boundary_cycles[0])
+    return c, cycle, {slot: p for p, slot in enumerate(cycle)}
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +96,16 @@ def disc_element(n: int, matching: Iterable[tuple[int, int]]) -> Z2Tensor:
 def matching_mates(n: int, matching: Iterable[tuple[int, int]]
                    ) -> tuple[int, ...]:
     """The mate of each point of a non-crossing perfect matching of points
-    0..2n-1; ValueError if `matching` is not one, n < 1 included."""
+    0..2n-1; ValueError if `matching` is not one, n < 1 or a point that is
+    not an int included."""
     if n < 1:
         raise ValueError("need n >= 1")
     size = 2 * n
     mate = [-1] * size
     for a, b in matching:
         for p in (a, b):
+            if not isinstance(p, int):
+                raise ValueError(f"point {p!r} is not an int")
             if not 0 <= p < size or mate[p] != -1:
                 raise ValueError(f"point {p} is out of range or used twice")
         if a == b:
@@ -229,17 +221,24 @@ def fan_element(c: SquareComplex, g: CurveSystem) -> Optional[Z2Tensor]:
     """The element of a normalized, nontrivial g on c by peeling, or None
     unless c is the fan disc up to a relabelling of its squares.
 
-    The matching is read in one walk from each boundary point along its
-    strand: the strand leaves each square by the other end of its chord
-    and, across a gluing, point k of a side is point m - 1 - k of its
-    partner. Boundary sides are numbered as the fan's, and the words are
-    relabelled from the fan's squares to c's.
+    A census root on the shared `disc_complex(n)` carries the matching it
+    was built from (its `mates` fact), which is peeled as it is: the root
+    is never walked. Any other pair, that root on another complex among
+    them, has its matching read in one walk from each boundary point along
+    its strand: the strand leaves each square by the other end of its
+    chord and, across a gluing, point k of a side is point m - 1 - k of
+    its partner. Boundary sides are numbered as the fan's, and the words
+    are relabelled from the fan's squares to c's.
     """
+    mates = g.facts.mates
+    # the fact holds on the fan it was built on, whatever `valid` says now
+    if mates is not None and c is disc_complex(len(mates) // 2):
+        return Z2Tensor(len(mates) // 2 - 1, _peel(mates))
     order = _fan_order(c)
     if order is None:
         return None
     n = len(order) + 1
-    _, cycle, _, point = _disc_layout(n)
+    _, cycle, point = _disc_layout(n)
     fan_square = [0] * len(order)
     for i, sq in enumerate(order):
         fan_square[sq] = i

@@ -9,9 +9,10 @@ the slack quadrangulation and the collapse operators finish the job.
 
 A fan disc (`disc_complex(n)` up to a relabelling of its squares) is
 evaluated digitally instead, with no curves, when the normalized system is
-nontrivial, a basic one too: its strands are read as a non-crossing
-matching of the 2n boundary points, and `disc.disc_element` peels an
-outermost chord at a time (Mathews, arXiv:1006.3063, on the
+nontrivial, a basic one too: a census root on the shared fan carries the
+matching it was built from, any other system's strands are read as a
+non-crossing matching of the 2n boundary points, and the matching is
+peeled an outermost chord at a time (Mathews, arXiv:1006.3063, on the
 Honda-Kazez-Matic TQFT, arXiv:0807.2431): the chord (p, p + 1) is dropped,
 the other points are renumbered, and one bit is inserted at the factor
 that p names, then one diagonal slide when p is even and at least 4 (the

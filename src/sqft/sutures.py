@@ -33,17 +33,23 @@ def _norm_chord(a: EP, b: EP) -> Chord:
 
 class PairFacts:
     """What a curve system is known to satisfy, out of its fields, which
-    alone define ==, hash and repr. Each fact is None or the complex object
-    its check holds on: `valid` (validate_sutures found no problem, or the
-    system is a bypass child of one valid there), `normal` (_is_normal) and
-    `open` (regions.closed_components found no closed component). A census
-    root, `census.matching_system`'s system of a checked matching, holds
-    all three on the shared `disc.disc_complex(n)` by construction."""
+    alone define ==, hash and repr. Three facts are None or the complex
+    object their check holds on: `valid` (validate_sutures found no
+    problem, or the system is a bypass child of one valid there), `normal`
+    (_is_normal) and `open` (regions.closed_components found no closed
+    component). The fourth, `mates`, is None or the mate of each boundary
+    point of the checked matching the system was built from
+    (`disc.matching_mates`). A census root, `census.matching_system`'s
+    system of a checked matching, holds the first three on the shared
+    `disc.disc_complex(n)` by construction, and its mates, which
+    `disc.fan_element` peels on that complex with no walk. No other system
+    gets a fact from one: a surgery child or a relabelled copy is a new
+    system with facts of its own."""
 
-    __slots__ = ("valid", "normal", "open")
+    __slots__ = ("valid", "normal", "open", "mates")
 
     def __init__(self) -> None:
-        self.valid = self.normal = self.open = None
+        self.valid = self.normal = self.open = self.mates = None
 
 
 @dataclass(frozen=True)

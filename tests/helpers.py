@@ -53,9 +53,15 @@ def transport_unglue(c: SquareComplex, g: CurveSystem,
 
 
 def matching_system_oracle(n: int, matching) -> CurveSystem:
-    c, cycle, arcs, _ = _disc_layout(n)
+    c, cycle, _ = _disc_layout(n)
     sides = [DiscSide(key=slot, points=[g], corner=g)
              for g, slot in enumerate(cycle)]
+    # arc i runs from its inner corner (i, 2) to its outer corner (i, 3);
+    # a corner's position is that of the boundary side it starts
+    corner_pos = {c.edge_endpoints(slot)[0].key: g
+                  for g, slot in enumerate(cycle)}
+    arcs = [(corner_pos[c.corner_class[(i, 2)].key],
+             corner_pos[c.corner_class[(i, 3)].key]) for i in range(n - 2)]
     strands: dict[int, int] = {}
     for a, b in matching:
         strands[a] = b

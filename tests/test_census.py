@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -8,15 +9,16 @@ from sqft.census import (
     catalan, disc_complex, enumerate_disc_sutures, matching_system,
     noncrossing_matchings, random_surface, random_sutures,
 )
-from sqft.disc import disc_element
-from sqft.engine import compile_script, suture_element
+from sqft import disc
+from sqft.disc import disc_element, fan_element, matching_mates
+from sqft.engine import clear_cache, compile_script, suture_element
 from sqft.regions import (
     closed_components, euler_class, is_confining, is_trivial,
 )
-from sqft.surface import SquareComplex, invariants, validate_complex
+from sqft.surface import SquareComplex, invariants, relabel, validate_complex
 from sqft.sutures import (
-    CurveSystem, _is_normal, bypass_triples, normalize, require_valid_pair,
-    validate_sutures,
+    CurveSystem, _is_normal, bypass_surgery, bypass_triples, normalize,
+    require_valid_pair, validate_sutures,
 )
 from helpers import (
     boundary_hugging_system, confining_oracle, enumerate_basic,
@@ -223,6 +225,8 @@ def test_random_matchings_cover_every_chord_length():
     ((0, 1), (2, 3)),             # points 4 and 5 unmatched
     ((0, 1), (1, 2), (3, 4)),     # point 1 used twice
     ((0, 1), (2, 3), (4, 9)),     # point 9 out of range
+    ((0, 1), (2, 3), (4, 5.0)),   # a point that is not an int
+    ((0, 1), (2, 3), (4, "5")),
 ])
 def test_matching_system_rejects_what_is_not_a_matching(matching):
     with pytest.raises(ValueError) as want:
@@ -288,3 +292,79 @@ def test_trusted_census_root_is_checked_on_another_complex():
         with pytest.raises(ValueError, match="invalid curve system"):
             suture_element(on, damaged)
 
+
+# ---------------------------------------------------------------------------
+# census roots carry their matching: peeled on the shared fan, never walked
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The complexes `disc.fan_element` reads a strand walk on."""
+    seen = []
+    fan_order = disc._fan_order
+    monkeypatch.setattr(disc, "_fan_order",
+                        lambda c: seen.append(c) or fan_order(c))
+    return seen
+
+
+def test_census_roots_carry_their_matching(walks):
+    sizes, children = {}, 0
+    for part, n, m in _trusted_fact_cases():
+        c = disc_complex(n)
+        g = matching_system(n, m)
+        assert g.facts.mates == matching_mates(n, m)
+        want = fan_element(c, g)
+        assert walks == []
+        # a fact-free twin on c, and the root on a fresh, equal complex,
+        # are walked to the same element
+        fresh = SquareComplex.build(c.square_count, c.gluings)
+        assert fan_element(c, CurveSystem(g.chords, g.loops)) == want
+        assert fan_element(fresh, g) == want
+        assert len(walks) == 2 and walks[0] is c and walks[1] is fresh
+        walks.clear()
+        # a bypass child and an equal copy are new systems: no mates
+        for edge, t in bypass_triples(c, g)[:1]:
+            assert bypass_surgery(c, g, edge, t, "up").facts.mates is None
+            children += 1
+        same = {i: i for i in range(c.square_count)}
+        assert g.permute_squares(same) == g
+        assert g.permute_squares(same).facts.mates is None
+        sizes[part] = sizes.get(part, 0) + 1
+    assert sizes == {"census": sum(catalan(n) for n in range(2, 8)),
+                     "pool": 70, "random": 23 * 20}
+    assert children > 500
+
+
+def test_census_pass_walks_only_fact_free_twins(walks):
+    clear_cache()
+    c = disc_complex(7)
+    roots = enumerate_disc_sutures(7)
+    peeled = [suture_element(c, g) for g in roots]
+    assert len(roots) == 429 and walks == []
+    walked = [suture_element(c, CurveSystem(g.chords, g.loops))
+              for g in roots]
+    assert len(walks) == 429
+    assert walked == peeled
+
+
+def test_census_root_on_a_relabelled_fan_is_walked():
+    """Some census roots are valid on a fan whose squares are relabelled,
+    and validating one there moves its `valid` fact to that complex. Its
+    mates number the points by the shared fan's squares, so there it is
+    walked: peeling them would give another element."""
+    n = 5
+    c = disc_complex(n)
+    checked = differ = 0
+    for order in permutations(range(n - 1)):
+        other = relabel(c, dict(enumerate(order)))
+        for m, g in zip(noncrossing_matchings(2 * n),
+                        enumerate_disc_sutures(n)):
+            twin = CurveSystem(g.chords, g.loops)
+            if not validate_sutures(other, twin).ok:
+                continue
+            want = suture_element(other, twin)
+            assert suture_element(other, g) == want
+            assert g.facts.valid is other
+            differ += disc_element(n, m) != want
+            checked += 1
+    assert checked > 100 and differ > 0

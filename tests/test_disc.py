@@ -87,6 +87,9 @@ def test_census_and_pool_equal_the_recursion():
         assert engine.suture_element(c, g) == want
         # a basic system is peeled too
         assert fan_element(c, g) == want
+        # the root peels the matching it carries; its fact-free twin is
+        # read by the strand walk
+        assert fan_element(c, CurveSystem(g.chords, g.loops)) == want
 
 
 def test_relabelled_fans_with_churned_sutures():
@@ -201,9 +204,12 @@ def test_each_creation_rule():
 def test_disc_element_rejects_what_is_not_a_matching():
     assert disc_element(1, [(0, 1)]).words == {0}
     for n, m in ((2, [(0, 1)]), (2, [(0, 1), (1, 2)]), (2, [(0, 2), (1, 3)]),
-                 (2, [(0, 1), (2, 4)]), (2, [(0, 0), (1, 2)]), (0, [])):
+                 (2, [(0, 1), (2, 4)]), (2, [(0, 0), (1, 2)]), (0, []),
+                 (1, [(0, 1.0)]), (1, [(0, "1")])):
         with pytest.raises(ValueError):
             disc_element(n, m)
+    with pytest.raises(ValueError, match="point '1' is not an int"):
+        disc_element(1, [(0, "1")])
 
 
 def test_clear_cache_empties_the_digital_memo():
