@@ -39,7 +39,7 @@ from .regions import is_trivial
 from .routing import transport_collapse
 from .surface import (
     GluingPair, Slot, SquareComplex, add_square, canonical_form, glue,
-    validate_complex,
+    tight_copy, validate_complex,
 )
 from .sutures import (
     CurveSystem, basic_bits, basic_square_chords, basic_system,
@@ -290,6 +290,9 @@ def compile_script(script: MorphismScript) -> CompiledScript:
 
 
 def _compile(script: MorphismScript) -> CompiledScript:
+    # the source is the one complex from outside, checked here; each
+    # creation and gluing after it seeds its complex's vertex classes and
+    # report from its parent's (see surface.add_square and surface.glue)
     cur = script.source
     if not validate_complex(cur).ok or cur.internal_vertices():
         raise ScriptError("script source must be a valid bona fide complex")
@@ -321,9 +324,7 @@ def apply_move(c: SquareComplex, move: Move) -> ScriptStep:
     if len(collapses) != expected:
         raise ScriptError(f"move {move} produced {len(collapses)} "
                           f"collapses, expected {expected}")
-    # a complex that is already tight is kept, with its caches
-    if tight.slack:
-        tight = SquareComplex(tight.square_count, tight.gluings, slack=False)
+    tight = tight_copy(tight)
     ops = tuple(fold_operator(rec, before.square_count)
                 for before, rec in collapses)
     return ScriptStep(move, tight, ops, tuple(collapses))

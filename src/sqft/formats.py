@@ -7,7 +7,9 @@ Script:   {"source": <surface>, "moves": [{"create": "+"},
            {"glue": [[sq,side],[sq,side]]}, {"fold": [...]}, {"zip": [...]}]}
 
 Emission is canonical (sorted gluings and chords, stable key order), so
-parse-then-emit is the identity on canonical documents. Parsing takes a
+parse-then-emit is the identity on canonical documents. The emitters write
+the text directly, byte for byte what `json.dumps(obj, indent=2)` writes
+for the `*_to_obj` form, without the pure-Python encoder. Parsing takes a
 count, square, side or position only as a JSON integer (`type(x) is int`:
 json loads true and false as bool, a subclass of int),
 and a square key only in canonical decimal ("0", "12", not "00" or "1_0"),
@@ -52,11 +54,14 @@ def _object(pairs: list[tuple[str, Any]]) -> dict:
 _KEYED_DECODER = json.JSONDecoder(object_pairs_hook=_object)
 
 
-def _loads(text: str) -> Any:
+def _loads(text: str, root: str) -> Any:
     try:
         return _KEYED_DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        # json reads nested lists and objects by recursion
+        raise ParseError(f"{root}: nested too deeply to read") from exc
 
 
 def _keys_once(obj: dict, what: str) -> None:
@@ -76,6 +81,35 @@ def _check_slot(obj: Any, what: str, squares: int) -> tuple[int, int]:
     return (sq, side)
 
 
+# -- emitting ---------------------------------------------------------------
+# json.dumps(..., indent=2) layout: each item of a non-empty list or object
+# on its own line, two spaces deeper than its brackets
+
+
+def _block(items: list[str], pad: str, brackets: str = "[]") -> str:
+    """Items already written at depth pad + 2 spaces, in brackets at pad."""
+    if not items:
+        return brackets
+    inner = "\n" + pad + "  "
+    return (brackets[0] + inner + ("," + inner).join(items) + "\n" + pad
+            + brackets[1])
+
+
+def _pair(a: tuple[int, int], b: tuple[int, int], pad: str) -> str:
+    """[[a0, a1], [b0, b1]] at depth pad."""
+    p1, p2 = pad + "  ", pad + "    "
+    return (f"[\n{p1}[\n{p2}{a[0]},\n{p2}{a[1]}\n{p1}],"
+            f"\n{p1}[\n{p2}{b[0]},\n{p2}{b[1]}\n{p1}]\n{pad}]")
+
+
+def _surface_text(c: SquareComplex, pad: str) -> str:
+    inner = pad + "  "
+    gluings = [_pair(a, b, inner + "  ") for a, b in c.sorted_gluings()]
+    return _block([f'"squares": {c.square_count}',
+                   f'"slack": {"true" if c.slack else "false"}',
+                   '"gluings": ' + _block(gluings, inner)], pad, "{}")
+
+
 # -- surfaces ---------------------------------------------------------------
 
 
@@ -88,7 +122,7 @@ def surface_to_obj(c: SquareComplex) -> dict:
 
 
 def emit_surface(c: SquareComplex) -> str:
-    return json.dumps(surface_to_obj(c), indent=2) + "\n"
+    return _surface_text(c, "") + "\n"
 
 
 def surface_from_obj(obj: Any, path: str = "surface") -> SquareComplex:
@@ -119,7 +153,7 @@ def surface_from_obj(obj: Any, path: str = "surface") -> SquareComplex:
 
 
 def parse_surface(text: str) -> SquareComplex:
-    return surface_from_obj(_loads(text))
+    return surface_from_obj(_loads(text, "surface"))
 
 
 # -- sutures ----------------------------------------------------------------
@@ -135,7 +169,12 @@ def sutures_to_obj(g: CurveSystem) -> dict:
 
 
 def emit_sutures(g: CurveSystem) -> str:
-    return json.dumps(sutures_to_obj(g), indent=2) + "\n"
+    chords = [f'"{s}": ' + _block([_pair(a, b, "      ") for a, b in chs],
+                                  "    ")
+              for s, chs in enumerate(g.chords) if chs]
+    loops = [f'"{s}": {n}' for s, n in enumerate(g.loops) if n]
+    return _block(['"chords": ' + _block(chords, "  ", "{}"),
+                   '"loops": ' + _block(loops, "  ", "{}")], "", "{}") + "\n"
 
 
 def _per_square(obj: dict, name: str,
@@ -198,17 +237,19 @@ def sutures_from_obj(obj: Any, square_count: int) -> CurveSystem:
 
 
 def parse_sutures(text: str, square_count: int) -> CurveSystem:
-    return sutures_from_obj(_loads(text), square_count)
+    return sutures_from_obj(_loads(text, "sutures"), square_count)
 
 
 # -- scripts ----------------------------------------------------------------
 
 
+_MOVE_KEY = {Glue: "glue", Fold: "fold", Zip: "zip"}
+
+
 def move_to_obj(m: Move) -> dict:
     if isinstance(m, CreateSquare):
         return {"create": "+" if m.sign > 0 else "-"}
-    key = {Glue: "glue", Fold: "fold", Zip: "zip"}[type(m)]
-    return {key: [list(m.a), list(m.b)]}
+    return {_MOVE_KEY[type(m)]: [list(m.a), list(m.b)]}
 
 
 def script_to_obj(s: MorphismScript) -> dict:
@@ -219,7 +260,15 @@ def script_to_obj(s: MorphismScript) -> dict:
 
 
 def emit_script(s: MorphismScript) -> str:
-    return json.dumps(script_to_obj(s), indent=2) + "\n"
+    moves = []
+    for m in s.moves:
+        if isinstance(m, CreateSquare):
+            move = f'"create": "{"+" if m.sign > 0 else "-"}"'
+        else:
+            move = f'"{_MOVE_KEY[type(m)]}": ' + _pair(m.a, m.b, "      ")
+        moves.append(_block([move], "    ", "{}"))
+    return _block(['"source": ' + _surface_text(s.source, "  "),
+                   '"moves": ' + _block(moves, "  ")], "", "{}") + "\n"
 
 
 def script_from_obj(obj: Any) -> MorphismScript:
@@ -253,4 +302,4 @@ def script_from_obj(obj: Any) -> MorphismScript:
 
 
 def parse_script(text: str) -> MorphismScript:
-    return script_from_obj(_loads(text))
+    return script_from_obj(_loads(text, "script"))

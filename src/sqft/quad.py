@@ -14,7 +14,7 @@ from typing import Iterator, Optional
 
 from .surface import (
     Corner, GluingPair, InvalidComplex, Slot, SquareComplex, VertexClass,
-    _norm_pair, _require_valid, remove_square,
+    _norm_pair, _require_valid, remove_square, tight_copy,
 )
 
 
@@ -195,9 +195,7 @@ def tighten(c: SquareComplex) -> tuple[SquareComplex, list[CollapseRecord]]:
     cur = c
     for _, rec, cur in collapse_steps(c):
         records.append(rec)
-    if not cur.slack:
-        return cur, records
-    return SquareComplex(cur.square_count, cur.gluings, slack=False), records
+    return tight_copy(cur), records
 
 
 # ---------------------------------------------------------------------------

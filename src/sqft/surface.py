@@ -66,8 +66,9 @@ class VertexClass:
     def __contains__(self, corner: Corner) -> bool:
         return corner in self.corners
 
-    @property
+    @cached_property
     def key(self) -> Corner:
+        # kept outside the fields, which alone define ==, hash and repr
         return min(self.corners)
 
 
@@ -303,7 +304,7 @@ def _check_complex(c: SquareComplex) -> ValidationReport:
 
 
 def _require_valid(c: SquareComplex) -> None:
-    report = validate_complex(c)
+    report = c._report
     if not report.ok:
         raise InvalidComplex("; ".join(report.problems))
 
@@ -431,7 +432,36 @@ def glue(c: SquareComplex, a: Slot, b: Slot) -> tuple[SquareComplex, GluingKind]
         c.gluings | {_norm_pair(a, b)},
         slack=c.slack or kind.kind != "standard",
     )
-    return glued, kind
+    # a standard gluing joins two distinct classes on two distinct squares,
+    # and a fold or a zip makes the complex slack: either way c's report
+    # holds for the glued complex
+    return _seeded(glued, vertex_classes=_glued_classes(c, a, b),
+                   _report=c._report), kind
+
+
+def _glued_classes(c: SquareComplex, a: Slot, b: Slot) -> tuple[VertexClass, ...]:
+    """c's vertex classes once boundary sides a and b are glued.
+
+    The gluing identifies corner (S, a) with (T, b + 1) and (S, a + 1) with
+    (T, b). Each of those corners ends its class, as its side is unglued,
+    so the two classes of a pair join into one, or close into an internal
+    vertex when they are one class. The two pairs have opposite signs, so
+    they meet disjoint classes.
+    """
+    cc = c.corner_class
+    (s, i), (t, j) = a, b
+    swap: dict[int, Optional[VertexClass]] = {}
+    for x, y in (((s, i), (t, (j + 1) % 4)), ((s, (i + 1) % 4), (t, j))):
+        u, v = cc[x], cc[y]
+        if v.key < u.key:
+            u, v = v, u
+        # the joined class takes the place of the one with the lesser key,
+        # so the classes stay in key order
+        swap[id(u)] = VertexClass(u.corners | v.corners, u.sign, u is v)
+        if u is not v:
+            swap[id(v)] = None
+    return tuple(w for v in c.vertex_classes
+                 if (w := swap.get(id(v), v)) is not None)
 
 
 def unglue(c: SquareComplex, a: Slot, b: Slot) -> SquareComplex:
@@ -492,7 +522,37 @@ def disjoint_union(c1: SquareComplex, c2: SquareComplex) -> SquareComplex:
 
 
 def add_square(c: SquareComplex) -> SquareComplex:
-    return SquareComplex(c.square_count + 1, c.gluings, slack=c.slack)
+    out = SquareComplex(c.square_count + 1, c.gluings, slack=c.slack)
+    report = c._report
+    if not report.ok:
+        return out
+    # the new square's four corners are four classes, with keys past all
+    # of c's; an unglued square adds no problem to a valid complex
+    k = c.square_count
+    corners = tuple(
+        VertexClass(frozenset({(k, corner)}), +1 if corner % 2 else -1, False)
+        for corner in range(4))
+    return _seeded(out, vertex_classes=c.vertex_classes + corners,
+                   _report=report)
+
+
+def tight_copy(c: SquareComplex) -> SquareComplex:
+    """The tightened form of c, a valid complex with no internal vertex: c
+    itself when it is not slack, else a copy marked not slack, with c's
+    gluings and so with c's vertex classes."""
+    if not c.slack:
+        return c
+    return _seeded(SquareComplex(c.square_count, c.gluings, slack=False),
+                   vertex_classes=c.vertex_classes)
+
+
+def _seeded(c: SquareComplex, **caches) -> SquareComplex:
+    """c, just built from a valid parent by `add_square`, `glue` or
+    `tight_copy`, with caches filled from the parent's: its vertex classes,
+    and its report where that is the parent's. So c is neither walked nor
+    checked; every other complex walks its own."""
+    c.__dict__.update(caches)
+    return c
 
 
 def remove_square(c: SquareComplex, sq: int) -> SquareComplex:

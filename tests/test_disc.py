@@ -2,7 +2,8 @@
 the rotation-form peel of `helpers`, each of its creation rules on its
 own, and the disc identities it makes cheap to check: the bypass relation
 on matchings, the dominance extremes at n = 20..30 and the census past
-n = 7.
+n = 7. Also the rule by which a diagonal slide acts on elements, on random
+slide paths from the fan, which a disc frame for other discs will need.
 
 The recursion is reached with an explicit first-triple chooser, which
 takes neither the element memo nor the digital path.
@@ -25,7 +26,9 @@ from sqft.cli import _has_dominance_extremes
 from sqft.disc import (
     bypass_relations, disc_element, fan_element, matching_mates,
 )
+from sqft.quad import diagonal_slide
 from sqft.regions import euler_class, is_trivial
+from sqft.routing import slide_sutures
 from sqft.surface import relabel
 from sqft.sutures import CurveSystem, basic_system, normalize
 from sqft.tensor import Z2Tensor, gf2_rank, is_homogeneous, slide_map
@@ -199,6 +202,40 @@ def test_each_creation_rule():
             assert disc_element(n, _with_chord(n, small, p)) == want, (n, p)
             checked += 1
     assert checked == sum(2 * n - 1 for n in range(3, 31))
+
+
+def test_slide_map_takes_the_even_side_first():
+    # after a diagonal slide at edge e in direction d, with the curves
+    # carried along, the element is slide_map(x, p, q, SLIDE_BLOCK[d]),
+    # where p is the square of e's even side and q that of its odd side,
+    # whichever side sorted_gluings() lists first; the elements are the
+    # recursion's, on random slide paths from the fan
+    rng = random.Random(20261020)
+    slides = odd_first = misread = 0
+    for n in range(3, 7):
+        systems = enumerate_disc_sutures(n)
+        for _ in range(150):
+            c = disc_complex(n)
+            g = rng.choice(systems)
+            x = _recursion(c, g)
+            for _ in range(rng.randint(1, 4)):
+                edge = rng.choice(c.sorted_gluings())
+                d = rng.choice(("ccw", "cw"))
+                slid, _ = diagonal_slide(c, edge, d)
+                g = slide_sutures(c, g, edge, d)
+                y = _recursion(slid, g)
+                even, odd = edge if edge[0][1] % 2 == 0 else edge[::-1]
+                assert y.words == slide_map(x, even[0], odd[0],
+                                            SLIDE_BLOCK[d]).words
+                if edge[0][1] % 2:
+                    # listed odd side first: the listed order misreads
+                    # most of these
+                    odd_first += 1
+                    misread += y.words != slide_map(
+                        x, edge[0][0], edge[1][0], SLIDE_BLOCK[d]).words
+                c, x = slid, y
+                slides += 1
+    assert slides > 1000 and odd_first > 20 and misread > 10
 
 
 def test_disc_element_rejects_what_is_not_a_matching():

@@ -14,6 +14,10 @@ Fast paths and their oracles:
   problem lists.
 - `SquareComplex.vertex_classes` walks each corner orbit once; the oracle is
   the union-find over corners (`vertex_classes_oracle`).
+- A complex that the compile builds by a creation or a gluing carries the
+  vertex classes and the report that its parent's give it, and a tight
+  copy carries its slack original's classes; the oracles are a fresh
+  copy's walk and check, and the union-find.
 - `compile_script` returns the last script it compiled as it is; the
   oracle is a fresh compile of an equal script.
 - `bypass_surgery` normalizes its child and marks it so; the oracle
@@ -711,6 +715,92 @@ def test_vertex_walk_on_a_side_glued_twice_is_an_error():
         "side (0, 1) glued more than once",)
     with pytest.raises(surface.InvalidComplex, match="does not close"):
         c.vertex_classes
+
+
+# ---------------------------------------------------------------------------
+# caches carried from parent to child by the compile
+
+
+def _carried_corpus():
+    """Scripts whose compiles build complexes in every way the compile
+    can: random extensions of random surfaces, every annihilation on the
+    fan discs n = 3..8, and the fixture scripts."""
+    for s in range(120):
+        base = engine._compile(random_surface(s, 4)).target
+        if base.square_count:
+            for max_squares in (8, 16):
+                yield random_extension(s, base, max_squares)
+    for n in range(3, 9):
+        c = disc_complex(n)
+        cycle = c.boundary_cycles[0]
+        for i in range(len(cycle)):
+            for sign in (1, -1):
+                yield annihilation_as_fold(
+                    c, cycle[i], cycle[(i + 1) % len(cycle)],
+                    cycle[(i + 2) % len(cycle)], sign)
+    for path in sorted(FIXTURES.glob("*.script.json")):
+        yield formats.parse_script(path.read_text())
+
+
+def _built_by_compile(compiled):
+    """(complex, how it was made) for each complex a compile builds."""
+    for step in compiled.steps:
+        if isinstance(step.move, CreateSquare):
+            yield step.complex_after, "creation"
+            continue
+        glued = step.collapses[0][0] if step.collapses else step.complex_after
+        yield glued, "gluing"
+        for before, _ in step.collapses[1:]:
+            yield before, "collapse"
+        if step.collapses:
+            yield step.complex_after, "tight copy"
+
+
+def test_carried_caches_against_walks():
+    made = {"creation": 0, "gluing": 0, "collapse": 0, "tight copy": 0}
+    internal = 0
+    for script in _carried_corpus():
+        for c, how in _built_by_compile(engine._compile(script)):
+            carried = vars(c)
+            if how in ("creation", "gluing"):
+                assert "vertex_classes" in carried and "_report" in carried
+            elif how == "tight copy":
+                assert "vertex_classes" in carried
+            fresh = SquareComplex(c.square_count, c.gluings, c.slack)
+            # tuple order too: find_collapsible_square reads internal[0]
+            assert c.vertex_classes == fresh.vertex_classes
+            assert c.vertex_classes == vertex_classes_oracle(fresh)
+            assert c._report == fresh._report == surface._check_complex(fresh)
+            made[how] += 1
+            internal += bool(c.internal_vertices())
+    assert made["creation"] > 1000 and made["gluing"] > 2200, made
+    assert made["tight copy"] > 700 and internal > 800, (made, internal)
+
+
+def test_compile_checks_only_the_source(monkeypatch, disc12):
+    checked = []
+
+    def check(c):
+        checked.append(c)
+        return original(c)
+
+    original = surface._check_complex
+    monkeypatch.setattr(surface, "_check_complex", check)
+    script = formats.parse_script(
+        (FIXTURES / "disc12_fold.script.json").read_text())
+    engine.clear_cache()
+    compile_script(script)
+    assert len(checked) == 1 and checked[0] is script.source
+    # scripts with creations, gluings, folds and zips: a tight copy may be
+    # checked when the next gluing reads its report, but no complex made
+    # by a creation or a gluing is checked
+    for script in _work_scripts(disc12):
+        checked.clear()
+        compiled = engine._compile(script)
+        made = {id(c) for c, how in _built_by_compile(compiled)
+                if how in ("creation", "gluing")}
+        assert len(made) >= 4
+        assert not made & {id(c) for c in checked}
 
 
 # ---------------------------------------------------------------------------

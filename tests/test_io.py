@@ -6,11 +6,14 @@ import sys
 import types
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sqft import formats
 from sqft.cli import main
-from sqft.engine import CreateSquare, Fold, MorphismScript
-from sqft.sutures import basic_system
+from sqft.engine import CreateSquare, Fold, Glue, MorphismScript, Zip
+from sqft.surface import SquareComplex
+from sqft.sutures import CurveSystem, basic_system
 from sqft.svg import render_svg
 
 
@@ -499,3 +502,107 @@ def test_cli_parse_errors_quote_json(tmp_path, capsys, command, documents,
                                      where):
     assert f"error: {where}\n" in _cli_error(tmp_path, capsys, command,
                                              documents)
+
+
+# ---------------------------------------------------------------------------
+# the direct emitters against json.dumps, and the parsers on any JSON
+
+
+def _dumped(obj):
+    return json.dumps(obj, indent=2) + "\n"
+
+
+_slots = st.tuples(st.integers(0, 12), st.integers(0, 3))
+_endpoints = st.tuples(st.integers(0, 3), st.integers(0, 15))
+
+
+@st.composite
+def _complexes(draw):
+    # any gluings, valid or not: emitting reads only the fields
+    return SquareComplex.build(draw(st.integers(0, 12)),
+                               draw(st.lists(st.tuples(_slots, _slots),
+                                             max_size=8)),
+                               slack=draw(st.booleans()))
+
+
+@st.composite
+def _systems(draw):
+    k = draw(st.integers(0, 5))
+    chords = {s: draw(st.lists(st.tuples(_endpoints, _endpoints),
+                               max_size=4)) for s in range(k)}
+    loops = {s: draw(st.integers(0, 3)) for s in range(k)}
+    return CurveSystem.build(k, chords, loops)
+
+
+_moves = st.one_of(st.sampled_from([CreateSquare(+1), CreateSquare(-1)]),
+                   *(st.builds(kind, _slots, _slots)
+                     for kind in (Glue, Fold, Zip)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_complexes())
+@example(SquareComplex.build(0))
+@example(SquareComplex.build(1, [((0, 0), (0, 3))], slack=True))
+@example(SquareComplex.build(12, [((11, 0), (10, 3))]))
+def test_emit_surface_is_json_dumps(c):
+    assert formats.emit_surface(c) == _dumped(formats.surface_to_obj(c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+@example(CurveSystem.build(0, {}))
+@example(CurveSystem.build(3, {}))
+@example(CurveSystem.build(2, {}, {0: 2, 1: 1}))
+@example(CurveSystem.build(11, {10: [((0, 12), (2, 10))]}, {10: 1}))
+def test_emit_sutures_is_json_dumps(g):
+    assert formats.emit_sutures(g) == _dumped(formats.sutures_to_obj(g))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(MorphismScript.build, _complexes(),
+                 st.lists(_moves, max_size=6)))
+@example(MorphismScript.build(SquareComplex.build(0), []))
+@example(MorphismScript.build(SquareComplex.build(2, [((0, 0), (1, 1))]),
+                              [CreateSquare(-1), Zip((2, 1), (10, 0))]))
+def test_emit_script_is_json_dumps(script):
+    assert formats.emit_script(script) == _dumped(
+        formats.script_to_obj(script))
+
+
+# keys and values that reach past the first checks of each parser
+_KEYS = ["squares", "slack", "gluings", "chords", "loops", "source",
+         "moves", "create", "glue", "fold", "zip", "0", "1", "2", "00", "-1"]
+_leaves = (st.none() | st.booleans() | st.integers(-2, 5) | st.integers()
+           | st.floats() | st.text(max_size=4)
+           | st.sampled_from(["+", "-"] + _KEYS))
+_json = st.recursive(
+    _leaves,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(_KEYS)
+                                     | st.text(max_size=3),
+                                     inner, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_json, st.integers(0, 4))
+def test_parsers_return_or_raise_parse_error(doc, square_count):
+    text = json.dumps(doc)
+    for parse in (formats.parse_surface, formats.parse_script,
+                  lambda t: formats.parse_sutures(t, square_count)):
+        try:
+            parse(text)
+        except formats.ParseError:
+            pass
+
+
+def test_deeply_nested_document_is_a_parse_error(tmp_path, capsys):
+    deep = "[" * 100_000 + "]" * 100_000
+    for parse, root in ((formats.parse_surface, "surface"),
+                        (formats.parse_script, "script"),
+                        (lambda t: formats.parse_sutures(t, 1), "sutures")):
+        with pytest.raises(formats.ParseError,
+                           match=f"^{root}: nested too deeply to read$"):
+            parse(deep)
+    assert "error: surface: nested too deeply to read\n" in _cli_error(
+        tmp_path, capsys, "info", [deep])
