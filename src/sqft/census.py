@@ -2,12 +2,16 @@
 
 The disc census realizes every non-crossing perfect matching of the 2n
 boundary points as a curve system on the fan-quadrangulated disc; counts are
-checked against an independent Catalan recursion. The fan's squares lie in a
-row, each glued to the next along one arc, so a matching is realized
-directly: each chord is cut at the arcs between its end squares, and its
-crossings with an arc are ordered by where its endpoints lie on the
-boundary. Random surfaces come as
-scripts of elementary moves; random sutures interleave isotopy finger moves
+checked against an independent Catalan recursion. The matchings are
+enumerated as the mate of each point. The fan's squares lie in a row, each
+glued to the next along one arc, so the chords of a square depend only on
+a small key: whether it is the first, a middle or the last square, the
+crossings on its two arcs, and for each of its boundary points whether
+its mate lies above, below or in the square. `disc.fan_system` builds each
+root with one pass over the mates and one lookup per square in a table of
+square diagrams, which a census of n fills with about 2n + 4 entries and
+`engine.clear_cache` empties. Random surfaces come as scripts of
+elementary moves; random sutures interleave isotopy finger moves
 with bypass surgeries so that edge triples actually exist.
 """
 
@@ -17,7 +21,7 @@ import random
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
-from .disc import _disc_layout, disc_complex, matching_mates
+from .disc import disc_complex, fan_system, matching_mates
 from .engine import (
     CreateSquare, Fold, Glue, MorphismScript, Move, Zip, apply_move,
 )
@@ -38,90 +42,51 @@ def catalan(n: int) -> int:
     return sum(catalan(i) * catalan(n - 1 - i) for i in range(n))
 
 
-def noncrossing_matchings(m: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All non-crossing perfect matchings of points 0..m-1 in convex position."""
+def noncrossing_mates(m: int) -> list[tuple[int, ...]]:
+    """All non-crossing perfect matchings of points 0..m-1 in convex
+    position, as the mate of each point: point 0 matched to 1, 3, 5, ...
+    in turn, the points inside its chord before the points outside."""
     if m % 2:
         raise ValueError("odd point count")
+    # the matchings of each run lo..hi-1 of points, shortest runs first
+    runs: dict[tuple[int, int], list[tuple[int, ...]]] = {
+        (lo, lo): [()] for lo in range(m + 1)}
+    for length in range(2, m + 1, 2):
+        for lo in range(m - length + 1):
+            hi = lo + length
+            runs[lo, hi] = [(b,) + inside + (lo,) + outside
+                            for b in range(lo + 1, hi, 2)
+                            for inside in runs[lo + 1, b]
+                            for outside in runs[b + 1, hi]]
+    return runs[0, m]
 
-    def rec(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-        if not points:
-            yield ()
-            return
-        a = points[0]
-        for idx in range(1, len(points), 2):
-            b = points[idx]
-            for left in rec(points[1:idx]):
-                for right in rec(points[idx + 1:]):
-                    yield ((a, b),) + left + right
 
-    return rec(tuple(range(m)))
+def noncrossing_matchings(m: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The matchings of `noncrossing_mates(m)`, in its order, each as its
+    chords (p, q), p < q, by p."""
+    for mate in noncrossing_mates(m):
+        yield tuple((p, q) for p, q in enumerate(mate) if p < q)
 
 
 def matching_system(n: int, matching: Iterable[tuple[int, int]]) -> CurveSystem:
     """Realize one non-crossing matching of the disc's boundary points.
 
-    Point g lies on the g-th boundary side. Square i is glued to square
-    i + 1 along arc i, (i, 2)-(i + 1, 1), so a chord between points in
-    squares a <= b crosses arcs a..b-1 and is cut into one chord per square
-    from a to b. The boundary from arc i's inner corner to its outer one
-    holds one endpoint of each chord that crosses the arc, and the
-    crossings are ordered by those endpoints, counted from the inner
-    corner: crossing k is point k on (i, 2) and point m-1-k on (i + 1, 1).
-    That stretch is the run of points 2..2n-2-2i, the points of squares
-    above i, so one pass over the points in order numbers the crossings of
-    every arc. Each chord is emitted in canonical form and each square is
-    sorted once.
-
     The matching is the only data checked: ValueError unless it is a
-    non-crossing perfect matching of points 0..2n-1. The system built from
-    one is valid on the shared `disc_complex(n)`, already in
-    CurveSystem.build's canonical form with no chord ending twice on one
-    glued side (so `normalize` returns it as it is), and made of arcs from
-    boundary to boundary (no loop, no closed component), so its `valid`,
-    `normal` and `open` facts are that complex. Its `mates` fact is the
-    checked matching, which `disc.fan_element` peels on that complex: the
-    root's strands are never walked.
+    non-crossing perfect matching of points 0..2n-1 (`matching_mates`).
+    Its mates are built into a census root square by square by
+    `disc.fan_system`, which gives the root its facts.
     """
-    c, cycle, _ = _disc_layout(n)
-    mate = matching_mates(n, matching)
-    # per chord, by its end in the lower square, its crossing on each arc
-    # it crosses: the number of crossings already counted there
-    counts = [0] * (n - 2)
-    crossings: dict[int, list[int]] = {}
-    for p, q in enumerate(mate):
-        lo, hi = cycle[q][0], cycle[p][0]
-        if lo < hi:
-            crossings[q] = counts[lo:hi]
-            for i in range(lo, hi):
-                counts[i] += 1
-
-    per_square: list[list] = [[] for _ in range(n - 1)]
-    for a, b in enumerate(mate):
-        (sa, side_a), (sb, side_b) = cycle[a], cycle[b]
-        if sa > sb or sa == sb and b < a:
-            continue      # each chord once, from its end in the lower square
-        start = (side_a, 0)
-        for i, k in enumerate(crossings.get(a, ()), sa):
-            end = (2, k)
-            per_square[i].append((start, end) if start < end else (end, start))
-            start = (1, counts[i] - 1 - k)
-        end = (side_b, 0)
-        per_square[sb].append((start, end) if start < end else (end, start))
-    g = CurveSystem(tuple(map(tuple, map(sorted, per_square))), (0,) * (n - 1))
-    facts = g.facts
-    facts.valid = facts.normal = facts.open = c
-    facts.mates = mate
-    return g
+    return fan_system(n, matching_mates(n, matching))
 
 
 def enumerate_disc_sutures(n: int) -> list[CurveSystem]:
-    """One normalized representative per nontrivial suture class on the disc."""
+    """One normalized representative per nontrivial suture class on the
+    disc, in the order of `noncrossing_matchings(2n)`. The enumerated
+    matchings are non-crossing and perfect by construction, so their mates
+    go to `disc.fan_system` unchecked."""
     if not 2 <= n <= 9:
         raise ValueError("census supports 2 <= n <= 9")
-    out = []
-    for matching in noncrossing_matchings(2 * n):
-        out.append(matching_system(n, matching))
-    return out
+    return [fan_system(n, mate) for mate in noncrossing_mates(2 * n)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ A sutured disc with 2n boundary points is a non-crossing matching of them,
 and its element in V^(x)(n-1) is built bit by bit with no curves at all,
 after the digital creation operators of Mathews' chord-diagram model
 (arXiv:1006.3063) on the Honda-Kazez-Matic sutured TQFT (arXiv:0807.2431).
-Points are numbered as `census.matching_system` numbers them, along the
-boundary cycle of the fan disc `disc_complex(n)`; factor i is the
-fan's square i.
+Points are numbered along the boundary cycle of the fan disc
+`disc_complex(n)`, as `fan_system` numbers them when it builds a census
+root; factor i is the fan's square i.
 
 * **Creation.** Inserting bit b at factor i maps each word w to
   (w & (2^i - 1)) | b << i | (w >> i) << (i + 1). The element of a
@@ -43,6 +43,7 @@ from __future__ import annotations
 from bisect import bisect
 from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from ._derived import SLIDE_BLOCK
@@ -76,6 +77,136 @@ def _disc_layout(n: int) -> tuple[SquareComplex, tuple[Slot, ...],
     c = disc_complex(n)
     cycle = tuple(c.boundary_cycles[0])
     return c, cycle, {slot: p for p, slot in enumerate(cycle)}
+
+
+# ---------------------------------------------------------------------------
+# census roots, square by square
+
+# The label of a boundary point whose mate lies in a higher or a lower
+# square of the fan; a point whose mate lies in its own square is labelled
+# by that mate's index among the square's points.
+UP, DOWN = -1, -2
+
+# the sorted chords of a fan square by its key (see fan_system), filled on
+# a miss and emptied with the memo
+_SQUARE_CHORDS: dict[tuple, tuple] = {}
+
+
+@lru_cache(maxsize=None)
+def _fan_rows(n: int):
+    """Per point, its square and its index among the square's points; per
+    square, the sides of its points and a getter of their labels, both in
+    cycle order."""
+    _, cycle, _ = _disc_layout(n)
+    square = tuple(sq for sq, _ in cycle)
+    points: list[list[int]] = [[] for _ in range(n - 1)]
+    for p, sq in enumerate(square):
+        points[sq].append(p)
+    local = [0] * (2 * n)
+    for own in points:
+        for j, p in enumerate(own):
+            local[p] = j
+    # every square has at least two boundary points, so each getter
+    # returns a tuple
+    return (square, tuple(local),
+            tuple(tuple(cycle[p][1] for p in own) for own in points),
+            tuple(itemgetter(*own) for own in points))
+
+
+def fan_system(n: int, mate: tuple[int, ...]) -> CurveSystem:
+    """The census root of a non-crossing perfect matching of points
+    0..2n-1, given as the mate of each point, on `disc_complex(n)`.
+
+    Point p lies on side p of the fan's boundary cycle. Square i is glued
+    to square i + 1 along arc i, (i, 2)-(i + 1, 1), and a chord between
+    points in squares a < b crosses arcs a..b-1. The chords of square i
+    depend only on its key: the sides of its boundary points (which say
+    whether it is the first, a middle or the last square), the crossings
+    c_in on arc i - 1 and c_out on arc i, and each boundary point's label,
+    UP, DOWN or its mate's index in the square (`_square_chords`). One
+    pass over the mates counts the crossings and labels the points; each
+    square is then one lookup in a table of square diagrams.
+
+    The matching is trusted: callers check it (`matching_mates`) or
+    enumerate it. The system is valid on the shared `disc_complex(n)`,
+    already in CurveSystem.build's canonical form with no chord ending
+    twice on one glued side (so `normalize` returns it as it is), and made
+    of arcs from boundary to boundary (no loop, no closed component), so
+    its `valid`, `normal` and `open` facts are that complex. Its `mates`
+    fact is `mate`, which `fan_element` peels on that complex: the root's
+    strands are never walked.
+    """
+    c = disc_complex(n)
+    square, local, sides, labels_of = _fan_rows(n)
+    label = [0] * (2 * n)
+    # chords entering (+1) and leaving (-1) the arcs, by square
+    rise = [0] * (n - 1)
+    for p, q in enumerate(mate):
+        a, b = square[p], square[q]
+        if a < b:
+            label[p] = UP
+            rise[a] += 1
+            rise[b] -= 1
+        else:
+            label[p] = DOWN if a > b else local[q]
+    rows = []
+    c_in = 0
+    for i, kind in enumerate(sides):
+        c_out = c_in + rise[i]
+        key = (kind, c_in, c_out, labels_of[i](label))
+        row = _SQUARE_CHORDS.get(key)
+        if row is None:
+            row = _SQUARE_CHORDS[key] = _square_chords(*key)
+        rows.append(row)
+        c_in = c_out
+    g = CurveSystem(tuple(rows), (0,) * (n - 1))
+    facts = g.facts
+    facts.valid = facts.normal = facts.open = c
+    facts.mates = mate
+    return g
+
+
+def _square_chords(sides: tuple[int, ...], c_in: int, c_out: int,
+                   labels: tuple[int, ...]) -> tuple:
+    """The sorted chords of a fan square: the one non-crossing matching of
+    its points that their labels allow.
+
+    The square's points, sorted, run round it: a boundary point on each
+    side in `sides`, c_in crossings on side 1 and c_out on side 2. Seen
+    from the square, the squares below it are one disc behind side 1 and
+    those above one behind side 2, so a crossing of side 1 is matched to a
+    DOWN point or to a crossing of side 2, a crossing of side 2 to an UP
+    point or to a crossing of side 1, and a point of the square to the
+    one its label names. Each side's crossings come in a run, so a stack
+    over the sorted points closes each point on the open one before it
+    whenever the two may be matched: any other choice would leave a point
+    between them with no mate it may take.
+    """
+    points: list[tuple[tuple[int, int], int]] = []
+    for k in range(4):
+        if k in sides:
+            points.append(((k, 0), sides.index(k)))
+        else:           # a glued side, 1 or 2
+            token = DOWN if k == 1 else UP
+            points.extend(((k, j), token)
+                          for j in range(c_in if k == 1 else c_out))
+    stack: list[tuple[tuple[int, int], int]] = []
+    chords = []
+    for ep, t in points:
+        if stack:
+            top, s = stack[-1]
+            if s < 0 and t < 0:
+                fits = s != t
+            else:
+                fits = labels[s] == t if s >= 0 else labels[t] == s
+            if fits:
+                stack.pop()
+                chords.append((top, ep))
+                continue
+        stack.append((ep, t))
+    if stack:
+        raise AssertionError("the labels allow no matching")
+    return tuple(sorted(chords))
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +317,9 @@ def bypass_relations(n: int, matching: Iterable[tuple[int, int]]
 
 
 def clear_memo() -> None:
-    """Empty the memo of sub-matchings."""
+    """Empty the memo of sub-matchings and the table of square diagrams."""
     _peel.cache_clear()
+    _SQUARE_CHORDS.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,10 @@ for the `*_to_obj` form, without the pure-Python encoder. Parsing takes a
 count, square, side or position only as a JSON integer (`type(x) is int`:
 json loads true and false as bool, a subclass of int),
 and a square key only in canonical decimal ("0", "12", not "00" or "1_0"),
-each square named once; no object may name a key twice. Errors name the
-path of the offending field and quote its value as JSON.
+each square named once; no object may name a key twice. A surface
+declares at most MAX_SQUARES squares, since the engine builds tables of
+that size before it reads anything else. Errors name the path of the
+offending field and quote its value as JSON.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ from typing import Any, Iterator
 from .engine import CreateSquare, Fold, Glue, Move, MorphismScript, Zip
 from .surface import SquareComplex
 from .sutures import CurveSystem
+
+# far above any complex the tests, the census or the benchmark build
+MAX_SQUARES = 10_000
 
 
 class ParseError(ValueError):
@@ -136,6 +141,8 @@ def surface_from_obj(obj: Any, path: str = "surface") -> SquareComplex:
     squares = obj["squares"]
     if squares < 0:
         _fail(f"{path}.squares: negative")
+    if squares > MAX_SQUARES:
+        _fail(f"{path}.squares: {squares} is more than {MAX_SQUARES}")
     slack = obj.get("slack", False)
     if not isinstance(slack, bool):
         _fail(f"{path}.slack: expected a boolean")

@@ -33,6 +33,7 @@ loops; see euler_class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .surface import SquareComplex
 from .sutures import EP, CurveSystem, require_valid_pair
@@ -236,14 +237,16 @@ def euler_class(c: SquareComplex, g: CurveSystem) -> int:
     equal signs and the coloring holds that _decompose checks when it
     refuses a region with mixed signs. min(a, b), not
     the first endpoint, because a hand-built system need not be canonical.
+    The count is one pass over the squares' loop counts and one over all
+    their chords.
     """
     require_valid_pair(c, g)
     e = sum(v.sign for v in c.vertex_classes)
-    for chords, loops in zip(g.chords, g.loops):
-        e += sum(1 if sum(min(a, b)) % 2 == 0 else -1
-                 for a, b in chords) - 1
-        if loops % 2:
-            e += 2
+    for loops in g.loops:
+        e += 2 * (loops & 1) - 1
+    for a, b in chain.from_iterable(g.chords):
+        k, p = a if a < b else b
+        e += 1 - 2 * ((k + p) & 1)
     return e
 
 

@@ -6,7 +6,7 @@ the other diagonal of their hexagonal union) and the slack square collapse
 surviving vertex). Both reduce to planar bookkeeping: strands in a disc are
 determined up to isotopy by their boundary endpoints, so crossings with any
 new cut are forced, including their order along the cut, and each move
-places them directly, as census.matching_system does on the fan disc. Both,
+places them directly, as disc.fan_system does on the fan disc. Both,
 like the bypass in sutures.py, join the arcs that meet at the points they
 drop end to end with one helper, sutures._splice, and keep the closed curves
 it counts as loops. A collapse edits the curves of a whole diagram in
@@ -145,8 +145,8 @@ def slide_sutures(c: SquareComplex, g: CurveSystem, edge: GluingPair | tuple,
     the old diagonal. The new diagonal runs from the hexagon's corner 1
     (ccw) or 2 (cw), corner k being the one before outer side k, to the
     corner three sides on. A strand with one end on those three sides
-    crosses it, and the crossings are ranked by that end, as in
-    census.matching_system: crossing k is point len - 1 - k on the new
+    crosses it, and the crossings are ranked by that end, as on the fan
+    disc's arcs: crossing k is point len - 1 - k on the new
     diagonal of the square those sides go to and point k on the other's.
     """
     pair = _norm_pair(*edge)

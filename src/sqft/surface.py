@@ -66,9 +66,8 @@ class VertexClass:
     def __contains__(self, corner: Corner) -> bool:
         return corner in self.corners
 
-    @cached_property
+    @property
     def key(self) -> Corner:
-        # kept outside the fields, which alone define ==, hash and repr
         return min(self.corners)
 
 

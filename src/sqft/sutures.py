@@ -39,8 +39,8 @@ class PairFacts:
     (_is_normal) and `open` (regions.closed_components found no closed
     component). The fourth, `mates`, is None or the mate of each boundary
     point of the checked matching the system was built from
-    (`disc.matching_mates`). A census root, `census.matching_system`'s
-    system of a checked matching, holds the first three on the shared
+    (`disc.matching_mates`). A census root, `disc.fan_system`'s system
+    of a checked or enumerated matching, holds the first three on the shared
     `disc.disc_complex(n)` by construction, and its mates, which
     `disc.fan_element` peels on that complex with no walk. No other system
     gets a fact from one: a surgery child or a relabelled copy is a new

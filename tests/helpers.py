@@ -4,8 +4,10 @@
   that meets the cut once, and returns the system as it is.
 - `matching_system_oracle` realizes a census matching by cutting the
   polygon of the fan disc along its arcs with `routing.split_disc`, the
-  general disc splitter; `census.matching_system` builds the chords of each
-  square directly.
+  general disc splitter; `disc.fan_system` looks up the chords of each
+  square in a table of square diagrams. `matchings_oracle` lists the
+  non-crossing matchings by recursion, in the order of
+  `census.noncrossing_matchings`.
 - `slide_sutures_oracle` re-routes sutures across a diagonal slide by
   cutting the hexagon along the new diagonal with `routing.split_disc`;
   `routing.slide_sutures` places the crossings directly.
@@ -29,7 +31,7 @@ from functools import lru_cache
 from typing import Optional
 
 from sqft._derived import SLIDE_BLOCK
-from sqft.census import _disc_layout
+from sqft.disc import _disc_layout
 from sqft.quad import slide_slot_map
 from sqft.regions import Region, RegionDecomposition
 from sqft.routing import DiscSide, split_disc
@@ -87,6 +89,19 @@ def matching_system_oracle(n: int, matching) -> CurveSystem:
                 chords.setdefault(sq, []).append((pos_of[u], pos_of[v]))
     g = CurveSystem.build(c.square_count, chords)
     return normalize(c, g)
+
+
+def matchings_oracle(points):
+    """The non-crossing perfect matchings of points in convex position,
+    each as its chords: the first point matched to each point it may take
+    in turn, the points inside its chord before the points outside."""
+    if not points:
+        yield ()
+        return
+    for i in range(1, len(points), 2):
+        for inside in matchings_oracle(points[1:i]):
+            for outside in matchings_oracle(points[i + 1:]):
+                yield ((points[0], points[i]),) + inside + outside
 
 
 def slide_sutures_oracle(c: SquareComplex, g: CurveSystem, edge,

@@ -45,11 +45,12 @@ def test_traced_disc_census_counts():
     assert result["correct"] is True
     assert result["attempted"] > 0 and result["failed"] == 0
     calls = {k: m["value"] for k, m in result["metrics"].items()}
-    # each of the 429 matchings of the n = 7 census is checked once, as a
-    # matching; the system built from it is trusted on the shared fan disc,
-    # so it is not validated. Each is a fan disc, basic ones too, so each
-    # is tested for triviality once and peeled: no surgery, no triple
-    # listing and no memo entry
+    # the 429 matchings of the n = 7 census are enumerated as mates and
+    # built into roots directly, not through census.matching_system; each
+    # root is trusted on the shared fan disc, so it is not validated. Each
+    # is a fan disc, basic ones too, so each is tested for triviality once
+    # and peeled: no surgery, no triple listing and no memo entry
+    assert calls["census.matching_system.calls"] == 0
     assert calls["sutures.validate_sutures.calls"] == 0
     assert calls["regions.is_trivial.calls"] == 429
     assert calls["sutures.bypass_surgery.calls"] == 0

@@ -7,7 +7,7 @@ import pytest
 
 from sqft.census import (
     catalan, disc_complex, enumerate_disc_sutures, matching_system,
-    noncrossing_matchings, random_surface, random_sutures,
+    noncrossing_mates, noncrossing_matchings, random_surface, random_sutures,
 )
 from sqft import disc
 from sqft.disc import disc_element, fan_element, matching_mates
@@ -22,7 +22,7 @@ from sqft.sutures import (
 )
 from helpers import (
     boundary_hugging_system, confining_oracle, enumerate_basic,
-    matching_system_oracle,
+    matching_system_oracle, matchings_oracle,
 )
 
 POOL_FILE = Path(__file__).resolve().parent.parent / "bench" / \
@@ -43,6 +43,12 @@ def test_catalan_oracle():
 def test_noncrossing_matching_counts():
     for n in range(1, 7):
         assert sum(1 for _ in noncrossing_matchings(2 * n)) == catalan(n)
+    assert list(noncrossing_matchings(0)) == [()]
+    for n in range(1, 8):
+        matchings = list(noncrossing_matchings(2 * n))
+        assert matchings == list(matchings_oracle(tuple(range(2 * n))))
+        assert [matching_mates(n, m) for m in matchings] == \
+            noncrossing_mates(2 * n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -186,7 +192,7 @@ def _oracle_cases():
         for m in matchings:
             yield "pool", int(n), [tuple(p) for p in m]
     rng = random.Random(20261019)
-    for n in range(2, 21):
+    for n in range(2, 31):
         for _ in range(20):
             yield "random", n, _random_matching(rng, n)
 
@@ -196,13 +202,33 @@ def test_matching_system_against_split_disc():
     for part, n, m in _oracle_cases():
         g = matching_system(n, m)
         assert g == matching_system_oracle(n, m)
+        c = disc_complex(n)
+        assert g.facts.valid is g.facts.normal is g.facts.open is c
+        assert g.facts.mates == matching_mates(n, m)
         # g is trusted as built, so its fact-free twin is checked in full
         twin = CurveSystem(g.chords, g.loops)
-        c = disc_complex(n)
         assert validate_sutures(c, twin).ok and normalize(c, twin) is twin
         sizes[part] = sizes.get(part, 0) + 1
     assert sizes == {"census": sum(catalan(n) for n in range(2, 8)),
-                     "pool": 70, "random": 19 * 20}
+                     "pool": 70, "random": 29 * 20}
+
+
+def test_census_roots_from_the_square_table():
+    """The census builds each root square by square from a table of
+    square diagrams, filled from a cleared cache; every root equals the
+    split_disc oracle's system of its matching and carries its facts, and
+    the table stays small."""
+    for n in range(2, 9):
+        clear_cache()
+        assert not disc._SQUARE_CHORDS
+        c = disc_complex(n)
+        roots = enumerate_disc_sutures(n)
+        assert len(roots) == catalan(n)
+        assert 0 < len(disc._SQUARE_CHORDS) < 4 * n + 8
+        for g, m in zip(roots, noncrossing_matchings(2 * n)):
+            assert g == matching_system_oracle(n, m)
+            assert g.facts.valid is g.facts.normal is g.facts.open is c
+            assert g.facts.mates == matching_mates(n, m)
 
 
 def test_random_matchings_cover_every_chord_length():

@@ -251,9 +251,12 @@ def test_disc_element_rejects_what_is_not_a_matching():
 
 def test_clear_cache_empties_the_digital_memo():
     disc_element(4, [(0, 1), (2, 3), (4, 5), (6, 7)])
+    matching_system(4, [(0, 1), (2, 3), (4, 5), (6, 7)])
     assert disc._peel.cache_info().currsize > 0
+    assert disc._SQUARE_CHORDS
     engine.clear_cache()
     assert disc._peel.cache_info().currsize == 0
+    assert not disc._SQUARE_CHORDS
 
 
 # ---------------------------------------------------------------------------

@@ -58,8 +58,8 @@ from hypothesis import strategies as st
 
 from sqft import engine, formats, quad, surface, sutures
 from sqft.census import (
-    disc_complex, enumerate_disc_sutures, matching_system, random_extension,
-    random_surface, random_sutures,
+    catalan, disc_complex, enumerate_disc_sutures, matching_system,
+    random_extension, random_surface, random_sutures,
 )
 from sqft.engine import (
     CreateSquare, Fold, Glue, MorphismScript, ScriptError, Zip,
@@ -78,7 +78,7 @@ from sqft.sutures import (
     finger_push, normalize, require_valid_pair, transport_glue,
     validate_sutures,
 )
-from helpers import slide_sutures_oracle, with_circle
+from helpers import matchings_oracle, slide_sutures_oracle, with_circle
 from test_triviality import (
     POOL_MATCHINGS, _closed_components_oracle, _surgery_children,
 )
@@ -1058,16 +1058,6 @@ def _recursion_surgeries(c, g, every_triple=False):
                     stack.append(normalize(c, child))
 
 
-def _noncrossing_matchings(points):
-    if not points:
-        yield []
-        return
-    for i in range(1, len(points), 2):
-        for inner in _noncrossing_matchings(points[1:i]):
-            for outer in _noncrossing_matchings(points[i + 1:]):
-                yield [(points[0], points[i])] + inner + outer
-
-
 def _self_glued_pairs():
     """Every valid normalized system with three crossings on an edge that
     glues two sides of one square: a lone square with sides 0 and 3
@@ -1078,7 +1068,7 @@ def _self_glued_pairs():
     layouts = [(cone, [(3, 1, 1, 3)])] + [
         (pair, [(3, 1, m, 3), (1, m, 1, 1)]) for m in (1, 3)]
     for c, counts in layouts:
-        per_square = [list(_noncrossing_matchings(
+        per_square = [list(matchings_oracle(
             [(k, p) for k in range(4) for p in range(sides[k])]))
             for sides in counts]
         for chords in itertools.product(*per_square):
@@ -1321,6 +1311,28 @@ def test_euler_class_with_loose_loops(corpus_parts):
                 e = _euler_oracle(c, h)
                 assert euler_class(c, h) == e
                 assert e == euler_class(c, g) + 2 * (count % 2)
+
+
+def test_euler_class_one_loop_against_regions(random_pairs):
+    """Every census root up to n = 8, the random surface and suture pairs
+    with seeded loose loops added, and hand-built copies of all of them
+    with their chords out of canonical order."""
+    pairs = [(disc_complex(n), g)
+             for n in range(2, 9) for g in enumerate_disc_sutures(n)]
+    rng = random.Random(20261020)
+    looped = 0
+    for c, g in random_pairs:
+        loops = tuple(rng.randrange(4) for _ in g.loops)
+        pairs.append((c, CurveSystem(g.chords, loops)))
+        looped += sum(loops) % 2
+    for c, g in pairs:
+        e = _euler_oracle(c, g)
+        assert euler_class(c, g) == e
+        h = _hand_built(g)
+        assert h.chords != g.chords or not any(g.chords)
+        assert euler_class(c, h) == e
+    assert len(pairs) == sum(catalan(n) for n in range(2, 9)) + 200
+    assert looped > 50
 
 
 def test_euler_class_of_invalid_pair_raises_as_regions():

@@ -3,6 +3,7 @@ import os
 import subprocess
 from pathlib import Path
 import sys
+import time
 import types
 
 import pytest
@@ -471,12 +472,26 @@ def test_cli_rejects_repeated_keys(tmp_path, capsys, command, documents,
     ({"squares": True}, "script.source.squares: expected an integer"),
     ({"squares": 1, "gluings": [[[0, 0], [0, 4]]]},
      "script.source.gluings[0][1]: side index 4 out of range 0..3"),
+    ({"squares": 100000}, "script.source.squares: 100000 is more than 10000"),
 ])
 def test_cli_script_source_errors_name_the_script(tmp_path, capsys, source,
                                                   where):
     doc = json.dumps({"source": source, "moves": []})
     assert f"error: {where}\n" in _cli_error(tmp_path, capsys, "apply",
                                               [doc])
+
+
+def test_cli_rejects_a_surface_of_too_many_squares(tmp_path, capsys,
+                                                  monkeypatch):
+    # refused before any table of that size is built
+    start = time.perf_counter()
+    err = _cli_error(tmp_path, capsys, "info", ['{"squares": 100000}'])
+    assert time.perf_counter() - start < 1.0
+    assert err == "error: surface.squares: 100000 is more than 10000\n"
+    monkeypatch.setattr(formats, "MAX_SQUARES", 3)
+    assert formats.parse_surface('{"squares": 3}').square_count == 3
+    with pytest.raises(formats.ParseError, match="4 is more than 3"):
+        formats.parse_surface('{"squares": 4}')
 
 
 def test_unrepeated_documents_still_parse(hexagon):
