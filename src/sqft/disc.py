@@ -29,13 +29,19 @@ root; factor i is the fan's square i.
   outermost chord with p != 1 is peeled, each level costing one pass over
   the words and at most one slide.
 
-`engine.suture_element` takes this path for a normalized, nontrivial
-system, basic ones among them, on the fan disc up to a relabelling of its
-squares (`fan_element`). A census root on the shared `disc_complex(n)`
-carries its checked matching (its `mates` fact), which is peeled with no
-walk; any other system's matching is read by walking its strands. The
-tests compare it with the bypass recursion and with a peel that rotates
-each chord to (0, 1) or (2n - 1, 0) first.
+`_peel` is two loops, down through the outermost chords and back up
+through the recorded insertions and slides, so a disc of any size the
+formats admit is evaluated without recursion. A bounded memo keeps the
+words of small sub-matchings; `clear_memo` empties it.
+
+`engine.suture_element` takes this path for a normalized system, basic
+ones among them, on the fan disc up to a relabelling of its squares
+(`fan_element`), before any triviality test. A census root on the shared
+`disc_complex(n)` carries its checked matching (its `mates` fact), which is
+peeled with no walk; any other system's matching is read by walking its
+strands, and a system with a loop, loose or on a closed strand, is left to
+the recursion. The tests compare it with the bypass recursion and with a
+peel that rotates each chord to (0, 1) or (2n - 1, 0) first.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from typing import Iterable, Iterator, Optional
 from ._derived import SLIDE_BLOCK
 from .surface import Slot, SquareComplex
 from .sutures import CurveSystem
-from .tensor import Z2Tensor, slide_map
+from .tensor import Z2Tensor, slide_words
 
 # ---------------------------------------------------------------------------
 # the fan disc
@@ -212,10 +218,16 @@ def _square_chords(sides: tuple[int, ...], c_in: int, c_out: int,
 # ---------------------------------------------------------------------------
 # the digital evaluator
 
-# sub-matchings kept by the memo: the n = 7 census through the engine
-# makes 625 entries, one per sub-matching, and every matching of n = 9 makes 6,917, while an
-# unbounded memo over the 2.7 million matchings of n = 14 never finished
+# The memo of sub-matchings: a dict from a matching's mates to its words,
+# emptied when it holds MEMO_SIZE entries and by clear_memo. The n = 7
+# census through the engine makes 625 entries, one per sub-matching, and
+# every matching of n = 9 makes 6,917; an unbounded memo over the 2.7
+# million matchings of n = 14 never finished. Only matchings of at most
+# MEMO_POINTS points are looked up or kept: a bigger one seldom comes back,
+# and keeping the whole chain of a deep disc would hold O(n^2) points.
 MEMO_SIZE = 1 << 13
+MEMO_POINTS = 2 * 12
+_MEMO: dict[tuple[int, ...], list[int]] = {}
 
 
 def disc_element(n: int, matching: Iterable[tuple[int, int]]) -> Z2Tensor:
@@ -253,36 +265,68 @@ def matching_mates(n: int, matching: Iterable[tuple[int, int]]
     return tuple(mate)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def _peel(mate: tuple[int, ...]) -> frozenset[int]:
-    size = len(mate)
-    n = size // 2
-    if n == 1:
-        return frozenset({0})
-    # a matching of n >= 2 chords has two outermost ones, not both at 1
-    p = next(p for p in range(size) if p != 1 and mate[p] == (p + 1) % size)
-    slide = False
-    if p == 0 or p == size - 1:
-        # the other points, in the order q -> q mod (2n - 2) numbers them
-        rest = mate[-2:] + mate[2:-2] if p == 0 else mate[-2:-1] + mate[1:-2]
-        sub = tuple(q % (size - 2) for q in rest)
-        i, bit = 0, 1 - p % 2
-    else:
-        sub = tuple(q - 2 if q > p + 1 else q
-                    for q in mate[:p] + mate[p + 2:])
-        if p == 2:
-            i, bit = n - 2, 1
-        elif p % 2:
-            i, bit = n - 1 - (p - 1) // 2, 0
+    """The words of a checked matching, given as the mate of each point.
+
+    One loop goes down, peeling the first outermost chord not at 1 at each
+    level and recording the factor, the bit and whether a slide follows,
+    until the memo holds the sub-matching or one chord is left. A second
+    loop goes back up, inserting each bit and applying each slide to the
+    word list, and memoizes each sub-matching it recorded. So no disc is
+    too deep to evaluate, and what is held on the way is the steps and the
+    few sub-matchings small enough to memoize.
+    """
+    steps = []          # (factor, bit, slide, mates to memoize or None)
+    while True:
+        size = len(mate)
+        if size == 2:
+            words = [0]
+            break
+        small = size <= MEMO_POINTS
+        if small:
+            hit = _MEMO.get(mate)
+            if hit is not None:
+                words = hit
+                break
+        n = size // 2
+        # a matching of n >= 2 chords has two outermost ones, not both at
+        # 1: the chord at 2n - 1 is outermost when no other is found
+        if mate[0] == 1:
+            p = 0
         else:
-            i, bit, slide = n - p // 2, 1, True
-    low = (1 << i) - 1
-    words = frozenset((w & low) | bit << i | (w >> i) << (i + 1)
-                      for w in _peel(sub))
-    if slide:
-        words = slide_map(Z2Tensor(n - 1, words), i - 1, i,
-                          SLIDE_BLOCK["ccw"]).words
-    return words
+            p = 2
+            while p < size - 1 and mate[p] != p + 1:
+                p += 1
+        if p == 0 or p == size - 1:
+            # the other points, in the order q -> q mod (2n - 2) numbers them
+            rest = (mate[-2:] + mate[2:-2] if p == 0
+                    else mate[-2:-1] + mate[1:-2])
+            vmap = (*range(size - 2), 0, 1)
+            i, bit, slide = 0, 1 - p % 2, False
+        else:
+            # q -> q - 2 for q > p + 1
+            rest = mate[:p] + mate[p + 2:]
+            vmap = (*range(p + 2), *range(p, size - 2))
+            if p == 2:
+                i, bit, slide = n - 2, 1, False
+            elif p % 2:
+                i, bit, slide = n - 1 - (p - 1) // 2, 0, False
+            else:
+                i, bit, slide = n - p // 2, 1, True
+        steps.append((i, bit, slide, mate if small else None))
+        mate = tuple(map(vmap.__getitem__, rest))
+    for i, bit, slide, key in reversed(steps):
+        low = (1 << i) - 1
+        words = [(w & low) | bit << i | (w >> i) << (i + 1) for w in words]
+        if slide:
+            words = slide_words(words, i - 1, i, SLIDE_BLOCK["ccw"])
+        if key is not None:
+            # racing threads may each add one entry past the bound; an
+            # entry is never changed, since each level makes a new list
+            if len(_MEMO) >= MEMO_SIZE:
+                _MEMO.clear()
+            _MEMO[key] = words
+    return frozenset(words)
 
 
 def bypass_relations(n: int, matching: Iterable[tuple[int, int]]
@@ -318,7 +362,7 @@ def bypass_relations(n: int, matching: Iterable[tuple[int, int]]
 
 def clear_memo() -> None:
     """Empty the memo of sub-matchings and the table of square diagrams."""
-    _peel.cache_clear()
+    _MEMO.clear()
     _SQUARE_CHORDS.clear()
 
 
@@ -350,8 +394,9 @@ def _fan_order(c: SquareComplex) -> Optional[list[int]]:
 
 
 def fan_element(c: SquareComplex, g: CurveSystem) -> Optional[Z2Tensor]:
-    """The element of a normalized, nontrivial g on c by peeling, or None
-    unless c is the fan disc up to a relabelling of its squares.
+    """The element of a normalized g on c by peeling, when c is the fan
+    disc up to a relabelling of its squares and g has no loop, loose or
+    closed; else None, and g's `open` fact is left as it was.
 
     A census root on the shared `disc_complex(n)` carries the matching it
     was built from (its `mates` fact), which is peeled as it is: the root
@@ -359,13 +404,19 @@ def fan_element(c: SquareComplex, g: CurveSystem) -> Optional[Z2Tensor]:
     them, has its matching read in one walk from each boundary point along
     its strand: the strand leaves each square by the other end of its
     chord and, across a gluing, point k of a side is point m - 1 - k of
-    its partner. Boundary sides are numbered as the fan's, and the words
-    are relabelled from the fan's squares to c's.
+    its partner. The walks count the chords they take. A chord that none
+    takes lies on a closed strand, and then g is left to
+    `regions.is_trivial` and the recursion; when they take every chord, g
+    has no closed component, its `open` fact is set to c, and the words,
+    peeled with boundary sides numbered as the fan's, are relabelled from
+    the fan's squares to c's.
     """
     mates = g.facts.mates
     # the fact holds on the fan it was built on, whatever `valid` says now
     if mates is not None and c is disc_complex(len(mates) // 2):
         return Z2Tensor(len(mates) // 2 - 1, _peel(mates))
+    if any(g.loops):
+        return None
     order = _fan_order(c)
     if order is None:
         return None
@@ -374,24 +425,32 @@ def fan_element(c: SquareComplex, g: CurveSystem) -> Optional[Z2Tensor]:
     fan_square = [0] * len(order)
     for i, sq in enumerate(order):
         fan_square[sq] = i
+    partner = c.partner_map
+    counts = g._side_counts
     ends: dict[int, dict] = {}
     mate = [-1] * (2 * n)
+    taken = 0
     for p, (sq, side) in enumerate(cycle):
         if mate[p] != -1:
             continue
         sq, pos = order[sq], 0
         while True:
-            if sq not in ends:
-                ends[sq] = {}
+            at = ends.get(sq)
+            if at is None:
+                at = ends[sq] = {}
                 for a, b in g.chords[sq]:
-                    ends[sq][a], ends[sq][b] = b, a
-            side, pos = ends[sq][(side, pos)]
-            across = c.partner((sq, side))
+                    at[a], at[b] = b, a
+            side, pos = at[(side, pos)]
+            taken += 1
+            across = partner.get((sq, side))
             if across is None:
                 break
-            pos = g.side_count((sq, side)) - 1 - pos
+            pos = counts[sq][side] - 1 - pos
             sq, side = across
         q = point[(fan_square[sq], side)]
         mate[p], mate[q] = q, p
+    if taken != sum(map(len, g.chords)):
+        return None
+    g.facts.open = c
     x = Z2Tensor(n - 1, _peel(tuple(mate)))
     return x if order == sorted(order) else x.permute(order)

@@ -8,18 +8,21 @@ for a positively sutured square). On slack complexes the reduction runs on
 the slack quadrangulation and the collapse operators finish the job.
 
 A fan disc (`disc_complex(n)` up to a relabelling of its squares) is
-evaluated digitally instead, with no curves, when the normalized system is
-nontrivial, a basic one too: a census root on the shared fan carries the
-matching it was built from, any other system's strands are read as a
-non-crossing matching of the 2n boundary points, and the matching is
-peeled an outermost chord at a time (Mathews, arXiv:1006.3063, on the
-Honda-Kazez-Matic TQFT, arXiv:0807.2431): the chord (p, p + 1) is dropped,
-the other points are renumbered, and one bit is inserted at the factor
-that p names, then one diagonal slide when p is even and at least 4 (the
-table is in `disc`). A call with a chooser and `element_trace` always
-recurse, as does every other complex, among them a fan whose squares are
-rotated as well as relabelled (the two-square hexagon glued (0, 0)-(1, 1),
-for one): recognising those is out of scope.
+evaluated digitally instead, with no curves, and before any triviality test:
+a census root on the shared fan carries the matching it was built from, and
+any other system's strands are read, in one walk from each boundary point,
+as a non-crossing matching of the 2n boundary points. The walk counts the
+chords it takes; when it takes them all the system has no closed component,
+so it is nontrivial, and the matching is peeled an outermost chord at a
+time (Mathews, arXiv:1006.3063, on the Honda-Kazez-Matic TQFT,
+arXiv:0807.2431): the chord (p, p + 1) is dropped, the other points are
+renumbered, and one bit is inserted at the factor that p names, then one
+diagonal slide when p is even and at least 4 (the table is in `disc`). A
+fan system with a loop, loose or closed, goes to the triviality test and
+the recursion. A call with a chooser and `element_trace` always recurse,
+as does every other complex, among them a fan whose squares are rotated as
+well as relabelled (the two-square hexagon glued (0, 0)-(1, 1), for one):
+recognising those is out of scope.
 
 Every surface morphism is presented as a script of elementary moves. Each
 move contributes an explicit operator: creations append a tensor factor,
@@ -97,13 +100,15 @@ def _element(c: SquareComplex, g: CurveSystem, chooser: Optional[Chooser],
              lines: Optional[list[str]]) -> Z2Tensor:
     require_valid_pair(c, g)
     g = normalize(c, g)
-    if is_trivial(c, g):
+    # a fan disc with no loop, loose or closed, is peeled: its strand walk
+    # finds the system open, so no triviality test is made
+    if chooser is None and lines is None and \
+            (fan := fan_element(c, g)) is not None:
+        elem = fan
+    elif is_trivial(c, g):
         if lines is not None:
             lines.append("trivial -> 0")
         elem = Z2Tensor.zero(c.square_count)
-    elif chooser is None and lines is None and \
-            (fan := fan_element(c, g)) is not None:
-        elem = fan
     else:
         elem = _reduce(c, g, chooser, lines)
     if c.internal_vertices():

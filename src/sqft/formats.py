@@ -22,7 +22,7 @@ offending field and quote its value as JSON.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterator
+from typing import Any, Iterator, NoReturn
 
 from .engine import CreateSquare, Fold, Glue, Move, MorphismScript, Zip
 from .surface import SquareComplex
@@ -36,7 +36,7 @@ class ParseError(ValueError):
     pass
 
 
-def _fail(msg: str) -> None:
+def _fail(msg: str) -> NoReturn:
     raise ParseError(msg)
 
 
@@ -208,6 +208,20 @@ def _per_square(obj: dict, name: str,
         yield key, sq, val
 
 
+def _endpoint(ep: Any, key: str, i: int) -> tuple[int, int]:
+    """Endpoint ep of chord i of sutures.chords[key], as (side, position)."""
+    if type(ep) in (list, tuple) and len(ep) == 2:
+        side, pos = ep
+        if type(side) is int and type(pos) is int:
+            if not 0 <= side < 4:
+                _fail(f"sutures.chords[{key}][{i}]: side index {side} "
+                      "out of range 0..3")
+            if pos < 0:
+                _fail(f"sutures.chords[{key}][{i}]: negative position")
+            return side, pos
+    _fail(f"sutures.chords[{key}][{i}]: bad endpoint {json.dumps(ep)}")
+
+
 def sutures_from_obj(obj: Any, square_count: int) -> CurveSystem:
     if not isinstance(obj, dict):
         _fail("sutures: expected an object")
@@ -218,22 +232,10 @@ def sutures_from_obj(obj: Any, square_count: int) -> CurveSystem:
             _fail(f"sutures.chords[{key}]: expected a list")
         out = []
         for i, ch in enumerate(lst):
-            if not isinstance(ch, (list, tuple)) or len(ch) != 2:
+            if type(ch) not in (list, tuple) or len(ch) != 2:
                 _fail(f"sutures.chords[{key}][{i}]: expected two endpoints")
-            eps = []
-            for ep in ch:
-                if (not isinstance(ep, (list, tuple)) or len(ep) != 2
-                        or not all(type(x) is int for x in ep)):
-                    _fail(f"sutures.chords[{key}][{i}]: bad endpoint "
-                          f"{json.dumps(ep)}")
-                side, pos = ep
-                if not 0 <= side < 4:
-                    _fail(f"sutures.chords[{key}][{i}]: side index {side} "
-                          "out of range 0..3")
-                if pos < 0:
-                    _fail(f"sutures.chords[{key}][{i}]: negative position")
-                eps.append((side, pos))
-            out.append((eps[0], eps[1]))
+            a, b = ch
+            out.append((_endpoint(a, key, i), _endpoint(b, key, i)))
         chords[sq] = out
     loops: dict[int, int] = {}
     for key, sq, cnt in _per_square(obj, "loops", square_count):

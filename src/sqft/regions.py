@@ -238,10 +238,10 @@ def euler_class(c: SquareComplex, g: CurveSystem) -> int:
     refuses a region with mixed signs. min(a, b), not
     the first endpoint, because a hand-built system need not be canonical.
     The count is one pass over the squares' loop counts and one over all
-    their chords.
+    their chords; the vertex signs are summed once per complex.
     """
     require_valid_pair(c, g)
-    e = sum(v.sign for v in c.vertex_classes)
+    e = c.vertex_sign_sum
     for loops in g.loops:
         e += 2 * (loops & 1) - 1
     for a, b in chain.from_iterable(g.chords):

@@ -187,8 +187,20 @@ class SquareComplex:
                 out[corner] = v
         return out
 
-    def internal_vertices(self) -> tuple[VertexClass, ...]:
+    # two summaries derived from vertex_classes: on a complex whose classes
+    # were seeded from its parent's, they come from those
+
+    @cached_property
+    def _internal_vertices(self) -> tuple[VertexClass, ...]:
         return tuple(v for v in self.vertex_classes if v.internal)
+
+    def internal_vertices(self) -> tuple[VertexClass, ...]:
+        return self._internal_vertices
+
+    @cached_property
+    def vertex_sign_sum(self) -> int:
+        """The sum of the vertex classes' signs."""
+        return sum(v.sign for v in self.vertex_classes)
 
     def edge_endpoints(self, slot: Slot) -> tuple[VertexClass, VertexClass]:
         """Start and end vertex classes of a side, in the side's direction."""

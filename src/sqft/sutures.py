@@ -36,8 +36,8 @@ class PairFacts:
     alone define ==, hash and repr. Three facts are None or the complex
     object their check holds on: `valid` (validate_sutures found no
     problem, or the system is a bypass child of one valid there), `normal`
-    (_is_normal) and `open` (regions.closed_components found no closed
-    component). The fourth, `mates`, is None or the mate of each boundary
+    (_is_normal) and `open` (regions.closed_components or the strand walk
+    of disc.fan_element found no closed component). The fourth, `mates`, is None or the mate of each boundary
     point of the checked matching the system was built from
     (`disc.matching_mates`). A census root, `disc.fan_system`'s system
     of a checked or enumerated matching, holds the first three on the shared

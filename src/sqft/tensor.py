@@ -278,6 +278,13 @@ def slide_map(x: Z2Tensor, i: int, j: int, block: tuple[tuple[int, int], ...]) -
 
     Basis order of the block is (01, 10), meaning (bit_i, bit_j) = (0,1) then
     (1,0). Column k of `block` is the image of basis vector k.
+    """
+    return Z2Tensor(x.arity, frozenset(slide_words(x.words, i, j, block)))
+
+
+def slide_words(words: Iterable[int], i: int, j: int,
+                block: tuple[tuple[int, int], ...]) -> list[int]:
+    """`slide_map` on distinct words, as a list of distinct words.
 
     The words that differ only at i and j share one span (01, 10), so the
     block acts on each such pair's coefficients at once; the images of
@@ -289,7 +296,7 @@ def slide_map(x: Z2Tensor, i: int, j: int, block: tuple[tuple[int, int], ...]) -
     both = bit_i | bit_j
     out: list[int] = []
     pairs: dict[int, int] = {}       # word with bits i, j clear -> coefficients
-    for w in x.words:
+    for w in words:
         b = w & both
         if b == 0 or b == both:
             out.append(w)
@@ -305,7 +312,7 @@ def slide_map(x: Z2Tensor, i: int, j: int, block: tuple[tuple[int, int], ...]) -
             out.append(base | bit_j)
         if v & 2:
             out.append(base | bit_i)
-    return Z2Tensor(x.arity, frozenset(out))
+    return out
 
 
 # ---------------------------------------------------------------------------

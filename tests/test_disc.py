@@ -11,6 +11,8 @@ takes neither the element memo nor the digital path.
 
 import json
 import random
+import sys
+import threading
 from math import comb
 from pathlib import Path
 
@@ -140,6 +142,42 @@ def test_zero_and_basic_fan_systems():
             assert _recursion(c, g).words == {bits}
 
 
+def test_the_strand_walk_decides_openness():
+    # a loose loop, or a chord on a closed strand that no walk from the
+    # boundary takes: fan_element declines and leaves the system's `open`
+    # fact unset, for is_trivial and the recursion. The systems as built
+    # have closed strands across the gluings (but a loose loop on n = 2);
+    # normalized, each closed strand is a loose loop
+    declined = 0
+    for n in range(2, 8):
+        c = disc_complex(n)
+        for sign in (+1, -1):
+            g = boundary_hugging_system(c, sign, {0: 1})
+            for h in (g, normalize(c, g)):
+                assert fan_element(c, h) is None and h.facts.open is None
+            declined += 1
+    for n in range(3, 7):
+        c = disc_complex(n)
+        for m in list(noncrossing_matchings(2 * n))[:5]:
+            g = matching_system(n, m)
+            for edge in c.sorted_gluings():
+                closed = with_circle(c, g, edge)
+                assert not any(closed.loops)
+                for h in (closed, normalize(c, closed)):
+                    assert fan_element(c, h) is None and h.facts.open is None
+                declined += 1
+    assert declined == 12 + 5 * (1 + 2 + 3 + 4)
+    # a fact-free twin of a census or pool root is walked, found open on
+    # the complex it is walked on, and peeled
+    for n, m in list(_census()) + list(_pool()):
+        c = disc_complex(n)
+        g = matching_system(n, m)
+        twin = CurveSystem(g.chords, g.loops)
+        assert twin.facts.open is None
+        assert fan_element(c, twin) == disc_element(n, m)
+        assert twin.facts.open is c
+
+
 def test_rotation_has_order_n():
     for n, m in _census(3, 7):
         x = disc_element(n, m)
@@ -249,14 +287,59 @@ def test_disc_element_rejects_what_is_not_a_matching():
         disc_element(1, [(0, "1")])
 
 
+def test_deep_discs_peel_without_recursion():
+    # 2000 chords, one level of the peel each
+    n = 2000
+    assert disc_element(n, [(2 * i, 2 * i + 1) for i in range(n)]).words == \
+        {(1 << (n - 1)) - 1}
+    assert disc_element(
+        n, [(2 * i + 1, (2 * i + 2) % (2 * n)) for i in range(n)]).words == {0}
+
+
 def test_clear_cache_empties_the_digital_memo():
     disc_element(4, [(0, 1), (2, 3), (4, 5), (6, 7)])
     matching_system(4, [(0, 1), (2, 3), (4, 5), (6, 7)])
-    assert disc._peel.cache_info().currsize > 0
+    assert disc._MEMO
     assert disc._SQUARE_CHORDS
     engine.clear_cache()
-    assert disc._peel.cache_info().currsize == 0
+    assert not disc._MEMO
     assert not disc._SQUARE_CHORDS
+
+
+def test_memo_under_threads(monkeypatch):
+    # eight threads share the memo, switching as often as the interpreter
+    # allows; a small bound makes them empty it under one another too
+    rng = random.Random(20261025)
+    cases = [(n, _random_matching(rng, n))
+             for n in (rng.randint(20, 30) for _ in range(24))]
+    engine.clear_cache()
+    want = [disc_element(n, m) for n, m in cases]
+    engine.clear_cache()
+    monkeypatch.setattr(disc, "MEMO_SIZE", 64)
+    results: dict[int, list] = {}
+
+    def work(k):
+        order = list(range(len(cases)))
+        random.Random(k).shuffle(order)
+        got = [None] * len(cases)
+        for j in order:
+            got[j] = disc_element(*cases[j])
+        results[k] = got
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(results) == list(range(8))
+    for got in results.values():
+        assert got == want
 
 
 # ---------------------------------------------------------------------------

@@ -771,6 +771,9 @@ def test_carried_caches_against_walks():
             assert c.vertex_classes == fresh.vertex_classes
             assert c.vertex_classes == vertex_classes_oracle(fresh)
             assert c._report == fresh._report == surface._check_complex(fresh)
+            # the summaries derived from the carried classes
+            assert c.internal_vertices() == fresh.internal_vertices()
+            assert c.vertex_sign_sum == fresh.vertex_sign_sum
             made[how] += 1
             internal += bool(c.internal_vertices())
     assert made["creation"] > 1000 and made["gluing"] > 2200, made

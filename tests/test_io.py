@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqft import formats
+from sqft.census import disc_complex, matching_system
 from sqft.cli import main
 from sqft.engine import CreateSquare, Fold, Glue, MorphismScript, Zip
 from sqft.surface import SquareComplex
@@ -392,6 +393,25 @@ def test_cli_sutures_reject_booleans_and_square_keys(tmp_path, capsys, text,
         assert where in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("first, second, message", [
+    ([0], [1, 0], "bad endpoint [0]"),
+    ([0, 1, 2], [1, 0], "bad endpoint [0, 1, 2]"),
+    ([True, 0], [1, 0], "bad endpoint [true, 0]"),
+    ([4, 0], [1, 0], "side index 4 out of range 0..3"),
+    ([0, -1], [1, 0], "negative position"),
+    ("ab", [1, 0], 'bad endpoint "ab"'),
+    # the first endpoint is read in full before the second
+    ([0, 0], [4, 0], "side index 4 out of range 0..3"),
+    ([0, -1], [4, 0], "negative position"),
+    ([5, 0], [0, -1], "side index 5 out of range 0..3"),
+])
+def test_sutures_endpoint_messages(first, second, message):
+    text = json.dumps({"chords": {"1": [[[1, 0], [3, 0]], [first, second]]}})
+    with pytest.raises(formats.ParseError) as err:
+        formats.parse_sutures(text, 2)
+    assert str(err.value) == f"sutures.chords[1][1]: {message}"
+
+
 @pytest.mark.parametrize("move, where", [
     ({"glue": [[True, 1], [0, 3]]}, "script.moves[1].glue[0]"),
     ({"fold": [[0, 1], [0, True]]}, "script.moves[1].fold[1]"),
@@ -425,6 +445,23 @@ def test_python_dash_m_sqft_is_the_cli(capsys):
     bad = subprocess.run([sys.executable, "-m", "sqft", "census", "disc",
                           "--n", "10"], capture_output=True, text=True)
     assert bad.returncode == 2 and "Traceback" not in bad.stderr
+
+
+def test_cli_element_of_a_deep_fan_disc(tmp_path):
+    # 600 point pairs matched (2i, 2i + 1): each level of the peel drops
+    # the chord at 0, far past where a peel that recursed once per chord
+    # ran out of stack
+    n = 600
+    surf = tmp_path / "disc.json"
+    surf.write_text(formats.emit_surface(disc_complex(n)))
+    sutures = tmp_path / "sutures.json"
+    sutures.write_text(formats.emit_sutures(
+        matching_system(n, [(2 * i, 2 * i + 1) for i in range(n)])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sqft", "element", str(surf), str(sutures)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "element " + "1" * (n - 1) in proc.stdout.splitlines()
 
 
 def _cli_error(tmp_path, capsys, command, documents):
