@@ -75,14 +75,11 @@ def disc_complex(n: int) -> SquareComplex:
 
 
 @lru_cache(maxsize=None)
-def _disc_layout(n: int) -> tuple[SquareComplex, tuple[Slot, ...],
-                                  dict[Slot, int]]:
-    """The disc, its boundary sides in cyclic order (point p lies on side
-    p), and the point on each boundary side, shared by every matching of
-    the same n."""
+def _disc_layout(n: int) -> tuple[SquareComplex, tuple[Slot, ...]]:
+    """The disc and its boundary sides in cyclic order (point p lies on
+    side p), shared by every matching of the same n."""
     c = disc_complex(n)
-    cycle = tuple(c.boundary_cycles[0])
-    return c, cycle, {slot: p for p, slot in enumerate(cycle)}
+    return c, tuple(c.boundary_cycles[0])
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +100,7 @@ def _fan_rows(n: int):
     """Per point, its square and its index among the square's points; per
     square, the sides of its points and a getter of their labels, both in
     cycle order."""
-    _, cycle, _ = _disc_layout(n)
+    _, cycle = _disc_layout(n)
     square = tuple(sq for sq, _ in cycle)
     points: list[list[int]] = [[] for _ in range(n - 1)]
     for p, sq in enumerate(square):
@@ -402,14 +399,14 @@ def fan_element(c: SquareComplex, g: CurveSystem) -> Optional[Z2Tensor]:
     was built from (its `mates` fact), which is peeled as it is: the root
     is never walked. Any other pair, that root on another complex among
     them, has its matching read in one walk from each boundary point along
-    its strand: the strand leaves each square by the other end of its
-    chord and, across a gluing, point k of a side is point m - 1 - k of
-    its partner. The walks count the chords they take. A chord that none
-    takes lies on a closed strand, and then g is left to
-    `regions.is_trivial` and the recursion; when they take every chord, g
-    has no closed component, its `open` fact is set to c, and the words,
-    peeled with boundary sides numbered as the fan's, are relabelled from
-    the fan's squares to c's.
+    its strand, on the numbers of g's endpoint table and of c's sides: the
+    strand leaves each square by the other end of its chord and, across a
+    gluing, point k of a side is point m - 1 - k of its partner. The walks
+    count the chords they take. A chord that none takes lies on a closed
+    strand, and then g is left to `regions.is_trivial` and the recursion;
+    when they take every chord, g has no closed component, its `open` fact
+    is set to c, and the words, peeled with boundary sides numbered as the
+    fan's, are relabelled from the fan's squares to c's.
     """
     mates = g.facts.mates
     # the fact holds on the fan it was built on, whatever `valid` says now
@@ -421,35 +418,32 @@ def fan_element(c: SquareComplex, g: CurveSystem) -> Optional[Z2Tensor]:
     if order is None:
         return None
     n = len(order) + 1
-    _, cycle, point = _disc_layout(n)
-    fan_square = [0] * len(order)
-    for i, sq in enumerate(order):
-        fan_square[sq] = i
-    partner = c.partner_map
-    counts = g._side_counts
-    ends: dict[int, dict] = {}
+    _, cycle = _disc_layout(n)
+    # the number of c's side that holds the fan's boundary point p, and p
+    # of each such side
+    boundary = [4 * order[sq] + side for sq, side in cycle]
+    point = {s: p for p, s in enumerate(boundary)}
+    t = g.endpoint_table
+    start, slot, chord_end = t.start, t.slot, t.mate
+    partner = c.partner_index
     mate = [-1] * (2 * n)
     taken = 0
-    for p, (sq, side) in enumerate(cycle):
+    for p, s in enumerate(boundary):
         if mate[p] != -1:
             continue
-        sq, pos = order[sq], 0
+        # a boundary side meets one point, numbered start[s]
+        e = start[s]
         while True:
-            at = ends.get(sq)
-            if at is None:
-                at = ends[sq] = {}
-                for a, b in g.chords[sq]:
-                    at[a], at[b] = b, a
-            side, pos = at[(side, pos)]
+            f = chord_end[e]
             taken += 1
-            across = partner.get((sq, side))
-            if across is None:
+            s = slot[f]
+            across = partner[s]
+            if across < 0:
                 break
-            pos = counts[sq][side] - 1 - pos
-            sq, side = across
-        q = point[(fan_square[sq], side)]
+            e = start[across] + start[s + 1] - 1 - f
+        q = point[s]
         mate[p], mate[q] = q, p
-    if taken != sum(map(len, g.chords)):
+    if 2 * taken != len(slot):
         return None
     g.facts.open = c
     x = Z2Tensor(n - 1, _peel(tuple(mate)))

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .surface import (
-    Corner, GluingPair, InvalidComplex, Slot, SquareComplex, VertexClass,
-    _norm_pair, _require_valid, remove_square, tight_copy,
+    Corner, CornerTable, GluingPair, InvalidComplex, Slot, SquareComplex,
+    VertexClass, _norm_pair, _require_valid, remove_square, tight_copy,
 )
 
 
@@ -96,36 +96,49 @@ def find_collapsible_square(c: SquareComplex, y: VertexClass) -> tuple[int, int,
     """
     if not y.internal:
         raise ValueError("vertex is not internal")
-    cc = c.corner_class
-    seen = {y.key}
+    t = c.corner_table
+    sq, corner = y.key
+    x = _collapsible_corner(t, t.of[4 * sq + corner])
+    return x >> 2, x & 3, t.vertex_class(t.of[x ^ 2])
+
+
+def _collapsible_corner(t: CornerTable, y: int) -> int:
+    """The corner number at which to collapse, searching from the internal
+    class y of t: the least corner of the first class, breadth-first over
+    the same-sign diagonals, whose opposite corner (x ^ 2) is on the
+    boundary."""
+    of, internal = t.of, t.internal
+    members: list[list[int]] = [[] for _ in t.keys]
+    for x, k in enumerate(of):
+        members[k].append(x)
+    seen = {y}
     queue = [y]
-    while queue:
-        z = queue.pop(0)
-        for sq, corner in sorted(z.corners):
-            opp = cc[(sq, (corner + 2) % 4)]
-            if not opp.internal:
-                return sq, corner, opp
-            if opp.key not in seen:
-                seen.add(opp.key)
+    for z in queue:
+        for x in members[z]:
+            opp = of[x ^ 2]
+            if not internal[opp]:
+                return x
+            if opp not in seen:
+                seen.add(opp)
                 queue.append(opp)
     raise InvalidComplex("no collapsible square reachable; complex inconsistent")
 
 
 def make_collapse_record(c: SquareComplex, sq: int, y_corner: int) -> CollapseRecord:
-    cc = c.corner_class
-    y = cc[(sq, y_corner)]
-    x = cc[(sq, (y_corner + 2) % 4)]
-    if not y.internal:
+    t = c.corner_table
+    y = t.of[4 * sq + y_corner]
+    x = t.of[(4 * sq + y_corner) ^ 2]
+    if not t.internal[y]:
         raise ValueError("collapse corner is not at an internal vertex")
-    if x.internal or x.sign != y.sign:
+    if t.internal[x] or t.sign(x) != t.sign(y):
         raise ValueError("target corner is not a boundary vertex of equal sign")
     fan, wedges = _fan(c, (sq, y_corner))
     return CollapseRecord(
         square=sq,
         y_corner=y_corner,
-        sign=y.sign,
-        internal_corners=frozenset(y.corners),
-        target_corners=frozenset(x.corners),
+        sign=t.sign(y),
+        internal_corners=frozenset(t.corners(y)),
+        target_corners=frozenset(t.corners(x)),
         fan=fan,
         wedges=wedges,
     )
@@ -137,7 +150,9 @@ def collapse_slack_square(c: SquareComplex, r: CollapseRecord) -> SquareComplex:
     Expects a valid complex; `collapse_steps` checks it.
     """
     a1, a2, b1, b2 = r.sides()
-    if c.corner_class[(r.square, r.y_corner)].corners != r.internal_corners:
+    t = c.corner_table
+    y = t.of[4 * r.square + r.y_corner]
+    if frozenset(t.corners(y)) != r.internal_corners:
         raise ValueError("collapse record does not match the complex")
 
     own = {a1: b1, b1: a1, a2: b2, b2: a2}     # arc identifications
@@ -181,9 +196,10 @@ def collapse_steps(c: SquareComplex) -> Iterator[
     """
     _require_valid(c)
     cur = c
-    while internal := cur.internal_vertices():
-        sq, corner, _ = find_collapsible_square(cur, internal[0])
-        rec = make_collapse_record(cur, sq, corner)
+    while True in (t := cur.corner_table).internal:
+        # the first internal vertex in key order
+        x = _collapsible_corner(t, t.internal.index(True))
+        rec = make_collapse_record(cur, x >> 2, x & 3)
         after = collapse_slack_square(cur, rec)
         yield cur, rec, after
         cur = after

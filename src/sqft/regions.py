@@ -113,8 +113,8 @@ def _decompose(c: SquareComplex, g: CurveSystem) -> RegionDecomposition:
     on_boundary = [False] * len(parent)
     for sq, k in c.boundary_slots:
         on_boundary[gap(sq, k, 0)] = on_boundary[gap(sq, k, 1)] = True
-    for v in c.vertex_classes:
-        credit[gap(*v.key, 0)] += 1
+    for key in c.corner_table.keys:
+        credit[gap(key >> 2, key & 3, 0)] += 1
 
     region_of = [0] * len(parent)
     least: list[int] = []
@@ -152,11 +152,11 @@ def closed_components(c: SquareComplex,
     (square, ep).
 
     A strand steps along a chord, then across the gluing of the side it
-    reaches (point k of m there is point m-1-k on the partner side). Each
-    walk starts at an endpoint not yet reached and goes one way until it
-    leaves the gluings, meets a strand already walked (an arc) or returns
-    to its start (a closed strand). A chord's mates are built when a walk
-    first enters its square.
+    reaches (point k of m there is point m-1-k on the partner side), on the
+    numbers of g's endpoint table and c's sides. Each walk starts at the
+    least endpoint not yet reached and goes one way until it leaves the
+    gluings, meets a strand already walked (an arc) or returns to its
+    start (a closed strand).
 
     A system whose `open` fact is this very complex object has none and is
     not read; any other is walked from every square. Finding none sets the
@@ -164,42 +164,33 @@ def closed_components(c: SquareComplex,
     """
     if g.facts.open is c:
         return []
-    partner = c.partner_map
-    chords, counts = g.chords, g._side_counts
-    mate: dict[tuple[int, EP], tuple[int, EP]] = {}
-    reached: set[tuple[int, EP]] = set()
+    t = g.endpoint_table
+    start, slot, mate = t.start, t.slot, t.mate
+    partner = c.partner_index
+    reached = bytearray(len(slot))
     out: list[set[tuple[int, EP]]] = []
-
-    def walk(p: tuple[int, EP]) -> None:
-        start, points = p, []
+    for first in range(len(slot)):
+        # a walk reaches both ends of each chord it takes
+        if reached[first]:
+            continue
+        e, points = first, []
         while True:
-            q = mate.get(p)
-            if q is None:
-                s = p[0]
-                for a, b in chords[s]:
-                    mate[(s, a)] = (s, b)
-                    mate[(s, b)] = (s, a)
-                q = mate[p]
-            points.append(p)
-            points.append(q)
-            sq, (side, pos) = q
-            other = partner.get((sq, side))
-            if other is None:
+            f = mate[e]
+            points.append(e)
+            points.append(f)
+            s = slot[f]
+            across = partner[s]
+            if across < 0:
                 break
-            osq, oside = other
-            p = (osq, (oside, counts[osq][oside] - 1 - pos))
-            if p == start:
-                out.append(set(points))
+            e = start[across] + start[s + 1] - 1 - f
+            if e == first:
+                out.append({(slot[p] >> 2, (slot[p] & 3, p - start[slot[p]]))
+                            for p in points})
                 break
-            if p in reached:
+            if reached[e]:
                 break
-        reached.update(points)
-
-    for s in range(c.square_count):
-        for a, _ in chords[s]:
-            # a walk reaches both ends of each chord it takes
-            if (s, a) not in reached:
-                walk((s, a))
+        for p in points:
+            reached[p] = 1
     if not out:
         g.facts.open = c
     return out

@@ -18,13 +18,22 @@ and used everywhere:
 
 Squares are numbered 0..square_count-1 and double as tensor-factor indices
 downstream. All values are immutable; operations return new complexes.
+
+Corners and sides are also numbered as integers: corner c of square s is
+4*s + c, and so is side c of square s, which starts at that corner. Then
+corner x ends side x - 1 of its square, and the corner opposite x is x ^ 2.
+`SquareComplex.partner_index` gives each side's partner by number (-1 on
+the boundary), and one walk over those numbers gives the `CornerTable`:
+the vertex class of each corner as an index, the classes in key order.
+Every reader of the vertex classes reads that table; the `VertexClass`
+objects of `vertex_classes` are a view of it, built on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 Slot = tuple[int, int]          # (square, side), side in 0..3
 Corner = tuple[int, int]        # (square, corner), corner in 0..3
@@ -33,6 +42,11 @@ GluingPair = tuple[Slot, Slot]
 
 def _norm_pair(a: Slot, b: Slot) -> GluingPair:
     return (a, b) if a <= b else (b, a)
+
+
+def _next(x: int) -> int:
+    """The corner, or side, after number x in its square."""
+    return x - 3 if x & 3 == 3 else x + 1
 
 
 class InvalidComplex(ValueError):
@@ -71,6 +85,33 @@ class VertexClass:
         return min(self.corners)
 
 
+class CornerTable(NamedTuple):
+    """The vertex classes of a complex by number.
+
+    Corner c of square s is number 4*s + c. `of` gives the class index of
+    each corner; classes are numbered in the order of their least corners,
+    their keys (`keys`), and `internal` says which are internal vertices.
+    Matched corners have equal parity, so a class's sign is its key's:
+    +1 when odd. The lists are never changed once the table is made; a
+    complex built from a parent shares them or gets new ones.
+    """
+
+    of: list[int]
+    keys: list[int]
+    internal: list[bool]
+
+    def sign(self, k: int) -> int:
+        return 1 if self.keys[k] & 1 else -1
+
+    def corners(self, k: int) -> list[Corner]:
+        """The corners of class k, sorted."""
+        return [(x >> 2, x & 3) for x, j in enumerate(self.of) if j == k]
+
+    def vertex_class(self, k: int) -> VertexClass:
+        return VertexClass(frozenset(self.corners(k)), self.sign(k),
+                           self.internal[k])
+
+
 @dataclass(frozen=True)
 class InvariantSummary:
     square_count: int
@@ -105,6 +146,23 @@ class SquareComplex:
             out[b] = a
         return out
 
+    @cached_property
+    def partner_index(self) -> list[int]:
+        """The partner of side 4*s + k by number, -1 on the boundary; a
+        gluing of a side glued twice wins as in `partner_map`.
+        InvalidComplex if a gluing names a side the complex lacks."""
+        n = self.square_count
+        out = [-1] * (4 * n)
+        for a, b in self.gluings:
+            for sq, k in (a, b):
+                if not (0 <= sq < n and 0 <= k < 4):
+                    raise InvalidComplex(
+                        f"gluing references nonexistent slot {(sq, k)}")
+            x, y = 4 * a[0] + a[1], 4 * b[0] + b[1]
+            out[x] = y
+            out[y] = x
+        return out
+
     def partner(self, slot: Slot) -> Optional[Slot]:
         return self.partner_map.get(slot)
 
@@ -118,7 +176,9 @@ class SquareComplex:
 
     @cached_property
     def boundary_slots(self) -> tuple[Slot, ...]:
-        return tuple(s for s in self.slots() if not self.is_glued(s))
+        part = self.partner_map
+        return tuple((s, k) for s in range(self.square_count)
+                     for k in range(4) if (s, k) not in part)
 
     def sorted_gluings(self) -> list[GluingPair]:
         return sorted(self.gluings)
@@ -138,60 +198,72 @@ class SquareComplex:
     # -- vertex classes ---------------------------------------------------
 
     @cached_property
-    def vertex_classes(self) -> tuple[VertexClass, ...]:
-        # Corner (s, c) ends side c - 1 and starts side c, and a gluing
-        # matches the corners at both ends of its sides, so a corner meets
-        # at most two gluings and a class is a path or a cycle of corners.
-        # Crossing side c - 1 walks ahead: the mate slot (t, d) is the
-        # corner reached. Crossing side c walks back to corner (t, d + 1).
-        # A walk ahead that comes back to its start is an internal vertex.
-        part = self.partner_map
-        # on a side glued twice a walk can enter a loop that misses its
-        # start; no class has more corners than the complex
-        limit = 4 * self.square_count
-        seen: set[Corner] = set()
-        classes = []
-        for s in range(self.square_count):
-            for c in range(4):
-                start = (s, c)
-                if start in seen:
-                    continue
-                # start is the least corner of its class, since a smaller
-                # one would have been seen first: classes come in key order
-                members = [start]
-                cur = part.get((s, (c - 1) % 4))
-                while cur is not None and cur != start:
-                    members.append(cur)
-                    if len(members) > limit:
+    def corner_table(self) -> CornerTable:
+        # Corner x ends side x - 1 and starts side x, and a gluing matches
+        # the corners at both ends of its sides, so a corner meets at most
+        # two gluings and a class is a path or a cycle of corners. Crossing
+        # side x - 1 walks ahead: the partner side's number is the corner
+        # reached. Crossing side x walks back to corner partner + 1. A walk
+        # ahead that comes back to its start is an internal vertex.
+        part = self.partner_index
+        size = len(part)
+        of = [-1] * size
+        keys: list[int] = []
+        internal: list[bool] = []
+        for start in range(size):
+            if of[start] >= 0:
+                continue
+            # start is the least corner of its class, since a smaller one
+            # would have been reached first: classes come in key order
+            k = len(keys)
+            keys.append(start)
+            of[start] = k
+            # on a side glued twice a walk can enter a loop that misses its
+            # start; no class has more corners than the complex
+            members = 1
+            # the side before a corner, and `_next`, are written out in
+            # these loops
+            cur = part[start - 1 if start & 3 else start + 3]
+            while cur >= 0 and cur != start:
+                of[cur] = k
+                members += 1
+                if members > size:
+                    raise InvalidComplex("vertex walk does not close")
+                cur = part[cur - 1 if cur & 3 else cur + 3]
+            inside = cur == start
+            if not inside:
+                mate = part[start]
+                while mate >= 0:
+                    cur = mate - 3 if mate & 3 == 3 else mate + 1
+                    of[cur] = k
+                    members += 1
+                    if members > size:
                         raise InvalidComplex("vertex walk does not close")
-                    cur = part.get((cur[0], (cur[1] - 1) % 4))
-                internal = cur == start
-                if not internal:
-                    mate = part.get(start)
-                    while mate is not None:
-                        cur = (mate[0], (mate[1] + 1) % 4)
-                        members.append(cur)
-                        if len(members) > limit:
-                            raise InvalidComplex("vertex walk does not close")
-                        mate = part.get(cur)
-                seen.update(members)
-                sign = +1 if c % 2 == 1 else -1
-                classes.append(VertexClass(frozenset(members), sign, internal))
-        return tuple(classes)
+                    mate = part[cur]
+            internal.append(inside)
+        return CornerTable(of, keys, internal)
+
+    @cached_property
+    def vertex_classes(self) -> tuple[VertexClass, ...]:
+        """The classes of the corner table as objects, in key order."""
+        t = self.corner_table
+        members: list[list[Corner]] = [[] for _ in t.keys]
+        for x, k in enumerate(t.of):
+            members[k].append((x >> 2, x & 3))
+        return tuple(VertexClass(frozenset(m), t.sign(k), t.internal[k])
+                     for k, m in enumerate(members))
 
     @cached_property
     def corner_class(self) -> dict[Corner, VertexClass]:
-        out: dict[Corner, VertexClass] = {}
-        for v in self.vertex_classes:
-            for corner in v.corners:
-                out[corner] = v
-        return out
-
-    # two summaries derived from vertex_classes: on a complex whose classes
-    # were seeded from its parent's, they come from those
+        classes = self.vertex_classes
+        return {(x >> 2, x & 3): classes[k]
+                for x, k in enumerate(self.corner_table.of)}
 
     @cached_property
     def _internal_vertices(self) -> tuple[VertexClass, ...]:
+        # no class object is built for a complex with no internal vertex
+        if True not in self.corner_table.internal:
+            return ()
         return tuple(v for v in self.vertex_classes if v.internal)
 
     def internal_vertices(self) -> tuple[VertexClass, ...]:
@@ -200,13 +272,14 @@ class SquareComplex:
     @cached_property
     def vertex_sign_sum(self) -> int:
         """The sum of the vertex classes' signs."""
-        return sum(v.sign for v in self.vertex_classes)
+        keys = self.corner_table.keys
+        return 2 * sum(key & 1 for key in keys) - len(keys)
 
     def edge_endpoints(self, slot: Slot) -> tuple[VertexClass, VertexClass]:
         """Start and end vertex classes of a side, in the side's direction."""
         sq, k = slot
-        cc = self.corner_class
-        return cc[(sq, k)], cc[(sq, (k + 1) % 4)]
+        of, classes = self.corner_table.of, self.vertex_classes
+        return classes[of[4 * sq + k]], classes[of[4 * sq + (k + 1) % 4]]
 
     # -- vertex walks -----------------------------------------------------
 
@@ -308,9 +381,10 @@ def _check_complex(c: SquareComplex) -> ValidationReport:
         for a, b in c.gluings:
             if a[0] == b[0]:
                 problems.append(f"sides {a} and {b} of one square glued (needs slack)")
-        for v in c.vertex_classes:
-            if v.internal:
-                problems.append(f"internal vertex {sorted(v.corners)} (needs slack)")
+        t = c.corner_table
+        for k, inside in enumerate(t.internal):
+            if inside:
+                problems.append(f"internal vertex {t.corners(k)} (needs slack)")
     return ValidationReport(tuple(problems))
 
 
@@ -322,14 +396,15 @@ def _require_valid(c: SquareComplex) -> None:
 
 def invariants(c: SquareComplex) -> InvariantSummary:
     _require_valid(c)
-    classes = c.vertex_classes
-    v = len(classes)
+    t = c.corner_table
+    v = len(t.keys)
     e = len(c.gluings) + len(c.boundary_slots)
     f = c.square_count
     chi = v - e + f
-    boundary_classes = [x for x in classes if not x.internal]
-    pos = sum(1 for x in boundary_classes if x.sign > 0)
-    neg = len(boundary_classes) - pos
+    boundary_keys = [key for key, inside in zip(t.keys, t.internal)
+                     if not inside]
+    pos = sum(key & 1 for key in boundary_keys)
+    neg = len(boundary_keys) - pos
     if pos != neg:
         raise InvalidComplex("boundary vertex signs do not balance")
     n = pos
@@ -401,14 +476,15 @@ class GluingKind:
 
 def classify_gluing(c: SquareComplex, a: Slot, b: Slot) -> GluingKind:
     """Classify the gluing of two boundary edges without performing it."""
-    ea = set(c.edge_endpoints(a))
-    eb = set(c.edge_endpoints(b))
-    shared = tuple(sorted(ea & eb, key=lambda v: v.key))
-    if len(shared) == 0:
+    t = c.corner_table
+    of = t.of
+    x, y = 4 * a[0] + a[1], 4 * b[0] + b[1]
+    # class indices come in key order
+    shared = sorted({of[x], of[_next(x)]} & {of[y], of[_next(y)]})
+    if not shared:
         return GluingKind("standard")
-    if len(shared) == 1:
-        return GluingKind("fold", shared)
-    return GluingKind("zip", shared)
+    return GluingKind("fold" if len(shared) == 1 else "zip",
+                      tuple(map(t.vertex_class, shared)))
 
 
 def glue(c: SquareComplex, a: Slot, b: Slot) -> tuple[SquareComplex, GluingKind]:
@@ -446,12 +522,12 @@ def glue(c: SquareComplex, a: Slot, b: Slot) -> tuple[SquareComplex, GluingKind]
     # a standard gluing joins two distinct classes on two distinct squares,
     # and a fold or a zip makes the complex slack: either way c's report
     # holds for the glued complex
-    return _seeded(glued, vertex_classes=_glued_classes(c, a, b),
+    return _seeded(glued, corner_table=_glued_table(c.corner_table, a, b),
                    _report=c._report), kind
 
 
-def _glued_classes(c: SquareComplex, a: Slot, b: Slot) -> tuple[VertexClass, ...]:
-    """c's vertex classes once boundary sides a and b are glued.
+def _glued_table(t: CornerTable, a: Slot, b: Slot) -> CornerTable:
+    """The corner table t once boundary sides a and b are glued.
 
     The gluing identifies corner (S, a) with (T, b + 1) and (S, a + 1) with
     (T, b). Each of those corners ends its class, as its side is unglued,
@@ -459,20 +535,30 @@ def _glued_classes(c: SquareComplex, a: Slot, b: Slot) -> tuple[VertexClass, ...
     vertex when they are one class. The two pairs have opposite signs, so
     they meet disjoint classes.
     """
-    cc = c.corner_class
-    (s, i), (t, j) = a, b
-    swap: dict[int, Optional[VertexClass]] = {}
-    for x, y in (((s, i), (t, (j + 1) % 4)), ((s, (i + 1) % 4), (t, j))):
-        u, v = cc[x], cc[y]
-        if v.key < u.key:
-            u, v = v, u
-        # the joined class takes the place of the one with the lesser key,
-        # so the classes stay in key order
-        swap[id(u)] = VertexClass(u.corners | v.corners, u.sign, u is v)
-        if u is not v:
-            swap[id(v)] = None
-    return tuple(w for v in c.vertex_classes
-                 if (w := swap.get(id(v), v)) is not None)
+    of, internal = t.of, list(t.internal)
+    x, y = 4 * a[0] + a[1], 4 * b[0] + b[1]
+    joined: dict[int, int] = {}         # a class index -> the one it joins
+    for u, v in ((x, _next(y)), (_next(x), y)):
+        p, q = of[u], of[v]
+        if p == q:
+            internal[p] = True
+        else:
+            # the joined class takes the index with the lesser key, so the
+            # classes stay in key order
+            joined[max(p, q)] = min(p, q)
+    if not joined:
+        return CornerTable(of, t.keys, internal)
+    renumber = []
+    kept = 0
+    for k in range(len(t.keys)):
+        renumber.append(kept)
+        kept += k not in joined
+    for q, p in joined.items():
+        renumber[q] = renumber[p]
+    return CornerTable(
+        list(map(renumber.__getitem__, of)),
+        [key for k, key in enumerate(t.keys) if k not in joined],
+        [x for k, x in enumerate(internal) if k not in joined])
 
 
 def unglue(c: SquareComplex, a: Slot, b: Slot) -> SquareComplex:
@@ -539,29 +625,34 @@ def add_square(c: SquareComplex) -> SquareComplex:
         return out
     # the new square's four corners are four classes, with keys past all
     # of c's; an unglued square adds no problem to a valid complex
-    k = c.square_count
-    corners = tuple(
-        VertexClass(frozenset({(k, corner)}), +1 if corner % 2 else -1, False)
-        for corner in range(4))
-    return _seeded(out, vertex_classes=c.vertex_classes + corners,
-                   _report=report)
+    t = c.corner_table
+    k, x = len(t.keys), 4 * c.square_count
+    return _seeded(out, corner_table=CornerTable(
+        t.of + [k, k + 1, k + 2, k + 3], t.keys + [x, x + 1, x + 2, x + 3],
+        t.internal + [False] * 4), _report=report)
 
 
 def tight_copy(c: SquareComplex) -> SquareComplex:
     """The tightened form of c, a valid complex with no internal vertex: c
     itself when it is not slack, else a copy marked not slack, with c's
-    gluings and so with c's vertex classes."""
+    gluings and so with c's corner table."""
     if not c.slack:
         return c
     return _seeded(SquareComplex(c.square_count, c.gluings, slack=False),
-                   vertex_classes=c.vertex_classes)
+                   corner_table=c.corner_table)
 
 
 def _seeded(c: SquareComplex, **caches) -> SquareComplex:
     """c, just built from a valid parent by `add_square`, `glue` or
-    `tight_copy`, with caches filled from the parent's: its vertex classes,
-    and its report where that is the parent's. So c is neither walked nor
-    checked; every other complex walks its own."""
+    `tight_copy`, with caches filled from the parent's.
+
+    What is carried: the corner table, always (`add_square` appends the new
+    square's four classes, `glue` joins two pairs of class indices or closes
+    one into an internal vertex, `tight_copy` keeps its original's), and
+    the report, after `add_square` and `glue`, where it is the parent's. So
+    c is neither walked nor checked; every other complex walks its own. No
+    `VertexClass` object is carried: the view is built from the table when
+    it is first read."""
     c.__dict__.update(caches)
     return c
 

@@ -16,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count
-from typing import Collection, Hashable, Iterable, Optional, Sequence
+from typing import (
+    Collection, Hashable, Iterable, NamedTuple, Optional, Sequence,
+)
 
 from .surface import (
     GluingPair, Slot, SquareComplex, ValidationReport, _norm_pair,
@@ -37,14 +39,18 @@ class PairFacts:
     object their check holds on: `valid` (validate_sutures found no
     problem, or the system is a bypass child of one valid there), `normal`
     (_is_normal) and `open` (regions.closed_components or the strand walk
-    of disc.fan_element found no closed component). The fourth, `mates`, is None or the mate of each boundary
-    point of the checked matching the system was built from
-    (`disc.matching_mates`). A census root, `disc.fan_system`'s system
-    of a checked or enumerated matching, holds the first three on the shared
-    `disc.disc_complex(n)` by construction, and its mates, which
-    `disc.fan_element` peels on that complex with no walk. No other system
-    gets a fact from one: a surgery child or a relabelled copy is a new
-    system with facts of its own."""
+    of disc.fan_element found no closed component). The fourth, `mates`, is
+    None or the mate of each boundary point of the checked matching the
+    system was built from (`disc.matching_mates`). A census root,
+    `disc.fan_system`'s system of a checked or enumerated matching, holds
+    the first three on the shared `disc.disc_complex(n)` by construction,
+    and its mates, which `disc.fan_element` peels on that complex with no
+    walk. No other system gets a fact from one: a surgery child or a
+    relabelled copy is a new system with facts of its own.
+
+    The facts are about a pair. What a system is on its own, its chord
+    diagrams' problems and its endpoint numbering, is its
+    `CurveSystem.endpoint_table`."""
 
     __slots__ = ("valid", "normal", "open", "mates")
 
@@ -52,8 +58,42 @@ class PairFacts:
         self.valid = self.normal = self.open = self.mates = None
 
 
+class EndpointTable(NamedTuple):
+    """A curve system's endpoints by number, and its diagrams' problems.
+
+    Endpoints are numbered square after square, each square's sorted, so
+    in a valid system the points of side k of square s, which is slot
+    number 4*s + k, are numbers start[4*s + k] + 0, 1, 2, ...; start has
+    one more entry, the number of endpoints. `slot` gives each endpoint's
+    slot number and `mate` the number of the other end of its chord. So an
+    endpoint's position on its side is its number less its slot's start,
+    and across a gluing of slots x and y, the point numbered e on x is the
+    point numbered start[y] + start[x + 1] - 1 - e on y.
+
+    `problems` lists the problems of every square's chord diagram in
+    square order, and `on_sides` says whether every endpoint lies on a
+    side 0..3. `start`, `slot` and `mate` are read only when there is no
+    problem. The lists are never changed once the table is made.
+    """
+
+    problems: list[str]
+    on_sides: bool
+    start: list[int]
+    slot: list[int]
+    mate: list[int]
+
+
 @dataclass(frozen=True)
 class CurveSystem:
+    """Per square, its chords, sorted, and its count of loose loops.
+
+    Caches sit out of the fields, which alone define ==, hash and repr:
+    `facts`, what the system is known to satisfy on a complex, and what it
+    is on its own: the points on each side (`side_count`), and the
+    `endpoint_table` built on them, each endpoint's number, slot and mate
+    and its chord diagrams' problems.
+    """
+
     chords: tuple[tuple[Chord, ...], ...]     # per square, sorted
     loops: tuple[int, ...]                    # per square
 
@@ -83,17 +123,26 @@ class CurveSystem:
         return PairFacts()
 
     @cached_property
-    def _side_counts(self) -> tuple[tuple[int, int, int, int], ...]:
-        # points per (square, side). Every endpoint side must be in 0..3:
-        # validate_sutures checks that before it reads a count
+    def _side_counts(self) -> list[tuple[int, int, int, int]]:
+        """The points on each side 0..3 of each square, the one count of
+        them: a point on no side is left out, and the endpoint table names
+        it. A push through a script reads these counts alone."""
         table = []
         for chords in self.chords:
-            counts = [0, 0, 0, 0]
-            for a, b in chords:
-                counts[a[0]] += 1
-                counts[b[0]] += 1
-            table.append(tuple(counts))
-        return tuple(table)
+            n = [0, 0, 0, 0]
+            for (ka, _), (kb, _) in chords:
+                if 0 <= ka < 4:
+                    n[ka] += 1
+                if 0 <= kb < 4:
+                    n[kb] += 1
+            table.append((n[0], n[1], n[2], n[3]))
+        return table
+
+    @cached_property
+    def endpoint_table(self) -> EndpointTable:
+        """The endpoint table, made in one pass over the squares on their
+        side counts: the one check of each chord diagram."""
+        return _endpoint_table(self)
 
     def total_loops(self) -> int:
         return sum(self.loops)
@@ -106,6 +155,116 @@ class CurveSystem:
             chords[perm[old]] = self.chords[old]
             loops[perm[old]] = self.loops[old]
         return CurveSystem(tuple(chords), tuple(loops))
+
+
+def _endpoint_table(g: CurveSystem) -> EndpointTable:
+    """g's endpoint table, each square's problems in a fixed order.
+
+    A valid square's endpoints are numbered straight from its chords, side
+    by side in position order (`_number`). A square that cannot be
+    numbered so has a problem on a side, which `_square_problems` names.
+    """
+    problems: list[str] = []
+    on_sides = True
+    start: list[int] = []
+    slot: list[int] = []
+    mate: list[int] = []
+    for sq, (chords, loops, n) in enumerate(
+            zip(g.chords, g.loops, g._side_counts)):
+        base = len(mate)
+        size = 2 * len(chords)
+        mate += [-1] * size
+        at = (base, base + n[0], base + n[0] + n[1],
+              base + n[0] + n[1] + n[2])
+        start += at
+        # every point lies on a side 0..3 when the sides count them all
+        if sum(n) == size and _number(chords, at, n, mate):
+            if loops < 0:
+                problems.append(f"square {sq}: negative loop count")
+            if not _nested(mate, base):
+                problems.append(f"square {sq}: chords cross")
+            x = 4 * sq
+            slot += ([x] * n[0] + [x + 1] * n[1] + [x + 2] * n[2]
+                     + [x + 3] * n[3])
+        else:
+            found, square_on_sides = _square_problems(sq, chords, loops)
+            problems += found
+            on_sides = on_sides and square_on_sides
+            # the system is invalid, so these numbers are never read
+            slot += [-1] * size
+    start.append(len(mate))
+    return EndpointTable(problems, on_sides, start, slot, mate)
+
+
+def _number(chords: tuple[Chord, ...], at: tuple[int, int, int, int],
+            n: tuple[int, int, int, int], mate: list[int]) -> bool:
+    """Write the mate of each endpoint of a square whose points all lie on
+    sides 0..3, n[k] of them on side k, into mate, numbered from at[k] on
+    side k in position order. False, with mate left unfinished, unless each
+    side's positions are 0, 1, 2, ... and each point ends one chord."""
+    for (ka, pa), (kb, pb) in chords:
+        if not (0 <= pa < n[ka] and 0 <= pb < n[kb]):
+            return False
+        i, j = at[ka] + pa, at[kb] + pb
+        mate[i] = j
+        mate[j] = i
+    # a number written twice leaves another unwritten
+    return -1 not in mate[at[0]:]
+
+
+def _nested(mate: list[int], base: int) -> bool:
+    """Whether the chords numbered from base on in mate are nested: each
+    closes the last one still open."""
+    stack: list[int] = []
+    for i, j in enumerate(mate[base:], base):
+        if j > i:
+            stack.append(i)
+        elif not stack or stack.pop() != j:
+            return False
+    return True
+
+
+def _square_problems(sq: int, chords: tuple[Chord, ...], loops: int
+                     ) -> tuple[list[str], bool]:
+    """The problems of a square that `_number` refused, in a fixed order,
+    and whether every endpoint lies on a side 0..3.
+
+    One sort of the endpoints puts the points on no side at its two ends
+    and each side's positions in a run, which must read 0, 1, 2, ...; a
+    point used twice leaves a run that does not.
+    """
+    eps = sorted(chain.from_iterable(chords))
+    on_sides = not eps or (eps[0][0] >= 0 and eps[-1][0] < 4)
+    problems = [] if on_sides else [
+        f"square {sq}: endpoint {ep} on no side"
+        for ep in eps if not 0 <= ep[0] < 4]
+    gapped: list[int] = []
+    side, nxt = None, 0
+    for k, p in eps:
+        if k != side:
+            side, nxt = k, 0
+        if p != nxt:
+            gapped.append(k)
+        nxt += 1
+    distinct = True
+    if gapped:
+        distinct = len(set(eps)) == len(eps)
+        if not distinct:
+            problems.append(f"square {sq}: point used by two chords")
+        problems.extend(f"square {sq} side {k}: positions not dense"
+                        for k in dict.fromkeys(gapped) if 0 <= k < 4)
+    if loops < 0:
+        problems.append(f"square {sq}: negative loop count")
+    # crossing is defined only for distinct points, numbered here by their
+    # order
+    if distinct:
+        index = {ep: i for i, ep in enumerate(eps)}
+        mate = [0] * len(eps)
+        for a, b in chords:
+            mate[index[a]], mate[index[b]] = index[b], index[a]
+        if not _nested(mate, 0):
+            problems.append(f"square {sq}: chords cross")
+    return problems, on_sides
 
 
 # ---------------------------------------------------------------------------
@@ -200,26 +359,22 @@ def validate_sutures(c: SquareComplex, g: CurveSystem) -> "ValidationReport":
 
     A system known to be valid on this very complex object (its `valid`
     fact is c) reads nothing and gets the empty report; any other system is
-    checked whole, each square with one sort of its endpoints, then the
-    point counts of the boundary sides and gluings, read only when every
-    endpoint lies on a side 0..3. An empty report sets the fact to c.
+    checked whole: its chord diagrams' problems, which its endpoint table
+    holds, then the point counts of the boundary sides and gluings, which
+    depend on c and are read only when every endpoint lies on a side 0..3.
+    An empty report sets the fact to c.
     """
     if g.facts.valid is c:
         return ValidationReport()
-    problems: list[str] = []
     if g.square_count != c.square_count:
         return ValidationReport((f"curve system has {g.square_count} squares, "
                                  f"complex has {c.square_count}",))
     if not validate_complex(c).ok:
         return ValidationReport(("underlying complex invalid",))
 
-    on_sides = True
-    for sq in range(c.square_count):
-        found, square_on_sides = _square_problems(sq, g.chords[sq], g.loops[sq])
-        if found:
-            problems.extend(found)
-            on_sides = on_sides and square_on_sides
-    if not on_sides:
+    table = g.endpoint_table
+    problems = list(table.problems)
+    if not table.on_sides:
         return ValidationReport(tuple(problems))
 
     counts = g._side_counts
@@ -236,61 +391,6 @@ def validate_sutures(c: SquareComplex, g: CurveSystem) -> "ValidationReport":
     if not problems:
         g.facts.valid = c
     return ValidationReport(tuple(problems))
-
-
-def _square_problems(sq: int, chords: tuple[Chord, ...],
-                     loops: int) -> tuple[list[str], bool]:
-    """The problems of one square's chord diagram, in a fixed order (none
-    for a valid square), and whether every endpoint lies on a side 0..3.
-
-    One sort of the endpoints puts the points on no side at its two ends and
-    each side's positions in a run, which must read 0, 1, 2, ...; a point
-    used twice leaves a run that does not.
-    """
-    eps = sorted(chain.from_iterable(chords))
-    on_sides = not eps or (eps[0][0] >= 0 and eps[-1][0] < 4)
-    problems = [] if on_sides else [
-        f"square {sq}: endpoint {ep} on no side"
-        for ep in eps if not 0 <= ep[0] < 4]
-    gapped: list[int] = []
-    side, nxt = None, 0
-    for k, p in eps:
-        if k != side:
-            side, nxt = k, 0
-        if p != nxt:
-            gapped.append(k)
-        nxt += 1
-    distinct = True
-    if gapped:
-        distinct = len(set(eps)) == len(eps)
-        if not distinct:
-            problems.append(f"square {sq}: point used by two chords")
-        problems.extend(f"square {sq} side {k}: positions not dense"
-                        for k in dict.fromkeys(gapped) if 0 <= k < 4)
-    if loops < 0:
-        problems.append(f"square {sq}: negative loop count")
-    # crossing is defined only for distinct points
-    if distinct and not _noncrossing(chords, eps):
-        problems.append(f"square {sq}: chords cross")
-    return problems, on_sides
-
-
-def _noncrossing(chords: tuple[Chord, ...], eps: list[EP]) -> bool:
-    """Whether chords with distinct endpoints `eps`, sorted, are nested."""
-    index = {ep: i for i, ep in enumerate(eps)}
-    pair: dict[int, int] = {}
-    for a, b in chords:
-        pair[index[a]] = index[b]
-        pair[index[b]] = index[a]
-    stack: list[int] = []
-    for i in range(len(eps)):
-        if stack and stack[-1] == pair[i]:
-            stack.pop()
-        elif pair[i] > i:
-            stack.append(i)
-        else:
-            return False
-    return not stack
 
 
 def require_valid_pair(c: SquareComplex, g: CurveSystem) -> None:

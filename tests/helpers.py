@@ -55,7 +55,7 @@ def transport_unglue(c: SquareComplex, g: CurveSystem,
 
 
 def matching_system_oracle(n: int, matching) -> CurveSystem:
-    c, cycle, _ = _disc_layout(n)
+    c, cycle = _disc_layout(n)
     sides = [DiscSide(key=slot, points=[g], corner=g)
              for g, slot in enumerate(cycle)]
     # arc i runs from its inner corner (i, 2) to its outer corner (i, 3);

@@ -9,15 +9,22 @@ Fast paths and their oracles:
   reads nothing of a system already found with no closed component on the
   same complex object. The oracle is the full component search
   (`_closed_components_oracle`).
-- `validate_sutures` checks a square with one sort of its endpoints; the
-  oracle is the per-problem loop below, which must give byte-identical
-  problem lists.
-- `SquareComplex.vertex_classes` walks each corner orbit once; the oracle is
-  the union-find over corners (`vertex_classes_oracle`).
+- `validate_sutures` reads each square's problems from the system's
+  endpoint table, which numbers a valid square's endpoints straight from
+  its chords and sorts only a square it cannot number; the oracle is the
+  per-problem loop below, which must give byte-identical problem lists.
+  The table's numbering is checked against a search over the sorted
+  endpoints (`endpoint_table_oracle`).
+- `SquareComplex.corner_table` walks each corner orbit once, on integer
+  side partners, and `vertex_classes` is a view of it; the oracle is the
+  union-find over corners (`vertex_classes_oracle`, `corner_table_oracle`),
+  on valid complexes and on complexes with sides glued in any pairs.
 - A complex that the compile builds by a creation or a gluing carries the
-  vertex classes and the report that its parent's give it, and a tight
-  copy carries its slack original's classes; the oracles are a fresh
-  copy's walk and check, and the union-find.
+  corner table and the report that its parent's give it, and a tight copy
+  carries its slack original's table; the oracles are a fresh copy's walk
+  and check, and the union-find.
+- A fan disc parsed from JSON is checked and peeled with no `VertexClass`
+  object; the oracle is `disc.disc_element` of its matching.
 - `compile_script` returns the last script it compiled as it is; the
   oracle is a fresh compile of an equal script.
 - `bypass_surgery` normalizes its child and marks it so; the oracle
@@ -47,6 +54,7 @@ Fast paths and their oracles:
 import itertools
 import json
 import random
+import re
 import sys
 import threading
 import weakref
@@ -57,6 +65,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sqft import engine, formats, quad, surface, sutures
+from sqft.disc import disc_element
 from sqft.census import (
     catalan, disc_complex, enumerate_disc_sutures, matching_system,
     random_extension, random_surface, random_sutures,
@@ -353,6 +362,32 @@ def test_validate_sutures_against_loop_on_valid_pairs(corpus):
         assert validate_sutures(c, g).problems == validate_oracle(c, g) == ()
 
 
+def endpoint_table_oracle(g):
+    """(start, slot, mate) of a valid system: each square's endpoints,
+    sorted, numbered on from the last square's, and a chord's ends found
+    by search."""
+    start, slot, mate = [], [], []
+    for sq, chords in enumerate(g.chords):
+        eps = sorted(ep for ch in chords for ep in ch)
+        base = len(slot)
+        start += [base + sum(1 for ep in eps if ep[0] < k) for k in range(4)]
+        slot += [4 * sq + k for k, _ in eps]
+        for ep in eps:
+            (other,) = [b if a == ep else a for a, b in chords if ep in (a, b)]
+            mate.append(base + eps.index(other))
+    return start + [len(slot)], slot, mate
+
+
+def test_endpoint_table_against_search(corpus):
+    for _, g in corpus:
+        t = g.endpoint_table
+        assert (t.start, t.slot, t.mate) == endpoint_table_oracle(g)
+        assert t.problems == [] and t.on_sides
+        assert g._side_counts == [
+            tuple(sum(1 for ch in chords for ep in ch if ep[0] == k)
+                  for k in range(4)) for chords in g.chords]
+
+
 HEXAGON = SquareComplex.build(2, [((0, 0), (1, 1))])
 ANNULUS = SquareComplex.build(2, [((0, 0), (1, 1)), ((0, 2), (1, 3))])
 SQUARE = SquareComplex.build(1)
@@ -377,6 +412,11 @@ MALFORMED = {
         0: [((0, 0), (1, 0)), ((2, 0), (3, 0)), ((5, 0), (4, 0))]})),
     "negative side": (SQUARE, CurveSystem.build(1, {
         0: [((0, 0), (1, 0)), ((-1, 0), (3, 0))]})),
+    # side -1 would read as side 3, which has no point of its own
+    "negative side in place of side 3": (SQUARE, CurveSystem.build(1, {
+        0: [((0, 0), (1, 0)), ((2, 0), (-1, 0))]})),
+    "positions past a side's count": (SQUARE, CurveSystem.build(1, {
+        0: [((0, 0), (1, 1)), ((2, 0), (3, 0))]})),
     "bad side beside other faults": (HEXAGON, CurveSystem.build(2, {
         0: [((0, 0), (2, 0)), ((1, 0), (3, 0)), ((4, 0), (4, 1))],
         1: [((0, 0), (0, 0)), ((1, 1), (3, 0))]}, {0: -2})),
@@ -445,6 +485,35 @@ def test_validate_sutures_against_loop_on_damaged_census():
                 assert problems == validate_oracle(c, bad)
                 seen.update(k for k in kinds for p in problems if k in p)
     assert seen == set(kinds)
+
+
+def test_parsed_fan_builds_no_vertex_class(monkeypatch):
+    # each disc of the bench's chord pool, parsed from JSON as its op does,
+    # is checked and peeled on integer tables alone
+    pool = json.loads((ROOT / "bench" / "disc_chords_pool.json").read_text())
+    built = []
+    monkeypatch.setattr(surface, "VertexClass",
+                        lambda *args: built.append(args))
+    peeled = []
+    for n, matchings in sorted(pool["pool"].items()):
+        n = int(n)
+        surface_text = formats.emit_surface(disc_complex(n))
+        for m in matchings:
+            m = [tuple(ch) for ch in m]
+            c = formats.parse_surface(surface_text)
+            g = formats.parse_sutures(
+                formats.emit_sutures(matching_system(n, m)), c.square_count)
+            engine.clear_cache()
+            x = suture_element(c, g)
+            assert "vertex_classes" not in vars(c)
+            assert "corner_table" in vars(c) and "endpoint_table" in vars(g)
+            peeled.append((c, n, m, x))
+    monkeypatch.undo()
+    assert built == [] and len(peeled) == 70
+    for c, n, m, x in peeled:
+        want = disc_element(n, m)
+        assert (x.arity, x.words) == (want.arity, want.words)
+        assert c.vertex_classes == vertex_classes_oracle(c)
 
 
 # ---------------------------------------------------------------------------
@@ -640,10 +709,22 @@ def vertex_classes_oracle(c):
     return tuple(classes)
 
 
+def corner_table_oracle(c):
+    """The corner table read off the union-find's classes."""
+    classes = vertex_classes_oracle(c)
+    of = [0] * (4 * c.square_count)
+    for k, v in enumerate(classes):
+        for sq, corner in v.corners:
+            of[4 * sq + corner] = k
+    return surface.CornerTable(of, [4 * v.key[0] + v.key[1] for v in classes],
+                               [v.internal for v in classes])
+
+
 def _oracle_problems(c):
-    """validate_complex's problem list, read off the oracle's classes."""
+    """validate_complex's problem list, read off a twin that carries the
+    oracle's corner table in place of its own walk's."""
     twin = SquareComplex(c.square_count, c.gluings, c.slack)
-    twin.__dict__["vertex_classes"] = vertex_classes_oracle(twin)
+    twin.__dict__["corner_table"] = corner_table_oracle(twin)
     return surface._check_complex(twin).problems
 
 
@@ -664,7 +745,8 @@ def _extension_scripts(seeds):
             yield random_extension(s, base, 8)
 
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def _walk_corpus(square, hexagon, annulus, punctured_torus, disc12):
@@ -687,6 +769,18 @@ def _walk_corpus(square, hexagon, annulus, punctured_torus, disc12):
                               slack=True)
 
 
+def _check_against_union_find(c):
+    """c's corner table, its class view, the summaries read off the table
+    and c's report, against the union-find."""
+    want = vertex_classes_oracle(c)
+    assert c.corner_table == corner_table_oracle(c)
+    # tuple order too: collapse_steps reads the first internal class
+    assert c.vertex_classes == want
+    assert c.internal_vertices() == tuple(v for v in want if v.internal)
+    assert c.vertex_sign_sum == sum(v.sign for v in want)
+    assert validate_complex(c).problems == _oracle_problems(c)
+
+
 def test_vertex_classes_against_union_find(square, hexagon, annulus,
                                            punctured_torus, disc12):
     complexes = internal = 0
@@ -695,14 +789,42 @@ def test_vertex_classes_against_union_find(square, hexagon, annulus,
         # problem list names each internal vertex when it is not slack
         for twin in (c, SquareComplex(c.square_count, c.gluings,
                                       not c.slack)):
-            want = vertex_classes_oracle(twin)
-            assert twin.vertex_classes == want
-            assert twin.internal_vertices() == tuple(
-                v for v in want if v.internal)
-            assert validate_complex(twin).problems == _oracle_problems(twin)
+            _check_against_union_find(twin)
         complexes += 1
         internal += bool(c.internal_vertices())
     assert complexes > 5000 and internal > 600
+
+
+def _random_gluings(seed):
+    """A complex of 1-5 squares with random sides glued in pairs, each side
+    at most once: equal parities, a square's own sides and sides glued to
+    themselves among them, slack or not."""
+    rng = random.Random(f"random gluings:{seed}")
+    n = rng.randint(1, 5)
+    slots = [(s, k) for s in range(n) for k in range(4)]
+    rng.shuffle(slots)
+    pairs = []
+    while len(slots) >= 2 and rng.random() < 0.8:
+        a = slots.pop()
+        pairs.append((a, a if rng.random() < 0.03 else slots.pop()))
+    return SquareComplex.build(n, pairs, slack=rng.random() < 0.5)
+
+
+def test_corner_table_on_invalid_complexes():
+    # every side glued at most once, so the walk is defined even where the
+    # complex is invalid; the view and the report must still agree
+    seen = {"invalid": 0, "equal parity": 0, "glued to itself": 0,
+            "internal vertex": 0}
+    for seed in range(3000):
+        c = _random_gluings(seed)
+        _check_against_union_find(c)
+        problems = validate_complex(c).problems
+        seen["invalid"] += bool(problems)
+        for kind in ("equal parity", "glued to itself", "internal vertex"):
+            seen[kind] += any(kind in p for p in problems)
+    assert seen["invalid"] > 1800 and seen["equal parity"] > 1400, seen
+    assert seen["glued to itself"] > 100 and seen["internal vertex"] > 200, \
+        seen
 
 
 def test_vertex_walk_on_a_side_glued_twice_is_an_error():
@@ -713,8 +835,20 @@ def test_vertex_walk_on_a_side_glued_twice_is_an_error():
                             slack=True)
     assert validate_complex(c).problems == (
         "side (0, 1) glued more than once",)
-    with pytest.raises(surface.InvalidComplex, match="does not close"):
-        c.vertex_classes
+    for read in (lambda: c.corner_table, lambda: c.vertex_classes,
+                 c.internal_vertices, lambda: c.vertex_sign_sum):
+        with pytest.raises(surface.InvalidComplex, match="does not close"):
+            read()
+
+
+def test_corner_table_of_a_missing_side_is_an_error():
+    for slot in ((2, 0), (0, 4), (-1, 1), (0, -1)):
+        c = SquareComplex.build(2, [((0, 1), slot)])
+        assert validate_complex(c).problems[0] == \
+            f"gluing references nonexistent slot {slot}"
+        with pytest.raises(surface.InvalidComplex,
+                           match="nonexistent slot " + re.escape(str(slot))):
+            c.corner_table
 
 
 # ---------------------------------------------------------------------------
@@ -763,11 +897,14 @@ def test_carried_caches_against_walks():
         for c, how in _built_by_compile(engine._compile(script)):
             carried = vars(c)
             if how in ("creation", "gluing"):
-                assert "vertex_classes" in carried and "_report" in carried
+                assert "corner_table" in carried and "_report" in carried
             elif how == "tight copy":
-                assert "vertex_classes" in carried
+                assert "corner_table" in carried
+            # the table is carried, never the class objects
+            assert "vertex_classes" not in carried
             fresh = SquareComplex(c.square_count, c.gluings, c.slack)
-            # tuple order too: find_collapsible_square reads internal[0]
+            assert c.corner_table == fresh.corner_table
+            # tuple order too: collapse_steps reads the first internal class
             assert c.vertex_classes == fresh.vertex_classes
             assert c.vertex_classes == vertex_classes_oracle(fresh)
             assert c._report == fresh._report == surface._check_complex(fresh)

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 from pathlib import Path
 import sys
+import tempfile
 import time
 import types
 
@@ -658,3 +661,79 @@ def test_deeply_nested_document_is_a_parse_error(tmp_path, capsys):
             parse(deep)
     assert "error: surface: nested too deeply to read\n" in _cli_error(
         tmp_path, capsys, "info", [deep])
+
+
+# ---------------------------------------------------------------------------
+# the command line on any documents
+
+
+@st.composite
+def _glued_squares(draw):
+    # sides of squares that exist, glued in any pairs: twice, to
+    # themselves, of equal parity, within one square
+    n = draw(st.integers(1, 6))
+    slot = st.tuples(st.integers(0, n - 1), st.integers(0, 3))
+    return SquareComplex.build(n, draw(st.lists(st.tuples(slot, slot),
+                                                max_size=8)),
+                               slack=draw(st.booleans()))
+
+
+_any_complex = _glued_squares() | _complexes()
+
+
+def _fixture_docs(kind):
+    # so that some pairs are valid and reach the engine
+    return st.sampled_from([json.loads(path.read_text()) for path in
+                            sorted(FIXTURES.glob(f"*.{kind}.json"))])
+
+
+def _surface_doc():
+    return (st.builds(formats.surface_to_obj, _any_complex) | _json
+            | _fixture_docs("surface"))
+
+
+def _sutures_doc():
+    return (st.builds(formats.sutures_to_obj, _systems()) | _json
+            | _fixture_docs("sutures"))
+
+
+def _script_doc():
+    return (st.builds(formats.script_to_obj,
+                      st.builds(MorphismScript.build, _any_complex,
+                                st.lists(_moves, max_size=6)))
+            | _json | _fixture_docs("script"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(surface=_surface_doc(), sutures=_sutures_doc(), script=_script_doc(),
+       edge=st.integers(-1, 8), direction=st.sampled_from(["ccw", "cw"]))
+@example(surface={"squares": 2, "gluings": [[[0, 1], [0, 0]], [[0, 1], [1, 0]]],
+                  "slack": True},
+         sutures={"chords": {}}, script={"source": {"squares": 0}},
+         edge=0, direction="ccw")
+@example(surface={"squares": 1, "gluings": [[[0, 0], [0, 3]]]},
+         sutures={"chords": {"0": [[[1, 0], [2, 0]]]}},
+         script={"source": {"squares": 1, "gluings": [[[0, 0], [0, 3]]],
+                            "slack": True}, "moves": []},
+         edge=0, direction="cw")
+def test_cli_exits_0_or_1_on_any_documents(surface, sutures, script, edge,
+                                           direction):
+    # complexes with sides glued twice, of equal parity or to themselves,
+    # internal vertices without slack, and systems of any shape: every
+    # command ends in a result or a typed error, never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, doc in (("surface", surface), ("sutures", sutures),
+                          ("script", script)):
+            paths[name] = os.path.join(tmp, f"{name}.json")
+            Path(paths[name]).write_text(json.dumps(doc))
+        out = os.path.join(tmp, "out.svg")
+        s, g, p = paths["surface"], paths["sutures"], paths["script"]
+        for argv in (["validate", s], ["validate", s, g], ["info", s],
+                     ["element", s, g], ["apply", p], ["apply", p, g],
+                     ["slide", s, "--edge", str(edge), "--dir", direction],
+                     ["render", s, g, "-o", out]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1), argv
