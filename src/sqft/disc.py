@@ -5,8 +5,9 @@ and its element in V^(x)(n-1) is built bit by bit with no curves at all,
 after the digital creation operators of Mathews' chord-diagram model
 (arXiv:1006.3063) on the Honda-Kazez-Matic sutured TQFT (arXiv:0807.2431).
 Points are numbered along the boundary cycle of the fan disc
-`disc_complex(n)`, as `fan_system` numbers them when it builds a census
-root; factor i is the fan's square i.
+`disc_complex(n)` (`boundary_cycles[0]`, cached on the shared complex),
+as `fan_system` numbers them when it builds a census root; factor i is the
+fan's square i.
 
 * **Creation.** Inserting bit b at factor i maps each word w to
   (w & (2^i - 1)) | b << i | (w >> i) << (i + 1). The element of a
@@ -38,10 +39,11 @@ words of small sub-matchings; `clear_memo` empties it.
 ones among them, on the fan disc up to a relabelling of its squares
 (`fan_element`), before any triviality test. A census root on the shared
 `disc_complex(n)` carries its checked matching (its `mates` fact), which is
-peeled with no walk; any other system's matching is read by walking its
-strands, and a system with a loop, loose or on a closed strand, is left to
-the recursion. The tests compare it with the bypass recursion and with a
-peel that rotates each chord to (0, 1) or (2n - 1, 0) first.
+peeled with no walk; any other system's matching is read off the arcs of
+`sutures.strands`, the one strand walk, and a system with a loop, loose or
+on a closed strand, is left to the recursion. The tests compare it with
+the bypass recursion and with a peel that rotates each chord to (0, 1) or
+(2n - 1, 0) first.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from ._derived import SLIDE_BLOCK
-from .surface import Slot, SquareComplex
-from .sutures import CurveSystem
+from .surface import SquareComplex
+from .sutures import CurveSystem, _nested, strands
 from .tensor import Z2Tensor, slide_words
 
 # ---------------------------------------------------------------------------
@@ -65,21 +67,14 @@ from .tensor import Z2Tensor, slide_words
 def disc_complex(n: int) -> SquareComplex:
     """Fan quadrangulation of the disc with 2n boundary vertices.
 
-    One object per n, the one `_disc_layout(n)` holds: the facts of the
-    census systems name it, so pairs made with it are trusted."""
+    One object per n: the facts of the census systems name it, so pairs
+    made with it are trusted. Its boundary cycle, `boundary_cycles[0]`,
+    numbers the fan's points: point p lies on side p of it."""
     if n < 2:
         raise ValueError("need n >= 2")
     return SquareComplex.build(
         n - 1, [((i, 2), (i + 1, 1)) for i in range(n - 2)]
     )
-
-
-@lru_cache(maxsize=None)
-def _disc_layout(n: int) -> tuple[SquareComplex, tuple[Slot, ...]]:
-    """The disc and its boundary sides in cyclic order (point p lies on
-    side p), shared by every matching of the same n."""
-    c = disc_complex(n)
-    return c, tuple(c.boundary_cycles[0])
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +95,7 @@ def _fan_rows(n: int):
     """Per point, its square and its index among the square's points; per
     square, the sides of its points and a getter of their labels, both in
     cycle order."""
-    _, cycle = _disc_layout(n)
+    cycle = disc_complex(n).boundary_cycles[0]
     square = tuple(sq for sq, _ in cycle)
     points: list[list[int]] = [[] for _ in range(n - 1)]
     for p, sq in enumerate(square):
@@ -253,12 +248,8 @@ def matching_mates(n: int, matching: Iterable[tuple[int, int]]
         mate[a], mate[b] = b, a
     if -1 in mate:
         raise ValueError(f"point {mate.index(-1)} is not matched")
-    stack: list[int] = []
-    for p in range(size):
-        if mate[p] > p:
-            stack.append(p)
-        elif stack.pop() != mate[p]:
-            raise ValueError("chords cross")
+    if not _nested(mate, 0):
+        raise ValueError("chords cross")
     return tuple(mate)
 
 
@@ -398,15 +389,12 @@ def fan_element(c: SquareComplex, g: CurveSystem) -> Optional[Z2Tensor]:
     A census root on the shared `disc_complex(n)` carries the matching it
     was built from (its `mates` fact), which is peeled as it is: the root
     is never walked. Any other pair, that root on another complex among
-    them, has its matching read in one walk from each boundary point along
-    its strand, on the numbers of g's endpoint table and of c's sides: the
-    strand leaves each square by the other end of its chord and, across a
-    gluing, point k of a side is point m - 1 - k of its partner. The walks
-    count the chords they take. A chord that none takes lies on a closed
-    strand, and then g is left to `regions.is_trivial` and the recursion;
-    when they take every chord, g has no closed component, its `open` fact
-    is set to c, and the words, peeled with boundary sides numbered as the
-    fan's, are relabelled from the fan's squares to c's.
+    them, has its matching read off its strands (`sutures.strands`): the
+    fan's point p is on side p of the fan's boundary cycle, and c's arc
+    ends are mapped to those points through the fan's order of c's
+    squares. A pair with a closed strand is left to `regions.is_trivial`
+    and the recursion; else the words, peeled with boundary sides numbered
+    as the fan's, are relabelled from the fan's squares to c's.
     """
     mates = g.facts.mates
     # the fact holds on the fan it was built on, whatever `valid` says now
@@ -417,34 +405,14 @@ def fan_element(c: SquareComplex, g: CurveSystem) -> Optional[Z2Tensor]:
     order = _fan_order(c)
     if order is None:
         return None
-    n = len(order) + 1
-    _, cycle = _disc_layout(n)
-    # the number of c's side that holds the fan's boundary point p, and p
-    # of each such side
-    boundary = [4 * order[sq] + side for sq, side in cycle]
-    point = {s: p for p, s in enumerate(boundary)}
-    t = g.endpoint_table
-    start, slot, chord_end = t.start, t.slot, t.mate
-    partner = c.partner_index
-    mate = [-1] * (2 * n)
-    taken = 0
-    for p, s in enumerate(boundary):
-        if mate[p] != -1:
-            continue
-        # a boundary side meets one point, numbered start[s]
-        e = start[s]
-        while True:
-            f = chord_end[e]
-            taken += 1
-            s = slot[f]
-            across = partner[s]
-            if across < 0:
-                break
-            e = start[across] + start[s + 1] - 1 - f
-        q = point[s]
-        mate[p], mate[q] = q, p
-    if 2 * taken != len(slot):
+    walk = strands(c, g)
+    if walk.closed:
         return None
-    g.facts.open = c
-    x = Z2Tensor(n - 1, _peel(tuple(mate)))
+    n = len(order) + 1
+    # the number of c's side that holds the fan's boundary point p
+    boundary = [4 * order[sq] + side
+                for sq, side in disc_complex(n).boundary_cycles[0]]
+    point = {s: p for p, s in enumerate(boundary)}
+    end = walk.end
+    x = Z2Tensor(n - 1, _peel(tuple(point[end[s]] for s in boundary)))
     return x if order == sorted(order) else x.permute(order)

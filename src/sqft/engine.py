@@ -100,8 +100,9 @@ def _element(c: SquareComplex, g: CurveSystem, chooser: Optional[Chooser],
              lines: Optional[list[str]]) -> Z2Tensor:
     require_valid_pair(c, g)
     g = normalize(c, g)
-    # a fan disc with no loop, loose or closed, is peeled: its strand walk
-    # finds the system open, so no triviality test is made
+    # a fan disc with no loop, loose or closed, is peeled: its arcs are
+    # its matching, and `strands` finds no closed strand, so no
+    # triviality test is made
     if chooser is None and lines is None and \
             (fan := fan_element(c, g)) is not None:
         elem = fan

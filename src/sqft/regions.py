@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .surface import SquareComplex
-from .sutures import EP, CurveSystem, require_valid_pair
+from .sutures import EP, CurveSystem, require_valid_pair, strands
 
 
 @dataclass(frozen=True)
@@ -149,51 +149,15 @@ def _decompose(c: SquareComplex, g: CurveSystem) -> RegionDecomposition:
 def closed_components(c: SquareComplex,
                       g: CurveSystem) -> list[set[tuple[int, EP]]]:
     """Closed suture components of a valid pair, as sets of endpoint keys
-    (square, ep).
-
-    A strand steps along a chord, then across the gluing of the side it
-    reaches (point k of m there is point m-1-k on the partner side), on the
-    numbers of g's endpoint table and c's sides. Each walk starts at the
-    least endpoint not yet reached and goes one way until it leaves the
-    gluings, meets a strand already walked (an arc) or returns to its
-    start (a closed strand).
-
-    A system whose `open` fact is this very complex object has none and is
-    not read; any other is walked from every square. Finding none sets the
-    fact to c.
-    """
+    (square, ep): the closed strands of `strands`, in the order of their
+    least endpoints. A system whose `open` fact is this very complex
+    object has none and is not read."""
     if g.facts.open is c:
         return []
     t = g.endpoint_table
-    start, slot, mate = t.start, t.slot, t.mate
-    partner = c.partner_index
-    reached = bytearray(len(slot))
-    out: list[set[tuple[int, EP]]] = []
-    for first in range(len(slot)):
-        # a walk reaches both ends of each chord it takes
-        if reached[first]:
-            continue
-        e, points = first, []
-        while True:
-            f = mate[e]
-            points.append(e)
-            points.append(f)
-            s = slot[f]
-            across = partner[s]
-            if across < 0:
-                break
-            e = start[across] + start[s + 1] - 1 - f
-            if e == first:
-                out.append({(slot[p] >> 2, (slot[p] & 3, p - start[slot[p]]))
-                            for p in points})
-                break
-            if reached[e]:
-                break
-        for p in points:
-            reached[p] = 1
-    if not out:
-        g.facts.open = c
-    return out
+    start, slot = t.start, t.slot
+    return [{(slot[p] >> 2, (slot[p] & 3, p - start[slot[p]])) for p in points}
+            for points in strands(c, g).closed]
 
 
 def regions(c: SquareComplex, g: CurveSystem) -> RegionDecomposition:
@@ -246,8 +210,9 @@ def is_trivial(c: SquareComplex, g: CurveSystem) -> bool:
     bounds a disc region, which makes its element zero.
 
     The checks run in this order: loose loops (trivial); validation of the
-    pair, which raises ValueError; no closed component (nontrivial, decided
-    without any region data); otherwise the regions' local count
+    pair, which raises ValueError; no closed strand (nontrivial, decided
+    by `strands` without any region data, or read from an `open` fact on
+    c); otherwise the regions' local count
     (_decompose), trivial when some disc region lies away from the
     boundary. Such a region borders closed components only: each side of
     an arc lies in the region that holds the boundary segment beside the
@@ -256,7 +221,7 @@ def is_trivial(c: SquareComplex, g: CurveSystem) -> bool:
     if g.total_loops() > 0:
         return True
     require_valid_pair(c, g)
-    if not closed_components(c, g):
+    if g.facts.open is c or not strands(c, g).closed:
         return False
     return any(r.chi == 1 and not r.touches_boundary
                for r in _decompose(c, g).regions)

@@ -23,10 +23,13 @@ Corners and sides are also numbered as integers: corner c of square s is
 4*s + c, and so is side c of square s, which starts at that corner. Then
 corner x ends side x - 1 of its square, and the corner opposite x is x ^ 2.
 `SquareComplex.partner_index` gives each side's partner by number (-1 on
-the boundary), and one walk over those numbers gives the `CornerTable`:
-the vertex class of each corner as an index, the classes in key order.
-Every reader of the vertex classes reads that table; the `VertexClass`
-objects of `vertex_classes` are a view of it, built on first read.
+the boundary): it is the complex's one table of its gluings, which
+`partner`, `is_glued`, `boundary_slots` and the walk along the boundary
+(`boundary_cycles`) read. One walk over those numbers gives the
+`CornerTable`: the vertex class of each corner as an index, the classes in
+key order. Every reader of the vertex classes reads that table; the
+`VertexClass` objects of `vertex_classes` are a view of it, built on first
+read.
 """
 
 from __future__ import annotations
@@ -139,18 +142,11 @@ class SquareComplex:
     # -- basic structure -------------------------------------------------
 
     @cached_property
-    def partner_map(self) -> dict[Slot, Slot]:
-        out: dict[Slot, Slot] = {}
-        for a, b in self.gluings:
-            out[a] = b
-            out[b] = a
-        return out
-
-    @cached_property
     def partner_index(self) -> list[int]:
-        """The partner of side 4*s + k by number, -1 on the boundary; a
-        gluing of a side glued twice wins as in `partner_map`.
-        InvalidComplex if a gluing names a side the complex lacks."""
+        """The partner of side 4*s + k by number, -1 on the boundary: the
+        one table of the complex's gluings. On a side glued twice, the
+        gluing read last wins. InvalidComplex if a gluing names a side the
+        complex lacks."""
         n = self.square_count
         out = [-1] * (4 * n)
         for a, b in self.gluings:
@@ -164,10 +160,16 @@ class SquareComplex:
         return out
 
     def partner(self, slot: Slot) -> Optional[Slot]:
-        return self.partner_map.get(slot)
+        """The side glued to `slot`; None on the boundary and for a slot
+        the complex lacks."""
+        sq, k = slot
+        if not (0 <= sq < self.square_count and 0 <= k < 4):
+            return None
+        y = self.partner_index[4 * sq + k]
+        return None if y < 0 else (y >> 2, y & 3)
 
     def is_glued(self, slot: Slot) -> bool:
-        return slot in self.partner_map
+        return self.partner(slot) is not None
 
     def slots(self) -> Iterator[Slot]:
         for s in range(self.square_count):
@@ -176,9 +178,8 @@ class SquareComplex:
 
     @cached_property
     def boundary_slots(self) -> tuple[Slot, ...]:
-        part = self.partner_map
-        return tuple((s, k) for s in range(self.square_count)
-                     for k in range(4) if (s, k) not in part)
+        return tuple((x >> 2, x & 3)
+                     for x, y in enumerate(self.partner_index) if y < 0)
 
     def sorted_gluings(self) -> list[GluingPair]:
         return sorted(self.gluings)
@@ -281,35 +282,39 @@ class SquareComplex:
         of, classes = self.corner_table.of, self.vertex_classes
         return classes[of[4 * sq + k]], classes[of[4 * sq + (k + 1) % 4]]
 
-    # -- vertex walks -----------------------------------------------------
-
-    def next_boundary_slot(self, slot: Slot) -> Slot:
-        """The boundary edge following `slot` along its boundary cycle."""
-        sq, k = slot
-        cur = (sq, (k + 1) % 4)
-        for _ in range(4 * self.square_count + 1):
-            mate = self.partner(cur)
-            if mate is None:
-                return cur
-            t, d = mate
-            cur = (t, (d + 1) % 4)
-        raise InvalidComplex("boundary walk does not terminate")
+    # -- boundary walks ---------------------------------------------------
 
     @cached_property
     def boundary_cycles(self) -> tuple[tuple[Slot, ...], ...]:
-        seen: set[Slot] = set()
+        """The boundary sides in cycles along the boundary: each cycle
+        starts at its least side, and the cycles come in the order of
+        those. After boundary side x comes side _next(x), or, while that
+        side is glued, the side after its partner. The walk is a function
+        of the side it is at, so one that comes back to its start has
+        reached no side twice; a walk of more steps than the complex has
+        sides never comes back (InvalidComplex), as on a side glued
+        twice."""
+        part = self.partner_index
+        seen = bytearray(len(part))
         cycles = []
-        for start in self.boundary_slots:
-            if start in seen:
+        for start, mate in enumerate(part):
+            if mate >= 0 or seen[start]:
                 continue
             cycle = [start]
-            seen.add(start)
-            cur = self.next_boundary_slot(start)
-            while cur != start:
-                cycle.append(cur)
-                seen.add(cur)
-                cur = self.next_boundary_slot(cur)
-            cycles.append(tuple(cycle))
+            x = _next(start)
+            for _ in part:
+                if x == start:
+                    break
+                mate = part[x]
+                if mate >= 0:
+                    x = _next(mate)
+                else:
+                    cycle.append(x)
+                    seen[x] = 1
+                    x = _next(x)
+            else:
+                raise InvalidComplex("boundary walk does not terminate")
+            cycles.append(tuple((x >> 2, x & 3) for x in cycle))
         return tuple(cycles)
 
     def boundary_cycle_of(self, slot: Slot) -> tuple[Slot, ...]:

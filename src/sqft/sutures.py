@@ -38,10 +38,10 @@ class PairFacts:
     alone define ==, hash and repr. Three facts are None or the complex
     object their check holds on: `valid` (validate_sutures found no
     problem, or the system is a bypass child of one valid there), `normal`
-    (_is_normal) and `open` (regions.closed_components or the strand walk
-    of disc.fan_element found no closed component). The fourth, `mates`, is
-    None or the mate of each boundary point of the checked matching the
-    system was built from (`disc.matching_mates`). A census root,
+    (_is_normal) and `open` (`strands` found no closed strand; it alone
+    sets the fact). The fourth, `mates`, is None or the mate of each
+    boundary point of the checked matching the system was built from
+    (`disc.matching_mates`). A census root,
     `disc.fan_system`'s system of a checked or enumerated matching, holds
     the first three on the shared `disc.disc_complex(n)` by construction,
     and its mates, which `disc.fan_element` peels on that complex with no
@@ -265,6 +265,74 @@ def _square_problems(sq: int, chords: tuple[Chord, ...], loops: int
         if not _nested(mate, 0):
             problems.append(f"square {sq}: chords cross")
     return problems, on_sides
+
+
+# ---------------------------------------------------------------------------
+# strands: one walk over a valid pair's arcs and closed curves
+
+
+class Strands(NamedTuple):
+    """The strands of a valid pair, on the numbers of the system's
+    endpoint table and the complex's sides.
+
+    `end` gives, for each boundary side's number, the number of the
+    boundary side at the other end of its arc, and -1 for each glued side.
+    `closed` lists the endpoints of each closed strand in walk order, from
+    its least endpoint, the strands in the order of those.
+    """
+
+    end: list[int]
+    closed: list[list[int]]
+
+
+def strands(c: SquareComplex, g: CurveSystem) -> Strands:
+    """The arcs and the closed strands of a valid pair, in one walk.
+
+    A strand steps along a chord, then across the gluing of the side it
+    reaches: across a gluing of slots x and y, the point numbered f on x is
+    the point numbered start[y] + start[x + 1] - 1 - f on y. The walk takes
+    each arc from one boundary side to the other, then each endpoint that
+    no arc reached round its closed strand. Finding none sets g's `open`
+    fact to c: this is the one place that fact is set.
+    """
+    t = g.endpoint_table
+    start, slot, mate = t.start, t.slot, t.mate
+    partner = c.partner_index
+    end = [-1] * len(partner)
+    reached = bytearray(len(slot))
+    for s, across in enumerate(partner):
+        if across >= 0 or end[s] >= 0:
+            continue
+        # a boundary side meets one point, numbered start[s]
+        e = start[s]
+        while True:
+            f = mate[e]
+            reached[e] = reached[f] = 1
+            x = slot[f]
+            across = partner[x]
+            if across < 0:
+                break
+            e = start[across] + start[x + 1] - 1 - f
+        end[s], end[x] = x, s
+    closed = []
+    first = reached.find(0)
+    while first >= 0:
+        # every side a closed strand reaches is glued
+        e, points = first, []
+        while True:
+            f = mate[e]
+            points += (e, f)
+            x = slot[f]
+            e = start[partner[x]] + start[x + 1] - 1 - f
+            if e == first:
+                break
+        for p in points:
+            reached[p] = 1
+        closed.append(points)
+        first = reached.find(0, first)
+    if not closed:
+        g.facts.open = c
+    return Strands(end, closed)
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,17 @@
   element, and `rotation_peel_oracle` evaluates a matching by rotating
   each outermost chord to (0, 1) or (2n - 1, 0); `disc._peel` inserts a
   bit at the chord's own factor instead.
+- `partner_oracle`, `boundary_cycles_oracle` and `arc_ends_oracle` read a
+  complex's gluings and a pair's arcs through a dict of slots;
+  `SquareComplex.partner_index` and `sutures.strands` read them on
+  integer tables.
 """
 
 from functools import lru_cache
 from typing import Optional
 
 from sqft._derived import SLIDE_BLOCK
-from sqft.disc import _disc_layout
+from sqft.disc import disc_complex
 from sqft.quad import slide_slot_map
 from sqft.regions import Region, RegionDecomposition
 from sqft.routing import DiscSide, split_disc
@@ -55,7 +59,8 @@ def transport_unglue(c: SquareComplex, g: CurveSystem,
 
 
 def matching_system_oracle(n: int, matching) -> CurveSystem:
-    c, cycle = _disc_layout(n)
+    c = disc_complex(n)
+    cycle = c.boundary_cycles[0]
     sides = [DiscSide(key=slot, points=[g], corner=g)
              for g, slot in enumerate(cycle)]
     # arc i runs from its inner corner (i, 2) to its outer corner (i, 3);
@@ -681,3 +686,66 @@ def rotation_peel_oracle(mate: tuple[int, ...]) -> frozenset[int]:
     x = Z2Tensor(n - 1, frozenset(
         2 * w + low for w in rotation_peel_oracle(tuple(sub))))
     return rotate(x, steps).words
+
+
+# ---------------------------------------------------------------------------
+# the gluing table and the strands by slots: a partner dict built from the
+# gluings, walked on (square, side) and (square, (side, position)) tuples
+
+
+def partner_oracle(c: SquareComplex) -> dict[Slot, Slot]:
+    out: dict[Slot, Slot] = {}
+    for a, b in c.gluings:
+        out[a] = b
+        out[b] = a
+    return out
+
+
+def boundary_cycles_oracle(c: SquareComplex) -> tuple[tuple[Slot, ...], ...]:
+    """The boundary cycles of a complex whose sides are each glued at most
+    once: after boundary side (s, k) comes (s, k + 1), or, while that side
+    is glued, the side after its partner. Each cycle starts at its least
+    side, in the order of those."""
+    part = partner_oracle(c)
+    seen: set[Slot] = set()
+    cycles = []
+    for start in [(s, k) for s in range(c.square_count) for k in range(4)]:
+        if start in part or start in seen:
+            continue
+        cycle, cur = [], start
+        while True:
+            cycle.append(cur)
+            seen.add(cur)
+            cur = (cur[0], (cur[1] + 1) % 4)
+            while cur in part:
+                sq, k = part[cur]
+                cur = (sq, (k + 1) % 4)
+            if cur == start:
+                break
+        cycles.append(tuple(cycle))
+    return tuple(cycles)
+
+
+def arc_ends_oracle(c: SquareComplex, g: CurveSystem) -> dict[Slot, Slot]:
+    """The boundary side at the other end of each boundary side's arc, of
+    a valid pair: a strand steps along a chord of its square, then across
+    a gluing, where point p of m on one side is point m - 1 - p on the
+    other."""
+    part = partner_oracle(c)
+    other = {}
+    for sq, chords in enumerate(g.chords):
+        for a, b in chords:
+            other[(sq, a)] = (sq, b)
+            other[(sq, b)] = (sq, a)
+    out = {}
+    for sq in range(c.square_count):
+        for k in range(4):
+            if (sq, k) in part:
+                continue
+            at, (side, p) = other[(sq, (k, 0))]
+            while (at, side) in part:
+                m = g.side_count((at, side))
+                nxt, nside = part[(at, side)]
+                at, (side, p) = other[(nxt, (nside, m - 1 - p))]
+            out[(sq, k)] = (at, side)
+    return out

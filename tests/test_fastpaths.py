@@ -5,10 +5,15 @@ Fast paths and their oracles:
 - `normalize` returns a system in canonical form with no chord on one
   glued side as it is; the oracle makes a diagram, runs
   `_normalize_diagram` and freezes every time.
-- `closed_components` is one walk, from every endpoint not yet reached, and
-  reads nothing of a system already found with no closed component on the
-  same complex object. The oracle is the full component search
-  (`_closed_components_oracle`).
+- `sutures.strands` walks each arc from a boundary side and then each
+  closed strand, on integer tables; the oracles walk slot tuples
+  (`arc_ends_oracle`) and search every component
+  (`_closed_components_oracle`). `closed_components` is a view of its
+  closed strands that reads nothing of a system already found with no
+  closed component on the same complex object.
+- `partner`, `is_glued`, `boundary_slots` and `boundary_cycles` read the
+  complex's one gluing table, `partner_index`; the oracles read a dict
+  built from its gluings (`partner_oracle`, `boundary_cycles_oracle`).
 - `validate_sutures` reads each square's problems from the system's
   endpoint table, which numbers a valid square's endpoints straight from
   its chords and sorts only a square it cannot number; the oracle is the
@@ -55,6 +60,8 @@ import itertools
 import json
 import random
 import re
+import resource
+import subprocess
 import sys
 import threading
 import weakref
@@ -84,10 +91,13 @@ from sqft.surface import (
 from sqft.sutures import (
     CurveSystem, Diagram, _normalize_diagram, _surgery_raw,
     basic_square_chords, basic_system, bypass_surgery, bypass_triples,
-    finger_push, normalize, require_valid_pair, transport_glue,
+    finger_push, normalize, require_valid_pair, strands, transport_glue,
     validate_sutures,
 )
-from helpers import matchings_oracle, slide_sutures_oracle, with_circle
+from helpers import (
+    arc_ends_oracle, boundary_cycles_oracle, matchings_oracle,
+    partner_oracle, slide_sutures_oracle, with_circle,
+)
 from test_triviality import (
     POOL_MATCHINGS, _closed_components_oracle, _surgery_children,
 )
@@ -357,6 +367,56 @@ def test_closed_components_against_full_search(corpus):
     assert empty > 1000 and closed >= 159
 
 
+def _strand_pairs(corpus):
+    """The corpus, the bench pool's roots and their fact-free twins, and
+    census systems carried along random diagonal slides from the fan."""
+    yield from corpus
+    pool = json.loads((ROOT / "bench" / "disc_chords_pool.json").read_text())
+    for n, matchings in pool["pool"].items():
+        c = disc_complex(int(n))
+        for m in matchings:
+            g = matching_system(int(n), map(tuple, m))
+            yield c, g
+            yield c, CurveSystem(g.chords, g.loops)
+    rng = random.Random(20261021)
+    for n in range(3, 7):
+        systems = enumerate_disc_sutures(n)
+        for _ in range(40):
+            c, g = disc_complex(n), rng.choice(systems)
+            for _ in range(rng.randint(1, 4)):
+                edge = rng.choice(c.sorted_gluings())
+                d = rng.choice(("ccw", "cw"))
+                c, g = quad.diagonal_slide(c, edge, d)[0], \
+                    slide_sutures(c, g, edge, d)
+                yield c, g
+
+
+def test_strands_against_slot_walks(corpus):
+    arcs = closed = 0
+    for c, g in _strand_pairs(corpus):
+        walk = strands(c, g)
+        assert len(walk.end) == 4 * c.square_count
+        ends = {(x >> 2, x & 3): (y >> 2, y & 3)
+                for x, y in enumerate(walk.end) if y >= 0}
+        assert list(ends) == list(c.boundary_slots)
+        assert ends == arc_ends_oracle(c, g)
+        t = g.endpoint_table
+        found = [{(t.slot[p] >> 2, (t.slot[p] & 3, p - t.start[t.slot[p]]))
+                  for p in points} for points in walk.closed]
+        assert _canonical_components(found) == \
+            _canonical_components(_closed_components_oracle(c, g))
+        # each closed strand from its least endpoint, in the order of those
+        firsts = [points[0] for points in walk.closed]
+        assert firsts == sorted(firsts) == [min(p) for p in walk.closed]
+        if walk.closed:
+            assert g.facts.open is not c
+        else:
+            assert g.facts.open is c
+        arcs += len(ends) // 2
+        closed += len(walk.closed)
+    assert arcs > 15000 and closed > 200, (arcs, closed)
+
+
 def test_validate_sutures_against_loop_on_valid_pairs(corpus):
     for c, g in corpus:
         assert validate_sutures(c, g).problems == validate_oracle(c, g) == ()
@@ -612,7 +672,7 @@ def test_caches_leave_equality_and_hash_alone(disc12, disc12_sutures):
     before = hash(disc12)
     validate_complex(disc12)
     canonical_form(disc12)
-    disc12.partner_map
+    disc12.partner_index
     assert disc12 == twin and hash(disc12) == hash(twin) == before
     assert {twin: 1}[disc12] == 1
     assert repr(disc12) == repr(twin)
@@ -839,6 +899,63 @@ def test_vertex_walk_on_a_side_glued_twice_is_an_error():
                  c.internal_vertices, lambda: c.vertex_sign_sum):
         with pytest.raises(surface.InvalidComplex, match="does not close"):
             read()
+
+
+def _check_gluing_table(c):
+    part = partner_oracle(c)
+    slots = [(s, k) for s in range(c.square_count) for k in range(4)]
+    for slot in slots:
+        assert c.partner(slot) == part.get(slot)
+        assert c.is_glued(slot) == (slot in part)
+    for slot in ((-1, 0), (c.square_count, 0), (0, 4), (0, -1)):
+        assert c.partner(slot) is None and not c.is_glued(slot)
+    assert c.boundary_slots == tuple(s for s in slots if s not in part)
+    assert c.boundary_cycles == boundary_cycles_oracle(c)
+
+
+def test_gluing_table_against_partner_dict(square, hexagon, annulus,
+                                           punctured_torus, disc12):
+    complexes = cycles = 0
+    for c in _walk_corpus(square, hexagon, annulus, punctured_torus, disc12):
+        _check_gluing_table(c)
+        complexes += 1
+        cycles += len(c.boundary_cycles)
+    # sides glued in any pairs, each at most once: the walk along the
+    # boundary is defined even where the complex is invalid
+    for seed in range(3000):
+        _check_gluing_table(_random_gluings(seed))
+    assert complexes > 5000 and cycles > 5000
+
+
+def _limit_memory():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_boundary_walk_on_a_side_glued_twice_is_an_error():
+    # (1, 1) is glued to (0, 0) and to (0, 2), so the walk along the
+    # boundary circles (0, 3), (1, 2), (1, 3), (1, 0) and never comes back
+    # to (0, 1); it must raise, not loop. annihilation_as_fold does not
+    # validate, and reaches the walk through boundary_cycle_of. The reads
+    # run in a child process with a time limit and a memory limit, so a
+    # walk that loops fails the test instead of hanging the suite
+    code = "\n".join([
+        "from sqft.engine import annihilation_as_fold",
+        "from sqft.surface import InvalidComplex, SquareComplex",
+        "gluings = [((0, 0), (1, 1)), ((0, 2), (1, 1))]",
+        "for read in (lambda c: c.boundary_cycles,",
+        "             lambda c: annihilation_as_fold(",
+        "                 c, (0, 1), (0, 3), (1, 2), 1)):",
+        "    try:",
+        "        read(SquareComplex.build(2, gluings))",
+        "    except InvalidComplex as exc:",
+        "        print(exc)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, preexec_fn=_limit_memory)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == \
+        ["boundary walk does not terminate"] * 2
 
 
 def test_corner_table_of_a_missing_side_is_an_error():
