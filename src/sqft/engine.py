@@ -408,8 +408,11 @@ def annihilation_as_fold(c: SquareComplex, e1: Slot, e2: Slot, e3: Slot,
     boundary edges: one creation, one standard gluing, two folds.
 
     Move addresses are tracked through the interleaved collapses, which can
-    rename boundary edges of the collapsed square.
+    rename boundary edges of the collapsed square. ValueError unless e1,
+    e2 and e3 are three distinct edges, in order along one boundary cycle.
     """
+    if len({e1, e2, e3}) != 3:
+        raise ValueError("annihilation needs three distinct boundary edges")
     cycle = c.boundary_cycle_of(e1)
     i = cycle.index(e1)
     if cycle[(i + 1) % len(cycle)] != e2 or cycle[(i + 2) % len(cycle)] != e3:

@@ -9,9 +9,9 @@ Script:   {"source": <surface>, "moves": [{"create": "+"},
 Emission is canonical (sorted gluings and chords, stable key order), so
 parse-then-emit is the identity on canonical documents. The emitters write
 the text directly, byte for byte what `json.dumps(obj, indent=2)` writes
-for the `*_to_obj` form, without the pure-Python encoder. Parsing takes a
-count, square, side or position only as a JSON integer (`type(x) is int`:
-json loads true and false as bool, a subclass of int),
+for the document's object form above, without the pure-Python encoder.
+Parsing takes a count, square, side or position only as a JSON integer
+(`type(x) is int`: json loads true and false as bool, a subclass of int),
 and a square key only in canonical decimal ("0", "12", not "00" or "1_0"),
 each square named once; no object may name a key twice. A surface
 declares at most MAX_SQUARES squares, since the engine builds tables of
@@ -118,14 +118,6 @@ def _surface_text(c: SquareComplex, pad: str) -> str:
 # -- surfaces ---------------------------------------------------------------
 
 
-def surface_to_obj(c: SquareComplex) -> dict:
-    return {
-        "squares": c.square_count,
-        "slack": c.slack,
-        "gluings": [[list(a), list(b)] for a, b in c.sorted_gluings()],
-    }
-
-
 def emit_surface(c: SquareComplex) -> str:
     return _surface_text(c, "") + "\n"
 
@@ -164,15 +156,6 @@ def parse_surface(text: str) -> SquareComplex:
 
 
 # -- sutures ----------------------------------------------------------------
-
-
-def sutures_to_obj(g: CurveSystem) -> dict:
-    chords = {
-        str(s): [[list(a), list(b)] for a, b in g.chords[s]]
-        for s in range(g.square_count) if g.chords[s]
-    }
-    loops = {str(s): g.loops[s] for s in range(g.square_count) if g.loops[s]}
-    return {"chords": chords, "loops": loops}
 
 
 def emit_sutures(g: CurveSystem) -> str:
@@ -253,19 +236,6 @@ def parse_sutures(text: str, square_count: int) -> CurveSystem:
 
 
 _MOVE_KEY = {Glue: "glue", Fold: "fold", Zip: "zip"}
-
-
-def move_to_obj(m: Move) -> dict:
-    if isinstance(m, CreateSquare):
-        return {"create": "+" if m.sign > 0 else "-"}
-    return {_MOVE_KEY[type(m)]: [list(m.a), list(m.b)]}
-
-
-def script_to_obj(s: MorphismScript) -> dict:
-    return {
-        "source": surface_to_obj(s.source),
-        "moves": [move_to_obj(m) for m in s.moves],
-    }
 
 
 def emit_script(s: MorphismScript) -> str:

@@ -14,7 +14,7 @@ from typing import Iterator, Optional
 
 from .surface import (
     Corner, CornerTable, GluingPair, InvalidComplex, Slot, SquareComplex,
-    VertexClass, _norm_pair, _require_valid, remove_square, tight_copy,
+    VertexClass, _norm_pair, _require_valid, tight_copy,
 )
 
 
@@ -22,25 +22,23 @@ from .surface import (
 class CollapseRecord:
     """One slack square collapse.
 
-    `square` is the collapsed square, with the internal vertex at its corner
-    `y_corner` and the (same-sign, boundary) target vertex opposite. The fan
-    lists the edges at the internal vertex anticlockwise as gluing pairs
-    e_1..e_n, where e_1 and e_n are the collapsed square's own sides at y.
-    `wedges` are the corners between consecutive fan edges, excluding the
-    collapsed square's own corner, so their squares are w_1..w_{n-1}.
+    `square` is the collapsed square, with the internal vertex y at its
+    corner `y_corner` and the (same-sign, boundary) target vertex opposite.
+    The fan lists the edges at y anticlockwise, e_1..e_n, where e_1 and e_n
+    are the collapsed square's own sides at y. `wedges` are the corners
+    between consecutive fan edges, the corners of y met walking ahead from
+    (square, y_corner) until the walk comes back to it, so their squares
+    are w_1..w_{n-1}; y's corners are (square, y_corner) and the wedges.
     """
 
     square: int
     y_corner: int
     sign: int
-    internal_corners: frozenset[Corner]
-    target_corners: frozenset[Corner]
-    fan: tuple[GluingPair, ...]
     wedges: tuple[Corner, ...]
 
     @property
     def n(self) -> int:
-        return len(self.fan)
+        return len(self.wedges) + 1
 
     @property
     def wedge_squares(self) -> tuple[int, ...]:
@@ -61,24 +59,21 @@ class SlideRecord:
     slot_map: tuple[tuple[Slot, Slot], ...]   # old outer slot -> new slot
 
 
-def _fan(c: SquareComplex, start: Corner) -> tuple[tuple[GluingPair, ...], tuple[Corner, ...]]:
-    """Fan of edges around the internal vertex at `start`, anticlockwise."""
-    fan: list[GluingPair] = []
+def _wedges(part: list[int], x: int) -> tuple[Corner, ...]:
+    """The wedges of the internal vertex at corner number x: the corners
+    met walking ahead round it on the gluing table `part`, anticlockwise,
+    as in `SquareComplex.corner_table`, up to x itself."""
     wedges: list[Corner] = []
-    cur = start
-    while True:
-        sq, cc = cur
-        side = (sq, (cc - 1) % 4)
-        mate = c.partner(side)
-        if mate is None:
+    # the side before a corner is written out, as in corner_table
+    cur = part[x - 1 if x & 3 else x + 3]
+    while cur != x:
+        if cur < 0:
             raise InvalidComplex("fan walk left the surface; vertex not internal")
-        fan.append(_norm_pair(side, mate))
-        cur = mate
-        if cur == start:
-            return tuple(fan), tuple(wedges)
-        wedges.append(cur)
-        if len(fan) > 4 * c.square_count:
+        wedges.append((cur >> 2, cur & 3))
+        if len(wedges) >= len(part):
             raise InvalidComplex("fan walk does not close")
+        cur = part[cur - 1 if cur & 3 else cur + 3]
+    return tuple(wedges)
 
 
 def find_collapsible_square(c: SquareComplex, y: VertexClass) -> tuple[int, int, VertexClass]:
@@ -125,66 +120,69 @@ def _collapsible_corner(t: CornerTable, y: int) -> int:
 
 
 def make_collapse_record(c: SquareComplex, sq: int, y_corner: int) -> CollapseRecord:
+    """The record of collapsing square sq at its corner y_corner, which
+    must be at an internal vertex whose opposite corner is a boundary
+    vertex of the same sign (ValueError otherwise)."""
     t = c.corner_table
-    y = t.of[4 * sq + y_corner]
-    x = t.of[(4 * sq + y_corner) ^ 2]
+    x = 4 * sq + y_corner
+    y, z = t.of[x], t.of[x ^ 2]
     if not t.internal[y]:
         raise ValueError("collapse corner is not at an internal vertex")
-    if t.internal[x] or t.sign(x) != t.sign(y):
+    if t.internal[z] or t.sign(z) != t.sign(y):
         raise ValueError("target corner is not a boundary vertex of equal sign")
-    fan, wedges = _fan(c, (sq, y_corner))
-    return CollapseRecord(
-        square=sq,
-        y_corner=y_corner,
-        sign=t.sign(y),
-        internal_corners=frozenset(t.corners(y)),
-        target_corners=frozenset(t.corners(x)),
-        fan=fan,
-        wedges=wedges,
-    )
+    return CollapseRecord(sq, y_corner, t.sign(y), _wedges(c.partner_index, x))
 
 
 def collapse_slack_square(c: SquareComplex, r: CollapseRecord) -> SquareComplex:
     """Perform the collapse on the complex: remove the square, splice gluings.
 
-    Expects a valid complex; `collapse_steps` checks it.
+    The collapsed square's sides a1, b1 and a2, b2 (see `sides`) are
+    identified: side k of it with side 2 * y_corner + 1 - k. Each chain of
+    identifications from a side glued off the square joins that gluing to
+    the one at the chain's far end; a chain that ends on the boundary
+    leaves its surviving side unglued. The squares after it shift down by
+    one. Expects a valid complex; `collapse_steps` checks it. ValueError
+    if r is not a record of a collapse of c.
     """
-    a1, a2, b1, b2 = r.sides()
-    t = c.corner_table
-    y = t.of[4 * r.square + r.y_corner]
-    if frozenset(t.corners(y)) != r.internal_corners:
+    part = c.partner_index
+    w = r.square
+    lo, hi = 4 * w, 4 * w + 4
+    x = lo + r.y_corner
+    try:
+        same = 0 <= w < c.square_count and _wedges(part, x) == r.wedges
+    except InvalidComplex:
+        same = False
+    if not same:
         raise ValueError("collapse record does not match the complex")
 
-    own = {a1: b1, b1: a1, a2: b2, b2: a2}     # arc identifications
-    w_sides = set(own)
+    def slot(v: int) -> Slot:
+        s = v >> 2
+        return (s - 1 if s > w else s, v & 3)
 
-    new_pairs: list[GluingPair] = [
-        g for g in c.gluings if g[0] not in w_sides and g[1] not in w_sides
-    ]
-    resolved: set[Slot] = set()
-    for side in (a1, a2, b1, b2):
-        att = c.partner(side)
-        if side in resolved or (att is not None and att in w_sides):
+    m = 2 * r.y_corner + 1
+    pairs = [(slot(u), slot(v)) for u, v in enumerate(part)
+             if u < v and not (lo <= u < hi or lo <= v < hi)]
+    resolved: set[int] = set()
+    for side in (4 * s + k for s, k in r.sides()):
+        att = part[side]
+        if side in resolved or lo <= att < hi:
             continue
         # walk the identification chain from this free end
         resolved.add(side)
-        cur = own[side]
+        cur = lo + ((m - side) & 3)
         while True:
             resolved.add(cur)
-            nxt = c.partner(cur)
-            if nxt is None or nxt not in w_sides:
+            nxt = part[cur]
+            if not lo <= nxt < hi:
                 break
             resolved.add(nxt)
-            cur = own[nxt]
-        far = c.partner(cur)
-        if att is not None and far is not None:
-            if (att[1] + far[1]) % 2 == 0:
+            cur = lo + ((m - nxt) & 3)
+        far = part[cur]
+        if att >= 0 and far >= 0:
+            if (att + far) & 1 == 0:
                 raise InvalidComplex("collapse produced a parity-violating edge")
-            new_pairs.append(_norm_pair(att, far))
-        # one or both ends on the boundary: the surviving side stays unglued
-
-    trimmed = SquareComplex.build(c.square_count, new_pairs, slack=True)
-    return remove_square(trimmed, r.square)
+            pairs.append((slot(att), slot(far)))
+    return SquareComplex.build(c.square_count - 1, pairs, slack=True)
 
 
 def collapse_steps(c: SquareComplex) -> Iterator[
@@ -309,12 +307,9 @@ def dual_graph(c: SquareComplex) -> RibbonGraph:
     if c.internal_vertices():
         raise InvalidComplex("dual graph is defined for bona fide complexes")
     edges = tuple(c.sorted_gluings())
-    index = {e: i for i, e in enumerate(edges)}
-    cyclic = []
-    for s in range(c.square_count):
-        row = []
-        for k in range(4):
-            mate = c.partner((s, k))
-            row.append(None if mate is None else index[_norm_pair((s, k), mate)])
-        cyclic.append(tuple(row))
-    return RibbonGraph(c.square_count, edges, tuple(cyclic))
+    edge_of: dict[int, int] = {}            # side number -> edge index
+    for i, (a, b) in enumerate(edges):
+        edge_of[4 * a[0] + a[1]] = edge_of[4 * b[0] + b[1]] = i
+    cyclic = tuple(tuple(edge_of.get(x) for x in range(4 * s, 4 * s + 4))
+                   for s in range(c.square_count))
+    return RibbonGraph(c.square_count, edges, cyclic)

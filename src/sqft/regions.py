@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .surface import SquareComplex
-from .sutures import EP, CurveSystem, require_valid_pair, strands
+from .sutures import CurveSystem, require_valid_pair, strands
 
 
 @dataclass(frozen=True)
@@ -144,20 +144,6 @@ def _decompose(c: SquareComplex, g: CurveSystem) -> RegionDecomposition:
     return RegionDecomposition(tuple(
         [Region(-1 if x % 2 else 1, e, t)
          for x, e, t in zip(least, chi, touches)] + extra))
-
-
-def closed_components(c: SquareComplex,
-                      g: CurveSystem) -> list[set[tuple[int, EP]]]:
-    """Closed suture components of a valid pair, as sets of endpoint keys
-    (square, ep): the closed strands of `strands`, in the order of their
-    least endpoints. A system whose `open` fact is this very complex
-    object has none and is not read."""
-    if g.facts.open is c:
-        return []
-    t = g.endpoint_table
-    start, slot = t.start, t.slot
-    return [{(slot[p] >> 2, (slot[p] & 3, p - start[slot[p]])) for p in points}
-            for points in strands(c, g).closed]
 
 
 def regions(c: SquareComplex, g: CurveSystem) -> RegionDecomposition:

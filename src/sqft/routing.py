@@ -202,7 +202,7 @@ def transport_collapse(c: SquareComplex, g: CurveSystem,
     intermediate edge of the fan. The strands and loops are moved off the
     square, whose own chords are left as they are, on a whole diagram of g;
     the square is then sliced out of the frozen result, shifting the later
-    squares down by one as remove_square does.
+    squares down by one as collapse_slack_square does.
     """
     d = Diagram(g)
     w = rec.square
@@ -289,12 +289,9 @@ def _collapse_generic(c: SquareComplex, d: Diagram, rec: CollapseRecord) -> None
 
     # the intermediate fan edges e_j = (L_j, R_j), j = 2..n-1: L_j in
     # wedge j-1's square ending at y, R_j in wedge j's square starting at y
-    tips: list[tuple[Slot, Slot]] = []
     wedges = rec.wedges
-    for edge, (sL, kL), (sR, kR) in zip(rec.fan[1:], wedges, wedges[1:]):
-        tips.append(((sL, (kL - 1) % 4), (sR, kR)))
-        if _norm_pair(*tips[-1]) != edge:
-            raise AssertionError("fan record inconsistent")
+    tips = [((sL, (kL - 1) % 4), (sR, kR))
+            for (sL, kL), (sR, kR) in zip(wedges, wedges[1:])]
 
     # per point of w: its side, its rank in w's points cut at the internal
     # vertex (sides a2, b2, b1, a1 from y round to y) and its index on its side

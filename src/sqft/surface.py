@@ -585,22 +585,20 @@ def relabel(c: SquareComplex, perm: dict[int, int]) -> SquareComplex:
 
 
 def canonical_permutation(c: SquareComplex) -> dict[int, int]:
-    """BFS renumbering from the lowest-index square, neighbors in side order."""
+    """BFS renumbering from the lowest-index square, neighbors in side order,
+    read off the gluing table."""
+    part = c.partner_index
     perm: dict[int, int] = {}
     for start in range(c.square_count):
         if start in perm:
             continue
         queue = [start]
         perm[start] = len(perm)
-        head = 0
-        while head < len(queue):
-            sq = queue[head]
-            head += 1
-            for k in range(4):
-                mate = c.partner((sq, k))
-                if mate is not None and mate[0] not in perm:
-                    perm[mate[0]] = len(perm)
-                    queue.append(mate[0])
+        for sq in queue:
+            for mate in part[4 * sq:4 * sq + 4]:
+                if mate >= 0 and mate >> 2 not in perm:
+                    perm[mate >> 2] = len(perm)
+                    queue.append(mate >> 2)
     return perm
 
 
@@ -612,15 +610,6 @@ def canonical_form(c: SquareComplex) -> tuple[SquareComplex, dict[int, int]]:
     """
     canon, perm = c._canonical
     return canon, dict(perm)
-
-
-def disjoint_union(c1: SquareComplex, c2: SquareComplex) -> SquareComplex:
-    off = c1.square_count
-    pairs = list(c1.gluings) + [
-        (((a[0] + off, a[1])), ((b[0] + off, b[1]))) for a, b in c2.gluings
-    ]
-    return SquareComplex.build(c1.square_count + c2.square_count, pairs,
-                               slack=c1.slack or c2.slack)
 
 
 def add_square(c: SquareComplex) -> SquareComplex:
@@ -660,12 +649,3 @@ def _seeded(c: SquareComplex, **caches) -> SquareComplex:
     it is first read."""
     c.__dict__.update(caches)
     return c
-
-
-def remove_square(c: SquareComplex, sq: int) -> SquareComplex:
-    """Drop square sq (must have no gluings) and shift higher indices down."""
-    if any(slot[0] == sq for pair in c.gluings for slot in pair):
-        raise ValueError("square still glued")
-    perm = {s: (s if s < sq else s - 1) for s in range(c.square_count) if s != sq}
-    pairs = [(((perm[a[0]], a[1])), ((perm[b[0]], b[1]))) for a, b in c.gluings]
-    return SquareComplex.build(c.square_count - 1, pairs, slack=c.slack)

@@ -25,10 +25,21 @@
   element, and `rotation_peel_oracle` evaluates a matching by rotating
   each outermost chord to (0, 1) or (2n - 1, 0); `disc._peel` inserts a
   bit at the chord's own factor instead.
-- `partner_oracle`, `boundary_cycles_oracle` and `arc_ends_oracle` read a
-  complex's gluings and a pair's arcs through a dict of slots;
-  `SquareComplex.partner_index` and `sutures.strands` read them on
-  integer tables.
+- `partner_oracle`, `boundary_cycles_oracle`,
+  `canonical_permutation_oracle` and `arc_ends_oracle` read a complex's
+  gluings and a pair's arcs through a dict of slots;
+  `SquareComplex.partner_index`, `surface.canonical_permutation` and
+  `sutures.strands` read them on integer tables.
+- `fan_oracle` and `collapse_oracle` are the slack square collapse on slot
+  tuples, through that dict: the fan of gluing pairs round the internal
+  vertex, and the collapsed complex built whole and then rebuilt without
+  its square (`remove_square_oracle`); `quad` walks and builds on side
+  numbers, once.
+- `closed_components` lists the closed strands of `sutures.strands` as
+  sets of endpoint keys; `disjoint_union` places two complexes side by
+  side; `surface_to_obj`, `sutures_to_obj`, `move_to_obj` and
+  `script_to_obj` give a document's object form, which `json.dumps`
+  writes as the oracle of the `formats.emit_*` text.
 """
 
 from functools import lru_cache
@@ -39,10 +50,13 @@ from sqft.disc import disc_complex
 from sqft.quad import slide_slot_map
 from sqft.regions import Region, RegionDecomposition
 from sqft.routing import DiscSide, split_disc
-from sqft.surface import GluingPair, Slot, SquareComplex, _norm_pair
+from sqft.engine import CreateSquare, Fold, Glue, MorphismScript, Zip
+from sqft.surface import (
+    Corner, GluingPair, InvalidComplex, Slot, SquareComplex, _norm_pair,
+)
 from sqft.sutures import (
     EP, CurveSystem, _splice, basic_system, normalize, require_valid_pair,
-    validate_sutures,
+    strands, validate_sutures,
 )
 from sqft.tensor import Z2Tensor, slide_map
 
@@ -726,6 +740,28 @@ def boundary_cycles_oracle(c: SquareComplex) -> tuple[tuple[Slot, ...], ...]:
     return tuple(cycles)
 
 
+def canonical_permutation_oracle(c: SquareComplex) -> dict[int, int]:
+    """Squares renumbered breadth-first from the least square not yet
+    reached, each square's neighbours in side order."""
+    part = partner_oracle(c)
+    perm: dict[int, int] = {}
+    for start in range(c.square_count):
+        if start in perm:
+            continue
+        queue = [start]
+        perm[start] = len(perm)
+        head = 0
+        while head < len(queue):
+            sq = queue[head]
+            head += 1
+            for k in range(4):
+                mate = part.get((sq, k))
+                if mate is not None and mate[0] not in perm:
+                    perm[mate[0]] = len(perm)
+                    queue.append(mate[0])
+    return perm
+
+
 def arc_ends_oracle(c: SquareComplex, g: CurveSystem) -> dict[Slot, Slot]:
     """The boundary side at the other end of each boundary side's arc, of
     a valid pair: a strand steps along a chord of its square, then across
@@ -749,3 +785,139 @@ def arc_ends_oracle(c: SquareComplex, g: CurveSystem) -> dict[Slot, Slot]:
                 at, (side, p) = other[(nxt, (nside, m - 1 - p))]
             out[(sq, k)] = (at, side)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the slack square collapse on slot tuples
+
+
+def fan_oracle(c: SquareComplex, start: Corner) -> tuple[
+        tuple[GluingPair, ...], tuple[Corner, ...]]:
+    """The fan of edges round the internal vertex at corner `start`,
+    anticlockwise, as gluing pairs e_1..e_n, and the corners between
+    consecutive edges (the wedges). InvalidComplex if the walk leaves
+    the surface or does not close."""
+    part = partner_oracle(c)
+    fan: list[GluingPair] = []
+    wedges: list[Corner] = []
+    cur = start
+    while True:
+        sq, cc = cur
+        side = (sq, (cc - 1) % 4)
+        mate = part.get(side)
+        if mate is None:
+            raise InvalidComplex("fan walk left the surface; vertex not internal")
+        fan.append(_norm_pair(side, mate))
+        cur = mate
+        if cur == start:
+            return tuple(fan), tuple(wedges)
+        wedges.append(cur)
+        if len(fan) > 4 * c.square_count:
+            raise InvalidComplex("fan walk does not close")
+
+
+def remove_square_oracle(c: SquareComplex, sq: int) -> SquareComplex:
+    """Drop square sq, which has no gluings, and shift higher indices
+    down."""
+    if any(slot[0] == sq for pair in c.gluings for slot in pair):
+        raise ValueError("square still glued")
+    perm = {s: (s if s < sq else s - 1) for s in range(c.square_count)
+            if s != sq}
+    pairs = [((perm[a[0]], a[1]), (perm[b[0]], b[1])) for a, b in c.gluings]
+    return SquareComplex.build(c.square_count - 1, pairs, slack=c.slack)
+
+
+def collapse_oracle(c: SquareComplex, sq: int, y_corner: int) -> SquareComplex:
+    """The complex after collapsing square sq at its corner y_corner: its
+    sides a1, b1 and a2, b2 are identified, each chain of identifications
+    from a free end joins the gluings at its two ends, and the square,
+    left unglued, is removed."""
+    part = partner_oracle(c)
+    a1, a2 = (sq, (y_corner - 1) % 4), (sq, y_corner)
+    b1, b2 = (sq, (y_corner + 2) % 4), (sq, (y_corner + 1) % 4)
+    own = {a1: b1, b1: a1, a2: b2, b2: a2}     # arc identifications
+    w_sides = set(own)
+
+    new_pairs: list[GluingPair] = [
+        g for g in c.gluings if g[0] not in w_sides and g[1] not in w_sides
+    ]
+    resolved: set[Slot] = set()
+    for side in (a1, a2, b1, b2):
+        att = part.get(side)
+        if side in resolved or (att is not None and att in w_sides):
+            continue
+        resolved.add(side)
+        cur = own[side]
+        while True:
+            resolved.add(cur)
+            nxt = part.get(cur)
+            if nxt is None or nxt not in w_sides:
+                break
+            resolved.add(nxt)
+            cur = own[nxt]
+        far = part.get(cur)
+        if att is not None and far is not None:
+            if (att[1] + far[1]) % 2 == 0:
+                raise InvalidComplex("collapse produced a parity-violating edge")
+            new_pairs.append(_norm_pair(att, far))
+
+    trimmed = SquareComplex.build(c.square_count, new_pairs, slack=True)
+    return remove_square_oracle(trimmed, sq)
+
+
+# ---------------------------------------------------------------------------
+# views and object forms that only the tests read
+
+
+def closed_components(c: SquareComplex,
+                      g: CurveSystem) -> list[set[tuple[int, EP]]]:
+    """Closed suture components of a valid pair, as sets of endpoint keys
+    (square, ep): the closed strands of `strands`, in the order of their
+    least endpoints. A system whose `open` fact is this very complex
+    object has none and is not read."""
+    if g.facts.open is c:
+        return []
+    t = g.endpoint_table
+    start, slot = t.start, t.slot
+    return [{(slot[p] >> 2, (slot[p] & 3, p - start[slot[p]])) for p in points}
+            for points in strands(c, g).closed]
+
+
+def disjoint_union(c1: SquareComplex, c2: SquareComplex) -> SquareComplex:
+    off = c1.square_count
+    pairs = list(c1.gluings) + [
+        ((a[0] + off, a[1]), (b[0] + off, b[1])) for a, b in c2.gluings
+    ]
+    return SquareComplex.build(c1.square_count + c2.square_count, pairs,
+                               slack=c1.slack or c2.slack)
+
+
+def surface_to_obj(c: SquareComplex) -> dict:
+    return {
+        "squares": c.square_count,
+        "slack": c.slack,
+        "gluings": [[list(a), list(b)] for a, b in c.sorted_gluings()],
+    }
+
+
+def sutures_to_obj(g: CurveSystem) -> dict:
+    chords = {
+        str(s): [[list(a), list(b)] for a, b in g.chords[s]]
+        for s in range(g.square_count) if g.chords[s]
+    }
+    loops = {str(s): g.loops[s] for s in range(g.square_count) if g.loops[s]}
+    return {"chords": chords, "loops": loops}
+
+
+def move_to_obj(m) -> dict:
+    if isinstance(m, CreateSquare):
+        return {"create": "+" if m.sign > 0 else "-"}
+    key = {Glue: "glue", Fold: "fold", Zip: "zip"}[type(m)]
+    return {key: [list(m.a), list(m.b)]}
+
+
+def script_to_obj(s: MorphismScript) -> dict:
+    return {
+        "source": surface_to_obj(s.source),
+        "moves": [move_to_obj(m) for m in s.moves],
+    }

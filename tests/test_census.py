@@ -12,17 +12,15 @@ from sqft.census import (
 from sqft import disc
 from sqft.disc import disc_element, fan_element, matching_mates
 from sqft.engine import clear_cache, compile_script, suture_element
-from sqft.regions import (
-    closed_components, euler_class, is_confining, is_trivial,
-)
+from sqft.regions import euler_class, is_confining, is_trivial
 from sqft.surface import SquareComplex, invariants, relabel, validate_complex
 from sqft.sutures import (
     CurveSystem, _is_normal, bypass_surgery, bypass_triples, normalize,
     require_valid_pair, validate_sutures,
 )
 from helpers import (
-    boundary_hugging_system, confining_oracle, enumerate_basic,
-    matching_system_oracle, matchings_oracle,
+    boundary_hugging_system, closed_components, confining_oracle,
+    enumerate_basic, matching_system_oracle, matchings_oracle,
 )
 
 POOL_FILE = Path(__file__).resolve().parent.parent / "bench" / \

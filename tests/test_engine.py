@@ -167,6 +167,25 @@ def test_annihilation_as_fold_rejects_nonconsecutive(hexagon):
         annihilation_as_fold(hexagon, (0, 1), (0, 3), (1, 2), +1)
 
 
+def test_annihilation_as_fold_refuses_a_two_edge_cycle():
+    # on a boundary cycle of two edges the third edge along it is the
+    # first, so the edges are consecutive but not three distinct edges;
+    # the moves built from them would fail inside the compile
+    calls = 0
+    for seed in range(300):
+        c = compile_script(random_surface(seed, 4)).target
+        for cycle in c.boundary_cycles:
+            if len(cycle) != 2:
+                continue
+            for e1, e2 in (cycle, cycle[::-1]):
+                for sign in (1, -1):
+                    with pytest.raises(ValueError,
+                                       match="three distinct boundary edges"):
+                        annihilation_as_fold(c, e1, e2, e1, sign)
+                    calls += 1
+    assert calls > 700, calls
+
+
 def test_reduction_order_independence(hexagon, hexagon_superposition):
     base = suture_element(hexagon, hexagon_superposition)
     for s in range(5):

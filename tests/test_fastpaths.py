@@ -8,12 +8,17 @@ Fast paths and their oracles:
 - `sutures.strands` walks each arc from a boundary side and then each
   closed strand, on integer tables; the oracles walk slot tuples
   (`arc_ends_oracle`) and search every component
-  (`_closed_components_oracle`). `closed_components` is a view of its
-  closed strands that reads nothing of a system already found with no
+  (`_closed_components_oracle`). `helpers.closed_components` is a view of
+  its closed strands that reads nothing of a system already found with no
   closed component on the same complex object.
-- `partner`, `is_glued`, `boundary_slots` and `boundary_cycles` read the
-  complex's one gluing table, `partner_index`; the oracles read a dict
-  built from its gluings (`partner_oracle`, `boundary_cycles_oracle`).
+- `partner`, `is_glued`, `boundary_slots`, `boundary_cycles` and
+  `canonical_permutation` read the complex's one gluing table,
+  `partner_index`; the oracles read a dict built from its gluings
+  (`partner_oracle`, `boundary_cycles_oracle`,
+  `canonical_permutation_oracle`).
+- A slack square collapse walks round its vertex on `partner_index` and
+  builds its complex once; the oracles walk and build on slot tuples
+  (`fan_oracle`, `collapse_oracle`).
 - `validate_sutures` reads each square's problems from the system's
   endpoint table, which numbers a valid square's endpoints straight from
   its chords and sorts only a square it cannot number; the oracle is the
@@ -82,7 +87,7 @@ from sqft.engine import (
     annihilation_as_fold, apply_script_to_sutures, compile_script,
     compiled_operator, naturality_holds, suture_element,
 )
-from sqft.regions import closed_components, euler_class, is_trivial, regions
+from sqft.regions import euler_class, is_trivial, regions
 from sqft.routing import slide_sutures, transport_collapse
 from sqft.surface import (
     SquareComplex, ValidationReport, VertexClass, canonical_form,
@@ -95,7 +100,8 @@ from sqft.sutures import (
     validate_sutures,
 )
 from helpers import (
-    arc_ends_oracle, boundary_cycles_oracle, matchings_oracle,
+    arc_ends_oracle, boundary_cycles_oracle, canonical_permutation_oracle,
+    closed_components, collapse_oracle, fan_oracle, matchings_oracle,
     partner_oracle, slide_sutures_oracle, with_circle,
 )
 from test_triviality import (
@@ -911,6 +917,7 @@ def _check_gluing_table(c):
         assert c.partner(slot) is None and not c.is_glued(slot)
     assert c.boundary_slots == tuple(s for s in slots if s not in part)
     assert c.boundary_cycles == boundary_cycles_oracle(c)
+    assert canonical_permutation(c) == canonical_permutation_oracle(c)
 
 
 def test_gluing_table_against_partner_dict(square, hexagon, annulus,
@@ -1241,6 +1248,85 @@ def test_every_pair_a_push_passes_through_is_valid():
         assert (target, image) == apply_script_to_sutures(script, g)
         checked += count
     assert len(cases) > 750 and checked > 7000
+
+
+# ---------------------------------------------------------------------------
+# the slack square collapse walks and builds on side numbers; the oracle
+# walks and builds on slot tuples
+
+
+def _compiled_collapses():
+    """(complex before, record, complex after) of every collapse that the
+    corpus's random surfaces, the carried corpus (random extensions, the
+    annihilations on fan discs and the fixture scripts) compile."""
+    scripts = itertools.chain(
+        (random_surface(s, 8) for s in range(400)), _carried_corpus())
+    for script in scripts:
+        for step in engine._compile(script).steps:
+            befores = [before for before, _ in step.collapses]
+            afters = befores[1:] + [step.complex_after]
+            for (before, rec), after in zip(step.collapses, afters):
+                yield before, rec, after
+
+
+def _matches(c, rec):
+    """Whether the oracle's walk on c from the record's corner gives the
+    record's wedges."""
+    try:
+        return fan_oracle(c, (rec.square, rec.y_corner))[1] == rec.wedges
+    except surface.InvalidComplex:
+        return False
+
+
+def test_collapse_against_slot_tuples():
+    collapses = degenerate = refused = 0
+    last = None
+    for before, rec, after in _compiled_collapses():
+        x = (rec.square, rec.y_corner)
+        fan, wedges = fan_oracle(before, x)
+        assert (rec.wedges, rec.n) == (wedges, len(fan))
+        assert rec == quad.make_collapse_record(before, *x)
+        # the internal vertex's corners are its corner and its wedges, each
+        # once
+        t = before.corner_table
+        assert sorted([x, *rec.wedges]) == t.corners(t.of[4 * x[0] + x[1]])
+        # the collapse builds what the oracle builds; the tight copy of the
+        # last collapse of a step keeps its gluings
+        out = quad.collapse_slack_square(before, rec)
+        assert out == collapse_oracle(before, *x)
+        assert (out.square_count, out.gluings) == \
+            (after.square_count, after.gluings)
+        # a record of another complex: the complex it made, where its
+        # vertex is gone, and the complex of the collapse before it
+        assert not _matches(after, rec)
+        for other in (after, last):
+            if other is not None and not _matches(other, rec):
+                with pytest.raises(ValueError, match="collapse record does "
+                                   "not match the complex"):
+                    quad.collapse_slack_square(other, rec)
+                refused += 1
+        last = before
+        collapses += 1
+        degenerate += rec.n == 1
+    assert collapses > 1400 and degenerate > 600, (collapses, degenerate)
+    assert refused > 2500, refused
+
+
+def test_collapse_builds_its_complex_once(monkeypatch):
+    cases = list(itertools.islice(_compiled_collapses(), 300))
+    build = SquareComplex.build
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(SquareComplex, "build", staticmethod(counted))
+    for before, rec, _ in cases:
+        built.clear()
+        quad.collapse_slack_square(before, rec)
+        assert len(built) == 1
+    assert len(cases) == 300
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from sqft.engine import CreateSquare, Fold, Glue, MorphismScript, Zip
 from sqft.surface import SquareComplex
 from sqft.sutures import CurveSystem, basic_system
 from sqft.svg import render_svg
+from helpers import script_to_obj, surface_to_obj, sutures_to_obj
 
 
 def test_surface_roundtrip(hexagon, punctured_torus, annulus):
@@ -600,7 +601,7 @@ _moves = st.one_of(st.sampled_from([CreateSquare(+1), CreateSquare(-1)]),
 @example(SquareComplex.build(1, [((0, 0), (0, 3))], slack=True))
 @example(SquareComplex.build(12, [((11, 0), (10, 3))]))
 def test_emit_surface_is_json_dumps(c):
-    assert formats.emit_surface(c) == _dumped(formats.surface_to_obj(c))
+    assert formats.emit_surface(c) == _dumped(surface_to_obj(c))
 
 
 @settings(max_examples=300, deadline=None)
@@ -610,7 +611,7 @@ def test_emit_surface_is_json_dumps(c):
 @example(CurveSystem.build(2, {}, {0: 2, 1: 1}))
 @example(CurveSystem.build(11, {10: [((0, 12), (2, 10))]}, {10: 1}))
 def test_emit_sutures_is_json_dumps(g):
-    assert formats.emit_sutures(g) == _dumped(formats.sutures_to_obj(g))
+    assert formats.emit_sutures(g) == _dumped(sutures_to_obj(g))
 
 
 @settings(max_examples=300, deadline=None)
@@ -621,7 +622,7 @@ def test_emit_sutures_is_json_dumps(g):
                               [CreateSquare(-1), Zip((2, 1), (10, 0))]))
 def test_emit_script_is_json_dumps(script):
     assert formats.emit_script(script) == _dumped(
-        formats.script_to_obj(script))
+        script_to_obj(script))
 
 
 # keys and values that reach past the first checks of each parser
@@ -688,17 +689,17 @@ def _fixture_docs(kind):
 
 
 def _surface_doc():
-    return (st.builds(formats.surface_to_obj, _any_complex) | _json
+    return (st.builds(surface_to_obj, _any_complex) | _json
             | _fixture_docs("surface"))
 
 
 def _sutures_doc():
-    return (st.builds(formats.sutures_to_obj, _systems()) | _json
+    return (st.builds(sutures_to_obj, _systems()) | _json
             | _fixture_docs("sutures"))
 
 
 def _script_doc():
-    return (st.builds(formats.script_to_obj,
+    return (st.builds(script_to_obj,
                       st.builds(MorphismScript.build, _any_complex,
                                 st.lists(_moves, max_size=6)))
             | _json | _fixture_docs("script"))

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -44,6 +45,26 @@ def test_collapse_reduces_counts(hexagon):
     out = collapse_slack_square(c, rec)
     assert out.square_count == c.square_count - 1
     assert not out.internal_vertices()
+
+
+def test_collapse_refuses_a_record_of_another_complex(hexagon):
+    c = folded_hexagon(hexagon)
+    (y,) = c.internal_vertices()
+    sq, corner, _ = find_collapsible_square(c, y)
+    rec = make_collapse_record(c, sq, corner)
+    assert rec.n == len(rec.wedges) + 1 == len(y.corners)
+    assert {(rec.square, rec.y_corner), *rec.wedges} == y.corners
+    # the unfolded hexagon and the collapsed complex, where the record's
+    # corner is on the boundary; the record with its wedges changed; and a
+    # record of a square the complex lacks
+    out = collapse_slack_square(c, rec)
+    wrong = [(hexagon, rec), (out, rec),
+             (c, replace(rec, wedges=rec.wedges[::-1] + ((0, 0),))),
+             (c, replace(rec, square=c.square_count))]
+    for other, r in wrong:
+        with pytest.raises(ValueError, match="collapse record does not "
+                           "match the complex"):
+            collapse_slack_square(other, r)
 
 
 def test_tighten_identity_on_bona_fide(punctured_torus):

@@ -1,9 +1,10 @@
 import pytest
 
 from sqft.surface import (
-    SquareComplex, boundary_structure, canonical_form, disjoint_union, glue,
-    invariants, unglue, validate_complex,
+    SquareComplex, boundary_structure, canonical_form, glue, invariants,
+    unglue, validate_complex,
 )
+from helpers import disjoint_union
 
 
 def test_single_square_invariants(square):

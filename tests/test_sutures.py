@@ -7,7 +7,7 @@ from sqft.sutures import (
     bypass_triples, finger_push, normalize, transport_glue, validate_sutures,
 )
 from disc_config import disc_externals, set_disc_config
-from helpers import confining_oracle, transport_unglue
+from helpers import confining_oracle, disjoint_union, transport_unglue
 
 EDGE = ((0, 0), (1, 1))
 
@@ -53,7 +53,6 @@ def test_euler_class_basics(square):
 
 
 def test_euler_additive_over_union(square):
-    from sqft.surface import disjoint_union
     two = disjoint_union(square, square)
     g = basic_system(two, 0b01)
     assert euler_class(two, g) == 0
