@@ -23,9 +23,10 @@ from typing import Iterable, Iterator, Optional
 
 from .disc import disc_complex, fan_system, matching_mates
 from .engine import (
-    CreateSquare, Fold, Glue, MorphismScript, Move, Zip, apply_move,
+    _GLUING_KIND, CreateSquare, Fold, Glue, MorphismScript, Move, Zip,
+    apply_move,
 )
-from .surface import Slot, SquareComplex, invariants
+from .surface import Slot, SquareComplex, classify_gluing, invariants
 from .sutures import CurveSystem, basic_system, bypass_surgery, finger_push
 from .regions import is_trivial
 
@@ -115,6 +116,11 @@ def _random_script(rng: random.Random, source: SquareComplex,
 
     def apply(move: Move) -> bool:
         nonlocal cur
+        # a gluing of another kind fails apply_move's kind check: classify
+        # it first, so that its glued complex is not built in vain
+        if not isinstance(move, CreateSquare) and classify_gluing(
+                cur, move.a, move.b).kind != _GLUING_KIND[type(move)][0]:
+            return False
         try:
             nxt = apply_move(cur, move).complex_after
         except ValueError:

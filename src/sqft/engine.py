@@ -309,6 +309,10 @@ def _compile(script: MorphismScript) -> CompiledScript:
     return CompiledScript(script, tuple(steps))
 
 
+# each gluing move's kind, and the collapses it makes
+_GLUING_KIND = {Glue: ("standard", 0), Fold: ("fold", 1), Zip: ("zip", 2)}
+
+
 def apply_move(c: SquareComplex, move: Move) -> ScriptStep:
     """One move on a tight complex, tightened: a gluing must classify as its
     kind and collapse as many squares as its kind swallows vertices
@@ -319,8 +323,7 @@ def apply_move(c: SquareComplex, move: Move) -> ScriptStep:
         op = create_op(1 if move.sign > 0 else 0, c.square_count)
         return ScriptStep(move, add_square(c), (op,), ())
     glued, kind = glue(c, move.a, move.b)
-    want, expected = {Glue: ("standard", 0), Fold: ("fold", 1),
-                      Zip: ("zip", 2)}[type(move)]
+    want, expected = _GLUING_KIND[type(move)]
     if kind.kind != want:
         raise ScriptError(f"move {move} classifies as {kind.kind}, not {want}")
     collapses: list[tuple[SquareComplex, CollapseRecord]] = []

@@ -17,6 +17,14 @@ each square named once; no object may name a key twice. A surface
 declares at most MAX_SQUARES squares, since the engine builds tables of
 that size before it reads anything else. Errors name the path of the
 offending field and quote its value as JSON.
+
+A parser fills the integer tables that the checks read in the same pass
+that checks the document's form: a surface's `partner_index` (seeded
+unless a side is glued twice, when the complex makes its own), and a
+sutures document's side counts and endpoint table, its chord diagrams
+numbered by `sutures._endpoint_table` as `CurveSystem.endpoint_table`
+numbers them. A parser sets no fact and checks no pair: validation stays
+where a pair enters the engine.
 """
 
 from __future__ import annotations
@@ -25,8 +33,8 @@ import json
 from typing import Any, Iterator, NoReturn
 
 from .engine import CreateSquare, Fold, Glue, Move, MorphismScript, Zip
-from .surface import SquareComplex
-from .sutures import CurveSystem
+from .surface import SquareComplex, _seeded
+from .sutures import Chord, CurveSystem, _endpoint_table
 
 # far above any complex the tests, the census or the benchmark build
 MAX_SQUARES = 10_000
@@ -72,6 +80,16 @@ def _loads(text: str, root: str) -> Any:
 def _keys_once(obj: dict, what: str) -> None:
     for key in getattr(obj, "repeated", ()):
         _fail(f"{what}: key {json.dumps(key)} named twice")
+
+
+def _gluing_error(pair: Any, what: str, squares: int) -> NoReturn:
+    """Raise the first ParseError of the gluing `what`, which the one-pass
+    read refused."""
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        _fail(f"{what}: expected a pair of slots")
+    _check_slot(pair[0], f"{what}[0]", squares)
+    _check_slot(pair[1], f"{what}[1]", squares)
+    raise AssertionError("a refused gluing has a fault")
 
 
 def _check_slot(obj: Any, what: str, squares: int) -> tuple[int, int]:
@@ -138,17 +156,34 @@ def surface_from_obj(obj: Any, path: str = "surface") -> SquareComplex:
     slack = obj.get("slack", False)
     if not isinstance(slack, bool):
         _fail(f"{path}.slack: expected a boolean")
-    gluings = []
     raw = obj.get("gluings", [])
     if not isinstance(raw, list):
         _fail(f"{path}.gluings: expected a list")
+    gluings = []
+    part = [-1] * (4 * squares)
+    twice = False
     for i, pair in enumerate(raw):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            _fail(f"{path}.gluings[{i}]: expected a pair of slots")
-        a = _check_slot(pair[0], f"{path}.gluings[{i}][0]", squares)
-        b = _check_slot(pair[1], f"{path}.gluings[{i}][1]", squares)
-        gluings.append((a, b))
-    return SquareComplex.build(squares, gluings, slack=slack)
+        # a JSON pair that unpacks so, to four integers, is two lists of
+        # two; anything else is read again for its message
+        try:
+            (sa, ka), (sb, kb) = pair
+        except (TypeError, ValueError):
+            _gluing_error(pair, f"{path}.gluings[{i}]", squares)
+        if not (type(sa) is int and type(ka) is int and type(sb) is int
+                and type(kb) is int and 0 <= ka < 4 and 0 <= kb < 4
+                and 0 <= sa < squares and 0 <= sb < squares):
+            _gluing_error(pair, f"{path}.gluings[{i}]", squares)
+        a, b = (sa, ka), (sb, kb)
+        gluings.append((a, b) if a <= b else (b, a))
+        x, y = 4 * sa + ka, 4 * sb + kb
+        if part[x] >= 0 or part[y] >= 0:
+            twice = True
+        part[x] = y
+        part[y] = x
+    c = SquareComplex(squares, frozenset(gluings), slack)
+    # on a side glued twice the gluing table is the one the complex reads
+    # for itself, which validation reports
+    return c if twice else _seeded(c, partner_index=part)
 
 
 def parse_surface(text: str) -> SquareComplex:
@@ -191,41 +226,76 @@ def _per_square(obj: dict, name: str,
         yield key, sq, val
 
 
-def _endpoint(ep: Any, key: str, i: int) -> tuple[int, int]:
-    """Endpoint ep of chord i of sutures.chords[key], as (side, position)."""
-    if type(ep) in (list, tuple) and len(ep) == 2:
+def _chord_error(ch: Any, key: str, i: int) -> NoReturn:
+    """Raise the first ParseError of chord i of sutures.chords[key], which
+    the one-pass read refused: the first endpoint is read in full before
+    the second."""
+    where = f"sutures.chords[{key}][{i}]"
+    if type(ch) not in (list, tuple) or len(ch) != 2:
+        _fail(f"{where}: expected two endpoints")
+    for ep in ch:
+        if not (type(ep) in (list, tuple) and len(ep) == 2
+                and type(ep[0]) is int and type(ep[1]) is int):
+            _fail(f"{where}: bad endpoint {json.dumps(ep)}")
         side, pos = ep
-        if type(side) is int and type(pos) is int:
-            if not 0 <= side < 4:
-                _fail(f"sutures.chords[{key}][{i}]: side index {side} "
-                      "out of range 0..3")
-            if pos < 0:
-                _fail(f"sutures.chords[{key}][{i}]: negative position")
-            return side, pos
-    _fail(f"sutures.chords[{key}][{i}]: bad endpoint {json.dumps(ep)}")
+        if not 0 <= side < 4:
+            _fail(f"{where}: side index {side} out of range 0..3")
+        if pos < 0:
+            _fail(f"{where}: negative position")
+    raise AssertionError("a refused chord has a fault")
 
 
 def sutures_from_obj(obj: Any, square_count: int) -> CurveSystem:
+    """The curve system a sutures document describes, with its side counts
+    and endpoint table made as it is read.
+
+    One pass over each square's chords checks each endpoint, counts the
+    points on each side and puts each chord the right way round; the
+    squares' endpoints are then numbered into the endpoint table, which
+    holds the chord diagrams' own problems (`sutures._endpoint_table`). No
+    fact is set: the pair is checked where it enters the engine.
+    """
     if not isinstance(obj, dict):
         _fail("sutures: expected an object")
     _keys_once(obj, "sutures")
-    chords: dict[int, list] = {}
+    # per square named, its chords and the points on each side
+    chords: dict[int, tuple[list[Chord], list[int]]] = {}
     for key, sq, lst in _per_square(obj, "chords", square_count):
         if not isinstance(lst, list):
             _fail(f"sutures.chords[{key}]: expected a list")
         out = []
+        n = [0, 0, 0, 0]
         for i, ch in enumerate(lst):
-            if type(ch) not in (list, tuple) or len(ch) != 2:
-                _fail(f"sutures.chords[{key}][{i}]: expected two endpoints")
-            a, b = ch
-            out.append((_endpoint(a, key, i), _endpoint(b, key, i)))
-        chords[sq] = out
+            # a JSON chord that unpacks so, to four integers, is two lists
+            # of two; anything else is read again for its message
+            try:
+                (ka, pa), (kb, pb) = ch
+            except (TypeError, ValueError):
+                _chord_error(ch, key, i)
+            if not (type(ka) is int and type(pa) is int and type(kb) is int
+                    and type(pb) is int and 0 <= ka < 4 and 0 <= kb < 4
+                    and pa >= 0 and pb >= 0):
+                _chord_error(ch, key, i)
+            n[ka] += 1
+            n[kb] += 1
+            a, b = (ka, pa), (kb, pb)
+            out.append((a, b) if a <= b else (b, a))
+        chords[sq] = out, n
     loops: dict[int, int] = {}
     for key, sq, cnt in _per_square(obj, "loops", square_count):
         if type(cnt) is not int or cnt < 0:
             _fail(f"sutures.loops[{key}]: expected a non-negative count")
         loops[sq] = cnt
-    return CurveSystem.build(square_count, chords, loops)
+    per_square = []
+    side_counts = []
+    for sq in range(square_count):
+        out, n = chords.get(sq, ((), (0, 0, 0, 0)))
+        per_square.append(tuple(sorted(out)))
+        side_counts.append(tuple(n))
+    g = CurveSystem(tuple(per_square),
+                    tuple(loops.get(s, 0) for s in range(square_count)))
+    return _seeded(g, _side_counts=side_counts, endpoint_table=_endpoint_table(
+        g.chords, g.loops, side_counts))
 
 
 def parse_sutures(text: str, square_count: int) -> CurveSystem:

@@ -144,16 +144,22 @@ def collapse_slack_square(c: SquareComplex, r: CollapseRecord) -> SquareComplex:
     one. Expects a valid complex; `collapse_steps` checks it. ValueError
     if r is not a record of a collapse of c.
     """
-    part = c.partner_index
     w = r.square
-    lo, hi = 4 * w, 4 * w + 4
-    x = lo + r.y_corner
     try:
-        same = 0 <= w < c.square_count and _wedges(part, x) == r.wedges
+        same = 0 <= w < c.square_count and \
+            _wedges(c.partner_index, 4 * w + r.y_corner) == r.wedges
     except InvalidComplex:
         same = False
     if not same:
         raise ValueError("collapse record does not match the complex")
+    return _collapse(c, r)
+
+
+def _collapse(c: SquareComplex, r: CollapseRecord) -> SquareComplex:
+    """`collapse_slack_square` of a record made from c itself, unchecked."""
+    part = c.partner_index
+    w = r.square
+    lo, hi = 4 * w, 4 * w + 4
 
     def slot(v: int) -> Slot:
         s = v >> 2
@@ -198,7 +204,8 @@ def collapse_steps(c: SquareComplex) -> Iterator[
         # the first internal vertex in key order
         x = _collapsible_corner(t, t.internal.index(True))
         rec = make_collapse_record(cur, x >> 2, x & 3)
-        after = collapse_slack_square(cur, rec)
+        # the record's wedges are this very complex's: no second walk
+        after = _collapse(cur, rec)
         yield cur, rec, after
         cur = after
 

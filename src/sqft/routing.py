@@ -219,9 +219,13 @@ def _collapse_degenerate(c: SquareComplex, d: Diagram, rec: CollapseRecord) -> N
     """n = 1: the square's two y-sides are glued to each other."""
     w = rec.square
     a1, a2, b1, b2 = rec.sides()
-    if c.partner(a1) != a2:
+    # the partners by side number, 4 * square + side
+    part = c.partner_index
+    if part[4 * w + a1[1]] != 4 * w + a2[1]:
         raise AssertionError("degenerate collapse expects a self-glued pair")
-    t1, t2 = c.partner(b1), c.partner(b2)
+    y1, y2 = part[4 * w + b1[1]], part[4 * w + b2[1]]
+    t1 = None if y1 < 0 else (y1 >> 2, y1 & 3)
+    t2 = None if y2 < 0 else (y2 >> 2, y2 & 3)
 
     # the self-gluing pairs, then the square's chords, those at b-side
     # points first in b1-then-b2 order, so each strand starts at its first
@@ -283,9 +287,11 @@ def _collapse_degenerate(c: SquareComplex, d: Diagram, rec: CollapseRecord) -> N
 def _collapse_generic(c: SquareComplex, d: Diagram, rec: CollapseRecord) -> None:
     w, n = rec.square, rec.n
     a1, a2, b1, b2 = rec.sides()
-    s1, s2 = c.partner(a1), c.partner(a2)
-    if s1 is None or s2 is None or s1[0] == w or s2[0] == w:
+    # the partners by side number, 4 * square + side
+    x1, x2 = c.partner_index[4 * w + a1[1]], c.partner_index[4 * w + a2[1]]
+    if x1 < 0 or x2 < 0 or x1 >> 2 == w or x2 >> 2 == w:
         raise AssertionError("fan sides must glue to other squares")
+    s1, s2 = (x1 >> 2, x1 & 3), (x2 >> 2, x2 & 3)
 
     # the intermediate fan edges e_j = (L_j, R_j), j = 2..n-1: L_j in
     # wedge j-1's square ending at y, R_j in wedge j's square starting at y

@@ -36,11 +36,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, TypeVar
 
 Slot = tuple[int, int]          # (square, side), side in 0..3
 Corner = tuple[int, int]        # (square, corner), corner in 0..3
 GluingPair = tuple[Slot, Slot]
+_T = TypeVar("_T")
 
 
 def _norm_pair(a: Slot, b: Slot) -> GluingPair:
@@ -494,11 +495,12 @@ def classify_gluing(c: SquareComplex, a: Slot, b: Slot) -> GluingKind:
 
 def glue(c: SquareComplex, a: Slot, b: Slot) -> tuple[SquareComplex, GluingKind]:
     _require_valid(c)
+    part = c.partner_index
     for slot in (a, b):
         sq, k = slot
         if not (0 <= sq < c.square_count and 0 <= k < 4):
             raise ValueError(f"no such slot {slot}")
-        if c.is_glued(slot):
+        if part[4 * sq + k] >= 0:
             raise ValueError(f"side {slot} is already glued")
     if a == b:
         raise ValueError("cannot glue a side to itself")
@@ -636,16 +638,21 @@ def tight_copy(c: SquareComplex) -> SquareComplex:
                    corner_table=c.corner_table)
 
 
-def _seeded(c: SquareComplex, **caches) -> SquareComplex:
-    """c, just built from a valid parent by `add_square`, `glue` or
-    `tight_copy`, with caches filled from the parent's.
+def _seeded(c: _T, **caches) -> _T:
+    """c, just built, with caches filled by whatever built it.
 
-    What is carried: the corner table, always (`add_square` appends the new
-    square's four classes, `glue` joins two pairs of class indices or closes
-    one into an internal vertex, `tight_copy` keeps its original's), and
-    the report, after `add_square` and `glue`, where it is the parent's. So
-    c is neither walked nor checked; every other complex walks its own. No
-    `VertexClass` object is carried: the view is built from the table when
-    it is first read."""
+    From a valid parent: the corner table, always (`add_square` appends
+    the new square's four classes, `glue` joins two pairs of class indices
+    or closes one into an internal vertex, `tight_copy` keeps its
+    original's), and the report, after `add_square` and `glue`, where it is
+    the parent's. So c is neither walked nor checked; every other complex
+    walks its own. No `VertexClass` object is carried: the view is built
+    from the table when it is first read.
+
+    From a document: the parsers fill the tables they make as they read,
+    `partner_index` of a complex with no side glued twice and the side
+    counts and endpoint table of a curve system; no fact and no report is
+    seeded so.
+    """
     c.__dict__.update(caches)
     return c

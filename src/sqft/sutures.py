@@ -142,7 +142,7 @@ class CurveSystem:
     def endpoint_table(self) -> EndpointTable:
         """The endpoint table, made in one pass over the squares on their
         side counts: the one check of each chord diagram."""
-        return _endpoint_table(self)
+        return _endpoint_table(self.chords, self.loops, self._side_counts)
 
     def total_loops(self) -> int:
         return sum(self.loops)
@@ -157,8 +157,15 @@ class CurveSystem:
         return CurveSystem(tuple(chords), tuple(loops))
 
 
-def _endpoint_table(g: CurveSystem) -> EndpointTable:
-    """g's endpoint table, each square's problems in a fixed order.
+def _endpoint_table(chords_of: Sequence[tuple[Chord, ...]],
+                    loops_of: Sequence[int],
+                    counts: Sequence[tuple[int, int, int, int]]
+                    ) -> EndpointTable:
+    """The endpoint table of a system given by its squares' chords, loop
+    counts and side counts, each square's problems in a fixed order. This
+    is the one numbering of a system's endpoints:
+    `CurveSystem.endpoint_table` and the parser `formats.sutures_from_obj`
+    both make their tables with it.
 
     A valid square's endpoints are numbered straight from its chords, side
     by side in position order (`_number`). A square that cannot be
@@ -169,8 +176,8 @@ def _endpoint_table(g: CurveSystem) -> EndpointTable:
     start: list[int] = []
     slot: list[int] = []
     mate: list[int] = []
-    for sq, (chords, loops, n) in enumerate(
-            zip(g.chords, g.loops, g._side_counts)):
+    for sq, (chords, loops, n) in enumerate(zip(chords_of, loops_of,
+                                                counts)):
         base = len(mate)
         size = 2 * len(chords)
         mate += [-1] * size
@@ -445,17 +452,25 @@ def validate_sutures(c: SquareComplex, g: CurveSystem) -> "ValidationReport":
     if not table.on_sides:
         return ValidationReport(tuple(problems))
 
-    counts = g._side_counts
-    for slot in c.boundary_slots:
-        m = counts[slot[0]][slot[1]]
-        if m != 1:
-            problems.append(f"boundary side {slot} meets {m} points, wants 1")
-    for a, b in c.sorted_gluings():
-        ma, mb = counts[a[0]][a[1]], counts[b[0]][b[1]]
-        if ma != mb:
-            problems.append(f"edge {a}-{b}: point counts {ma} != {mb}")
-        elif ma % 2 == 0:
-            problems.append(f"edge {a}-{b}: even intersection count {ma}")
+    # the point counts, read off the table's numbers: boundary sides in
+    # number order, then gluings in the order of their lesser sides
+    start = table.start
+    edges = []
+    for x, y in enumerate(c.partner_index):
+        m = start[x + 1] - start[x]
+        if y < 0:
+            if m != 1:
+                problems.append(f"boundary side {(x >> 2, x & 3)} meets {m} "
+                                "points, wants 1")
+        elif x < y:
+            my = start[y + 1] - start[y]
+            if m != my:
+                edges.append(f"edge {(x >> 2, x & 3)}-{(y >> 2, y & 3)}: "
+                             f"point counts {m} != {my}")
+            elif m % 2 == 0:
+                edges.append(f"edge {(x >> 2, x & 3)}-{(y >> 2, y & 3)}: "
+                             f"even intersection count {m}")
+    problems += edges
     if not problems:
         g.facts.valid = c
     return ValidationReport(tuple(problems))
@@ -538,13 +553,14 @@ def _is_normal(c: SquareComplex, g: CurveSystem) -> bool:
     facts = g.facts
     if facts.normal is c:
         return True
+    part = c.partner_index
     for sq, chords in enumerate(g.chords):
         prev = None
         for chord in chords:
             a, b = chord
             if b < a or (prev is not None and chord < prev):
                 return False
-            if a[0] == b[0] and c.is_glued((sq, a[0])):
+            if a[0] == b[0] and part[4 * sq + a[0]] >= 0:
                 return False
             prev = chord
     facts.normal = c

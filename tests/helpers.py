@@ -40,11 +40,19 @@
   side; `surface_to_obj`, `sutures_to_obj`, `move_to_obj` and
   `script_to_obj` give a document's object form, which `json.dumps`
   writes as the oracle of the `formats.emit_*` text.
+- `_surface_from_obj_oracle` and `_sutures_from_obj_oracle` are the
+  parsers as they were: each slot or endpoint checked on its own, the
+  object built from the lists, and its gluing table, side counts and
+  endpoint table made when first read; the `formats` parsers fill those
+  tables as they read. `check_parse` compares the two on a pair of
+  documents.
 """
 
+import json
 from functools import lru_cache
 from typing import Optional
 
+from sqft import formats
 from sqft._derived import SLIDE_BLOCK
 from sqft.disc import disc_complex
 from sqft.quad import slide_slot_map
@@ -53,6 +61,7 @@ from sqft.routing import DiscSide, split_disc
 from sqft.engine import CreateSquare, Fold, Glue, MorphismScript, Zip
 from sqft.surface import (
     Corner, GluingPair, InvalidComplex, Slot, SquareComplex, _norm_pair,
+    validate_complex,
 )
 from sqft.sutures import (
     EP, CurveSystem, _splice, basic_system, normalize, require_valid_pair,
@@ -921,3 +930,164 @@ def script_to_obj(s: MorphismScript) -> dict:
         "source": surface_to_obj(s.source),
         "moves": [move_to_obj(m) for m in s.moves],
     }
+
+
+# ---------------------------------------------------------------------------
+# the parsers as they were: check the form, build, then make the tables
+
+
+def _surface_from_obj_oracle(obj) -> SquareComplex:
+    """`formats.surface_from_obj` slot by slot: each slot checked on its
+    own, then the complex built from the list, its gluing table made when
+    it is first read."""
+    path = "surface"
+    if not isinstance(obj, dict):
+        formats._fail(f"{path}: expected an object")
+    formats._keys_once(obj, path)
+    if "squares" not in obj or type(obj["squares"]) is not int:
+        formats._fail(f"{path}.squares: expected an integer")
+    squares = obj["squares"]
+    if squares < 0:
+        formats._fail(f"{path}.squares: negative")
+    if squares > formats.MAX_SQUARES:
+        formats._fail(f"{path}.squares: {squares} is more than "
+                      f"{formats.MAX_SQUARES}")
+    slack = obj.get("slack", False)
+    if not isinstance(slack, bool):
+        formats._fail(f"{path}.slack: expected a boolean")
+    gluings = []
+    raw = obj.get("gluings", [])
+    if not isinstance(raw, list):
+        formats._fail(f"{path}.gluings: expected a list")
+    for i, pair in enumerate(raw):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            formats._fail(f"{path}.gluings[{i}]: expected a pair of slots")
+        a = formats._check_slot(pair[0], f"{path}.gluings[{i}][0]", squares)
+        b = formats._check_slot(pair[1], f"{path}.gluings[{i}][1]", squares)
+        gluings.append((a, b))
+    return SquareComplex.build(squares, gluings, slack=slack)
+
+
+def _endpoint_oracle(ep, key: str, i: int) -> EP:
+    if type(ep) in (list, tuple) and len(ep) == 2:
+        side, pos = ep
+        if type(side) is int and type(pos) is int:
+            if not 0 <= side < 4:
+                formats._fail(f"sutures.chords[{key}][{i}]: side index "
+                              f"{side} out of range 0..3")
+            if pos < 0:
+                formats._fail(f"sutures.chords[{key}][{i}]: negative "
+                              "position")
+            return side, pos
+    formats._fail(f"sutures.chords[{key}][{i}]: bad endpoint "
+                  f"{json.dumps(ep)}")
+
+
+def _sutures_from_obj_oracle(obj, square_count: int) -> CurveSystem:
+    """`formats.sutures_from_obj` endpoint by endpoint: each endpoint
+    checked on its own, then the system built, each chord put the right
+    way round and each square sorted, its side counts and endpoint table
+    made when they are first read."""
+    if not isinstance(obj, dict):
+        formats._fail("sutures: expected an object")
+    formats._keys_once(obj, "sutures")
+    chords: dict[int, list] = {}
+    for key, sq, lst in formats._per_square(obj, "chords", square_count):
+        if not isinstance(lst, list):
+            formats._fail(f"sutures.chords[{key}]: expected a list")
+        out = []
+        for i, ch in enumerate(lst):
+            if type(ch) not in (list, tuple) or len(ch) != 2:
+                formats._fail(f"sutures.chords[{key}][{i}]: expected two "
+                              "endpoints")
+            a, b = ch
+            out.append((_endpoint_oracle(a, key, i),
+                        _endpoint_oracle(b, key, i)))
+        chords[sq] = out
+    loops: dict[int, int] = {}
+    for key, sq, cnt in formats._per_square(obj, "loops", square_count):
+        if type(cnt) is not int or cnt < 0:
+            formats._fail(f"sutures.loops[{key}]: expected a non-negative "
+                          "count")
+        loops[sq] = cnt
+    return CurveSystem.build(square_count, chords, loops)
+
+
+def _parsed(parse, *args):
+    """(value, None) or (None, the ParseError's message)."""
+    try:
+        return parse(*args), None
+    except formats.ParseError as exc:
+        return None, str(exc)
+
+
+def check_surface_parse(text: str
+                        ) -> Optional[tuple[SquareComplex, SquareComplex]]:
+    """Assert that `formats.parse_surface` agrees with its oracle on a
+    document: the same complex, emitted text and validation problems, and
+    a gluing table, if seeded, equal to the one a fresh copy makes; or the
+    same ParseError. The parsed complex and the oracle's, or None."""
+    c, error = _parsed(formats.parse_surface, text)
+    want, want_error = _parsed(
+        lambda t: _surface_from_obj_oracle(formats._loads(t, "surface")),
+        text)
+    assert error == want_error
+    if c is None:
+        return None
+    assert c == want
+    assert formats.emit_surface(c) == formats.emit_surface(want)
+    assert validate_complex(c).problems == validate_complex(want).problems
+    if "partner_index" in vars(c):
+        fresh = SquareComplex(c.square_count, c.gluings, c.slack)
+        assert c.partner_index == fresh.partner_index
+    return c, want
+
+
+def check_sutures_parse(text: str, square_count: int,
+                        on: Optional[tuple[SquareComplex, SquareComplex]]
+                        = None) -> Optional[CurveSystem]:
+    """Assert that `formats.parse_sutures` agrees with its oracle on a
+    document read on square_count squares: the same system and emitted
+    text, seeded side counts and endpoint table equal to those a fresh
+    copy makes and no fact, or the same ParseError; and, on the pair of
+    complexes `on` (parsed, oracle's), the same validation problems. The
+    parsed system, or None."""
+    g, error = _parsed(formats.parse_sutures, text, square_count)
+    h, want_error = _parsed(
+        lambda t: _sutures_from_obj_oracle(formats._loads(t, "sutures"),
+                                           square_count), text)
+    assert error == want_error
+    if g is None:
+        return None
+    assert g == h and formats.emit_sutures(g) == formats.emit_sutures(h)
+    seeded = vars(g)
+    assert "_side_counts" in seeded and "endpoint_table" in seeded
+    assert "facts" not in seeded
+    fresh = CurveSystem(g.chords, g.loops)
+    assert g._side_counts == fresh._side_counts
+    assert g.endpoint_table == fresh.endpoint_table == h.endpoint_table
+    if on is not None:
+        c, want = on
+        assert validate_sutures(c, g).problems == \
+            validate_sutures(want, h).problems
+    return g
+
+
+def scrambled(obj):
+    """A sutures document object of the same system, if it is one: the
+    squares named last first, each square's chords in reverse order, each
+    chord the other way round."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("chords"), dict):
+        return obj
+    chords = {key: [ch[::-1] if isinstance(ch, list) else ch
+                    for ch in lst[::-1]] if isinstance(lst, list) else lst
+              for key, lst in reversed(obj["chords"].items())}
+    return {**obj, "chords": chords}
+
+
+def check_parse(surface_text: str, sutures_text: str) -> None:
+    """`check_surface_parse`, then `check_sutures_parse` on the parsed
+    complex's squares."""
+    pair = check_surface_parse(surface_text)
+    if pair is not None:
+        check_sutures_parse(sutures_text, pair[0].square_count, pair)

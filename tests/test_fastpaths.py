@@ -35,6 +35,11 @@ Fast paths and their oracles:
   and check, and the union-find.
 - A fan disc parsed from JSON is checked and peeled with no `VertexClass`
   object; the oracle is `disc.disc_element` of its matching.
+- The parsers fill a complex's `partner_index` and a system's side counts
+  and endpoint table as they read; the oracles are the parsers as they
+  were, which check each slot and endpoint on its own, build, and make the
+  tables when first read (`helpers.check_parse`), on the corpus, its
+  documents scrambled, and the bench's pool documents.
 - `compile_script` returns the last script it compiled as it is; the
   oracle is a fresh compile of an equal script.
 - `bypass_surgery` normalizes its child and marks it so; the oracle
@@ -101,8 +106,9 @@ from sqft.sutures import (
 )
 from helpers import (
     arc_ends_oracle, boundary_cycles_oracle, canonical_permutation_oracle,
-    closed_components, collapse_oracle, fan_oracle, matchings_oracle,
-    partner_oracle, slide_sutures_oracle, with_circle,
+    check_parse, closed_components, collapse_oracle, fan_oracle,
+    matchings_oracle, partner_oracle, scrambled, slide_sutures_oracle,
+    sutures_to_obj, with_circle,
 )
 from test_triviality import (
     POOL_MATCHINGS, _closed_components_oracle, _surgery_children,
@@ -580,6 +586,26 @@ def test_parsed_fan_builds_no_vertex_class(monkeypatch):
         want = disc_element(n, m)
         assert (x.arity, x.words) == (want.arity, want.words)
         assert c.vertex_classes == vertex_classes_oracle(c)
+
+
+def test_corpus_parses_as_the_oracles_do(corpus):
+    for c, g in corpus:
+        text = formats.emit_surface(c)
+        check_parse(text, formats.emit_sutures(g))
+        check_parse(text, json.dumps(scrambled(sutures_to_obj(g))))
+    # and the malformed systems, some of which no document can name
+    for c, g in MALFORMED.values():
+        check_parse(formats.emit_surface(c),
+                    json.dumps(scrambled(sutures_to_obj(g))))
+
+
+def test_pool_documents_parse_as_the_oracles_do():
+    pool = json.loads((ROOT / "bench" / "disc_chords_pool.json").read_text())
+    for n, matchings in sorted(pool["pool"].items()):
+        text = formats.emit_surface(disc_complex(int(n)))
+        for m in matchings:
+            g = matching_system(int(n), [tuple(ch) for ch in m])
+            check_parse(text, formats.emit_sutures(g))
 
 
 # ---------------------------------------------------------------------------
@@ -1179,13 +1205,16 @@ def test_exact_work_per_script(monkeypatch, disc12):
         for run in ("push", "naturality"):
             engine.clear_cache()
             glue = _count_calls(monkeypatch, engine, "glue")
-            collapse = _count_calls(monkeypatch, quad,
-                                    "collapse_slack_square")
+            collapse = _count_calls(monkeypatch, quad, "_collapse")
+            walks = _count_calls(monkeypatch, quad, "_wedges")
             if run == "push":
                 _push(script, 1)
             else:
                 assert naturality_holds(script, 1)
-            assert (glue[0], collapse[0]) == (gluings, collapses), run
+            # one walk round each collapsed vertex, the one that makes
+            # its record
+            assert (glue[0], collapse[0], walks[0]) == \
+                (gluings, collapses, collapses), run
             monkeypatch.undo()
 
 
@@ -1327,6 +1356,25 @@ def test_collapse_builds_its_complex_once(monkeypatch):
         quad.collapse_slack_square(before, rec)
         assert len(built) == 1
     assert len(cases) == 300
+
+
+def test_one_fan_walk_per_collapse(monkeypatch):
+    # collapse_steps hands the record it has just made to the unchecked
+    # collapse; the public collapse_slack_square walks the fan again to
+    # check the record it is given
+    glued = [step.collapses[0][0]
+             for script in (random_surface(s, 8) for s in range(100))
+             for step in engine._compile(script).steps if step.collapses]
+    walks = _count_calls(monkeypatch, quad, "_wedges")
+    collapses = 0
+    for c in glued:
+        steps = list(quad.collapse_steps(c))
+        collapses += len(steps)
+        assert walks[0] == collapses
+    for before, rec, _ in steps:
+        quad.collapse_slack_square(before, rec)
+    assert walks[0] == collapses + len(steps)
+    assert len(glued) > 50 and collapses > len(glued)
 
 
 # ---------------------------------------------------------------------------

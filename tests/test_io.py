@@ -17,10 +17,13 @@ from sqft import formats
 from sqft.census import disc_complex, matching_system
 from sqft.cli import main
 from sqft.engine import CreateSquare, Fold, Glue, MorphismScript, Zip
-from sqft.surface import SquareComplex
-from sqft.sutures import CurveSystem, basic_system
+from sqft.surface import SquareComplex, validate_complex
+from sqft.sutures import CurveSystem, basic_system, validate_sutures
 from sqft.svg import render_svg
-from helpers import script_to_obj, surface_to_obj, sutures_to_obj
+from helpers import (
+    check_parse, check_surface_parse, check_sutures_parse, scrambled,
+    script_to_obj, surface_to_obj, sutures_to_obj,
+)
 
 
 def test_surface_roundtrip(hexagon, punctured_torus, annulus):
@@ -738,3 +741,76 @@ def test_cli_exits_0_or_1_on_any_documents(surface, sutures, script, edge,
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
             assert code in (0, 1), argv
+
+
+# ---------------------------------------------------------------------------
+# the one-pass parsers against the parsers as they were (helpers.py)
+
+
+def test_fixtures_parse_as_the_oracles_do():
+    surfaces = {path.name.split(".")[0]: path.read_text()
+                for path in FIXTURES.glob("*.surface.json")}
+    for path in sorted(FIXTURES.glob("*.sutures.json")):
+        on = "disc12" if path.name.startswith("disc12") else "hexagon"
+        check_parse(surfaces[on], path.read_text())
+    for text in surfaces.values():
+        c, _ = check_surface_parse(text)
+        assert "partner_index" in vars(c)
+    for path in sorted(FIXTURES.glob("*.script.json")):
+        source = json.loads(path.read_text())["source"]
+        c, _ = check_surface_parse(json.dumps(source))
+        script = formats.parse_script(path.read_text())
+        assert script.source == c and "partner_index" in vars(script.source)
+
+
+@settings(max_examples=300, deadline=None)
+@given(surface=_surface_doc(), sutures=_sutures_doc(),
+       square_count=st.integers(0, 5))
+def test_parsers_against_the_oracles(surface, sutures, square_count):
+    check_parse(json.dumps(surface), json.dumps(sutures))
+    for doc in (sutures, scrambled(sutures)):
+        check_sutures_parse(json.dumps(doc), square_count)
+
+
+HEX = {"squares": 2, "gluings": [[[1, 1], [0, 0]]]}
+
+
+@pytest.mark.parametrize("surface, sutures, problem", [
+    (HEX, {"chords": {"0": [[[1, 0], [0, -1]]]}},
+     "sutures.chords[0][0]: negative position"),
+    (HEX, {"chords": {"1": [[[1, 0], [4, 0]]]}},
+     "sutures.chords[1][0]: side index 4 out of range 0..3"),
+    ({"squares": 2, "gluings": [[[0, 4], [1, 1]]]}, {},
+     "surface.gluings[0][0]: side index 4 out of range 0..3"),
+    ({"squares": 1}, {"chords": {"0": [[[1, 0], [0, 0]], [[2, 0], [0, 0]],
+                                       [[1, 1], [3, 0]]]}},
+     "square 0: point used by two chords"),
+    (HEX, {"chords": {"0": [[[3, 0], [0, 0]], [[2, 0], [0, 2]],
+                            [[1, 0], [0, 4]]],
+                      "1": [[[1, 0], [0, 0]], [[3, 0], [1, 1]],
+                            [[2, 0], [1, 2]]]}},
+     "square 0 side 0: positions not dense"),
+    ({"squares": 1}, {"chords": {"0": [[[3, 0], [1, 0]], [[2, 0], [0, 0]]]}},
+     "square 0: chords cross"),
+    ({"squares": 2, "gluings": [[[0, 0], [1, 1]], [[1, 3], [0, 0]]]}, {},
+     "side (0, 0) glued more than once"),
+    ({"squares": 1, "gluings": [[[0, 1], [0, 1]]]}, {},
+     "side (0, 1) glued to itself"),
+    ({"squares": 2, "gluings": [[[0, 0], [1, 2]]]}, {},
+     "gluing (0, 0)-(1, 2) pairs sides of equal parity"),
+])
+def test_bad_documents_fail_as_the_oracles_do(surface, sutures, problem):
+    surface_text, sutures_text = json.dumps(surface), json.dumps(sutures)
+    check_parse(surface_text, sutures_text)
+    messages = []
+    try:
+        c = formats.parse_surface(surface_text)
+        messages += validate_complex(c).problems
+        g = formats.parse_sutures(sutures_text, c.square_count)
+        messages += validate_sutures(c, g).problems
+    except formats.ParseError as exc:
+        messages.append(str(exc))
+    assert problem in messages
+    if "more than once" in problem:
+        # on a side glued twice the complex makes its own gluing table
+        assert "partner_index" not in vars(c)
